@@ -28,6 +28,15 @@ def _count(text):
     return int(value)
 
 
+def _sample_count(text):
+    value = _count(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(
+            f"need at least 2 sampled vertices for a standard error, got {text!r}"
+        )
+    return value
+
+
 def _resolve_out(path):
     outdir = os.environ.get("NNDLAB_OUTDIR")
     if path and outdir and not os.path.isabs(path):
@@ -317,7 +326,7 @@ def build_parser():
     pm.add_argument("--d", type=_count, required=True)
     pm.add_argument("--alpha", type=float, default=0.5)
     pm.add_argument("--seed", type=_count, default=0)
-    pm.add_argument("--sample-vertices", type=_count, default=500)
+    pm.add_argument("--sample-vertices", type=_sample_count, default=500)
     pm.add_argument("--idealized-inputs", action="store_true",
                     help="feed each round an exact rate-theta sample (one-step diagnostic)")
     pm.add_argument("--out", default=None)

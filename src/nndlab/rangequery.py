@@ -16,7 +16,7 @@ import numpy as np
 from itertools import combinations
 
 from .errors import InputError, ScheduleExhausted
-from .spaces import TorusSpace, torus_poisson, wrapped_deltas
+from .spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
 
 __all__ = [
     "TwoNrqParams",
@@ -29,6 +29,7 @@ __all__ = [
     "schedule_csv",
     "TwoNrqState",
     "init_e0",
+    "ball_scan",
     "ideal_state",
     "range_query_round",
     "SamplingReport",
@@ -41,6 +42,7 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
+_SCAN_ENTRIES = 1 << 20  # candidate pairs examined per chunk of ball centres
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,29 @@ def work_bound(params, t_prime, n=None):
 # ---------------------------------------------------------------------------
 # The simulated graph process
 
+def _edge_keys(edges, m):
+    """One int64 key lo*m + hi per undirected edge; sorted keys order edges lexicographically."""
+    return np.minimum(edges[:, 0], edges[:, 1]) * m + np.maximum(edges[:, 0], edges[:, 1])
+
+
+def _unique_keys(keys):
+    """The sorted distinct keys, as ``np.unique`` gives them, by one plain sort.
+
+    numpy 2's ``np.unique`` hashes integers first; on 1e5-1e6 int64 keys
+    that measured 30-60x slower than this (numpy 2.4, x86-64).
+    """
+    keys = np.sort(keys)
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
 class TwoNrqState:
-    """Undirected edge set over a torus sample at some round, plus a work meter."""
+    """Undirected edge set over a torus sample at some round, plus a work meter.
+
+    ``edges`` is an (E, 2) int64 array of distinct pairs with ``a < b``, in
+    lexicographic order.
+    """
 
     def __init__(self, space, edges, t=0, distance_evals=0):
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -246,9 +269,10 @@ class TwoNrqState:
             edges.min() < 0 or edges.max() >= space.n or (edges[:, 0] == edges[:, 1]).any()
         ):
             raise InputError("edges must join distinct in-range vertices")
-        edges = np.unique(np.sort(edges, axis=1), axis=0) if edges.size else edges
+        m = space.n
+        keys = _unique_keys(_edge_keys(edges, m))
         self.space = space
-        self.edges = edges
+        self.edges = np.stack([keys // m, keys % m], axis=1)
         self.t = int(t)
         self.distance_evals = int(distance_evals)
 
@@ -267,7 +291,7 @@ class TwoNrqState:
         if not self.edges.size:
             return np.zeros(0)
         p = self.space.points
-        return wrapped_deltas(p[self.edges[:, 0]] - p[self.edges[:, 1]]).max(axis=1)
+        return wrapped_distance(p[self.edges[:, 0]], p[self.edges[:, 1]])
 
     def adjacency(self):
         """CSR-style (indptr, neighbors) view of the undirected edge set."""
@@ -312,33 +336,96 @@ def init_e0(space, K, n_mean, seed):
         ok = a != b
         lo = np.minimum(a[ok], b[ok]).astype(np.int64)
         hi = np.maximum(a[ok], b[ok]).astype(np.int64)
-        chosen = np.unique(np.concatenate([chosen, lo * m + hi]))
+        chosen = _unique_keys(np.concatenate([chosen, lo * m + hi]))
     pick = rng.choice(chosen.size, size=count, replace=False)
     keys = chosen[pick]
     edges = np.stack([keys // m, keys % m], axis=1)
     return TwoNrqState(space, edges, t=0)
 
 
-def ideal_state(space, r, theta, t, seed, chunk=256):
+def _ranges(starts, counts):
+    """Concatenation of arange(s, s + c) over the pairs of starts and counts."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def ball_scan(points, centres, r):
+    """Points within wrapped sup-distance ``r`` of each centre, in chunks of centres.
+
+    ``centres`` are indices into ``points``.  Yields ``(start, indptr, idx,
+    dist)`` for consecutive runs ``centres[start:start + len(indptr) - 1]``:
+    the ball of the k-th centre of a run is ``idx[indptr[k]:indptr[k + 1]]``
+    in ascending order (the centre included) with distances ``dist``.
+
+    The points are bucketed into a wrapping grid of g^d cells with
+    g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
+    a ball meets only the 3^d cells around its centre's cell, however the
+    coordinates round (Bentley, Stanat & Williams, IPL 1977).  When g <= 3
+    that window is the whole torus, and every point is scanned as one row.
+    """
+    centres = np.asarray(centres, dtype=np.int64)
+    m, d = np.shape(points)
+    axes = np.ascontiguousarray(np.transpose(points), dtype=np.float64)  # one row per coordinate
+    g = min(int(2.0 / r) - 1, int(2.0 ** (62.0 / d)))  # cell ids must fit in int64
+    if g <= 3:
+        rows = max(1, _SCAN_ENTRIES // max(m, 1))
+        for start in range(0, centres.size, rows):
+            chunk = np.take(axes, centres[start : start + rows], axis=1)
+            dist = wrapped_distance(chunk.T[:, None, :], axes.T[None, :, :])
+            inside = dist <= r
+            indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+            # flat positions and a gather beat boolean masks on dense rows
+            hit = np.flatnonzero(inside)
+            yield start, indptr, hit % m, dist.ravel()[hit]
+        return
+
+    cells = np.minimum(np.floor((axes.T + 1.0) * (g / 2.0)).astype(np.int64), g - 1)
+    weights = g ** np.arange(d, dtype=np.int64)
+    cell_id = cells @ weights
+    order = np.argsort(cell_id, kind="stable")
+    sorted_id = cell_id[order]
+    by_cell = np.take(axes, order, axis=1)
+    window = np.stack(np.meshgrid(*[(-1, 0, 1)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    per_centre = max(1, int(m * (3.0 / g) ** d))
+    rows = max(1, _SCAN_ENTRIES // per_centre)
+    for start in range(0, centres.size, rows):
+        chunk = centres[start : start + rows]
+        near = (((cells[chunk][:, None, :] + window) % g) @ weights).ravel()
+        lo = np.searchsorted(sorted_id, near, side="left")
+        counts = np.searchsorted(sorted_id, near, side="right") - lo
+        scanned = counts.reshape(chunk.size, -1).sum(axis=1)
+        pos = _ranges(lo, counts)
+        centre_axes = np.repeat(np.take(axes, chunk, axis=1), scanned, axis=1)
+        dist = wrapped_distance(centre_axes.T, np.take(by_cell, pos, axis=1).T)
+        hit = np.flatnonzero(dist <= r)
+        owner = np.repeat(np.arange(chunk.size), scanned)[hit]
+        cand = order[pos[hit]]
+        # the 3^d cells are distinct when g >= 4, so the keys are unique
+        by_key = np.argsort(owner * m + cand)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=chunk.size))])
+        yield start, indptr, cand[by_key], dist[hit[by_key]]
+
+
+def ideal_state(space, r, theta, t, seed):
     """A state satisfying the sampling hypothesis exactly: independent
     rate-theta coins over every vertex pair within distance r.
 
-    Quadratic in the vertex count; intended as the conditioned-input
-    diagnostic, not as part of the algorithm.
+    Each vertex i draws its coins in ascending order over its neighbours
+    j > i within r; the pairs come from a cell-grid scan, so the cost is
+    about m times the ball population rather than m^2 once r < 0.4.
     """
     m = space.n
     rng = np.random.default_rng(seed)
-    pts = space.points
     rows = []
-    for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        block = wrapped_deltas(pts[start:stop, None, :] - pts[None, :, :]).max(axis=2)
-        for local, i in enumerate(range(start, stop)):
-            near = np.flatnonzero(block[local, i + 1 :] <= r) + i + 1
-            if near.size:
-                keep = near[rng.random(near.size) < theta]
-                if keep.size:
-                    rows.append(np.stack([np.full(keep.size, i, dtype=np.int64), keep], axis=1))
+    for start, indptr, idx, _ in ball_scan(space.points, np.arange(m), r):
+        owner = start + np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        later = idx > owner
+        owner, idx = owner[later], idx[later]
+        sizes = np.bincount(owner - start, minlength=indptr.size - 1)
+        if owner.size:
+            coins = np.concatenate([rng.random(k) for k in sizes[sizes > 0]])
+            keep = coins < theta
+            rows.append(np.stack([owner[keep], idx[keep]], axis=1))
     edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
     return TwoNrqState(space, edges, t=t)
 
@@ -379,17 +466,18 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
     if not 0 < r_t < r_prev <= 1.0:
         raise InputError("need 0 < r_t < r_prev <= 1")
     rng = np.random.default_rng(seed)
-    pts = state.space.points
+    axes = np.ascontiguousarray(state.space.points.T)
     proposals = _hub_pairs(state)
     evals = proposals.shape[0]
     if evals:
-        deltas = wrapped_deltas(pts[proposals[:, 0]] - pts[proposals[:, 1]])
-        in_range = deltas.max(axis=1) <= r_t
+        u = np.take(axes, proposals[:, 0], axis=1).T
+        v = np.take(axes, proposals[:, 1], axis=1).T
+        in_range = np.flatnonzero(wrapped_distance(u, v) <= r_t)
         prop = proposals[in_range]
-        nu = _nu_many(deltas[in_range], r_prev)
+        nu = _nu_many(wrapped_deltas(u[in_range] - v[in_range]), r_prev)
         f = g_value / nu
         if f.size and f.max() > 1.0 + 1e-9:
-            raise RuntimeError(
+            raise InputError(
                 f"acceptance rate {f.max():.6f} exceeds 1: overlap volume fell below g"
             )
         accepted = prop[rng.random(f.size) < f]
@@ -402,11 +490,10 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
         distance_evals=state.distance_evals + evals,
     )
     if return_accept_counts:
-        counts = {}
         m = state.space.n
-        for a, b in np.sort(accepted, axis=1):
-            counts[(int(a), int(b))] = counts.get((int(a), int(b)), 0) + 1
-        return new_state, counts
+        keys, counts = np.unique(_edge_keys(accepted, m), return_counts=True)
+        pairs = zip((keys // m).tolist(), (keys % m).tolist())
+        return new_state, dict(zip(pairs, counts.tolist()))
     return new_state
 
 
@@ -469,6 +556,12 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     """
     from scipy import stats
 
+    if sample_size < 2:
+        raise InputError(
+            f"need at least 2 sampled vertices for a standard error, got {sample_size}"
+        )
+    if not r_t > 0:
+        raise InputError("need r_t > 0")
     m = state.space.n
     d = state.space.d
     pts = state.space.points
@@ -477,38 +570,48 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     indptr, nbrs = state.adjacency()
     deg = np.diff(indptr)
 
+    sample_deg = deg[sample]
+    nbr_owner = np.repeat(np.arange(len(sample)), sample_deg)
+    nbr_ptr = np.concatenate([[0], np.cumsum(sample_deg)])
+    neigh = nbrs[_ranges(indptr[sample], sample_deg)]
+    nbr_dist = wrapped_distance(pts[sample[nbr_owner]], pts[neigh])
+    out_of_range = int((nbr_dist > r_t).sum())
+    nbr_radial = (nbr_dist / r_t) ** d
+
     rates = np.empty(len(sample))
-    out_of_range = 0
-    nbr_radial = []
     pop_radial = []
-    chunk = 256
-    for start in range(0, len(sample), chunk):
-        idx = sample[start : start + chunk]
-        block = wrapped_deltas(pts[idx][:, None, :] - pts[None, :, :]).max(axis=2)
-        for local, v in enumerate(idx):
-            row = block[local]
-            in_ball = row <= r_t
-            in_ball[v] = False
-            q = int(in_ball.sum())
-            neigh = nbrs[indptr[v] : indptr[v + 1]]
-            out_of_range += int((row[neigh] > r_t).sum())
-            rates[start + local] = deg[v] / q if q else np.nan
-            if neigh.size:
-                nbr_radial.append((row[neigh] / r_t) ** d)
-            others = np.flatnonzero(in_ball)
-            others = np.setdiff1d(others, neigh, assume_unique=False)
-            if others.size > ks_cap_per_vertex:
-                others = rng.choice(others, size=ks_cap_per_vertex, replace=False)
-            if others.size:
-                pop_radial.append((row[others] / r_t) ** d)
+    for start, ptr, idx, dist in ball_scan(pts, sample, r_t):
+        size = ptr.size - 1
+        stop = start + size
+        # every ball holds its centre (r_t > 0); the centre and its neighbors
+        # leave the KS population, located by the sorted keys ball*m + vertex
+        q = np.diff(ptr) - 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rate = sample_deg[start:stop] / q
+        rates[start:stop] = np.where(q > 0, rate, np.nan)
+        ball = np.arange(size) * m
+        keys = np.repeat(ball, np.diff(ptr)) + idx
+        mine = slice(nbr_ptr[start], nbr_ptr[stop])
+        drop = np.concatenate(
+            [ball + sample[start:stop], ball[nbr_owner[mine] - start] + neigh[mine]]
+        )
+        at = np.minimum(np.searchsorted(keys, drop), keys.size - 1)
+        keep = np.ones(keys.size, dtype=bool)
+        keep[at[keys[at] == drop]] = False
+        others = np.flatnonzero(keep)
+        bounds = np.searchsorted(others, ptr)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            pick = others[lo:hi]
+            if pick.size > ks_cap_per_vertex:
+                pick = rng.choice(pick, size=ks_cap_per_vertex, replace=False)
+            if pick.size:
+                pop_radial.append((dist[pick] / r_t) ** d)
 
     rates = rates[np.isfinite(rates)]
     rate_mean = float(rates.mean())
     rate_se = float(rates.std(ddof=1) / math.sqrt(len(rates)))
-    deg_sample = deg[sample]
-    deg_mean = float(deg_sample.mean())
-    deg_se = float(deg_sample.std(ddof=1) / math.sqrt(len(sample)))
-    nbr_radial = np.concatenate(nbr_radial) if nbr_radial else np.zeros(0)
+    deg_mean = float(sample_deg.mean())
+    deg_se = float(sample_deg.std(ddof=1) / math.sqrt(len(sample)))
     pop_radial = np.concatenate(pop_radial) if pop_radial else np.zeros(0)
     if nbr_radial.size >= 5 and pop_radial.size >= 5:
         ks = stats.ks_2samp(nbr_radial, pop_radial)

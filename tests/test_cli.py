@@ -83,6 +83,28 @@ class TestTwoNrq:
         assert doc["data"]["tau"] >= 1
         assert len(doc["data"]["sampling_reports"]) == doc["data"]["tau"] + 1
 
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_simulate_needs_two_sampled_vertices(self, count, tmp_path, capsys):
+        # fewer than two vertices gave NaN and Infinity standard errors
+        out = tmp_path / "sim.json"
+        with pytest.raises(SystemExit) as err:
+            run(["2nrq", "simulate", "--n", "300", "--k", "12", "--d", "2",
+                 "--sample-vertices", count, "--out", str(out)])
+        assert err.value.code == 2
+        assert "at least 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_two_sampled_vertices_is_strict_json(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert run(["2nrq", "simulate", "--n", "300", "--k", "12", "--d", "2",
+                    "--sample-vertices", "2", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(name)
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert all(r["sampled"] == 2 for r in doc["data"]["sampling_reports"])
+
 
 class TestCrs:
     def test_enumerate_n4(self, tmp_path):
