@@ -287,12 +287,6 @@ def build_parser():
         action="store_true",
         help="print version and the golden-schedule checksum, then exit",
     )
-    parser.add_argument(
-        "--threads",
-        type=_count,
-        default=1,
-        help="worker cap (current implementations are single-threaded; results never depend on it)",
-    )
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("nnd", help="run nearest-neighbor descent on an example space")

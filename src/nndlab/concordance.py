@@ -12,6 +12,7 @@ circuits), and explores the graph on linear orders whose "white" edges are
 the adjacent transpositions that leave the induced system unchanged.
 """
 
+import functools
 import itertools
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable
+from .ranking import RankTable, csv_triples, unique_keys
 
 __all__ = [
     "n_pairs",
@@ -59,12 +60,11 @@ def n_pairs(n):
 
 
 def pair_index(i, j, n):
-    """Lexicographic triangular index of the pair {i, j}, i < j."""
-    if i == j:
+    """Lexicographic triangular index of the pair {i, j}; elementwise on arrays."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    if np.any(lo == hi):
         raise InputError("a pair needs two distinct items")
-    if i > j:
-        i, j = j, i
-    return i * (2 * n - i - 1) // 2 + (j - i - 1)
+    return lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
 
 
 def pair_unrank(idx, n):
@@ -116,10 +116,9 @@ class LinearOrder:
     def positions_array(self):
         """Positions indexed by lexicographic pair index (1-based values)."""
         if self._pos is None:
+            ij = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
             pos = np.empty(self.N, dtype=np.int64)
-            n = self.n
-            for k, (i, j) in enumerate(self.pairs):
-                pos[pair_index(i, j, n)] = k + 1
+            pos[pair_index(ij[:, 0], ij[:, 1], self.n)] = np.arange(1, self.N + 1)
             self._pos = pos
         return self._pos
 
@@ -151,13 +150,7 @@ class LinearOrder:
 
     @classmethod
     def from_csv(cls, text):
-        rows = {}
-        lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-        if lines and lines[0] == "position,i,j":
-            lines = lines[1:]
-        for ln in lines:
-            k, i, j = (int(v) for v in ln.split(","))
-            rows[k] = (i, j)
+        rows = {k: (i, j) for k, i, j in csv_triples(text, "position,i,j")}
         pairs = [rows[k] for k in range(1, len(rows) + 1)]
         n = max(max(p) for p in pairs) + 1
         return cls(n, pairs)
@@ -167,52 +160,57 @@ class LinearOrder:
 # The induced ranking system and its concordancy certificate
 
 def _consecutive_arcs(table):
-    """Deduplicated arcs p -> q for p immediately below q in some item's order."""
+    """Distinct arcs p -> q, for pair p immediately below pair q in some item's
+    order, as sorted keys p * N + q over lexicographic pair indices."""
     n = table.n
-    arcs = set()
-    for x in range(n):
-        seq = [(min(x, int(y)), max(x, int(y))) for y in table.order[x]]
-        arcs.update(zip(seq, seq[1:]))
-    return arcs
+    P = pair_index(np.arange(n, dtype=np.int64)[:, None], table.order.astype(np.int64), n)
+    return unique_keys((P[:, :-1] * n_pairs(n) + P[:, 1:]).ravel())
+
+
+def _arc_graph(keys, N):
+    """CSR adjacency of N pair nodes with the arcs of the sorted keys p * N + q."""
+    from scipy.sparse import csr_matrix
+
+    src, dst = np.divmod(keys, N)
+    indptr = np.searchsorted(src, np.arange(N + 1))
+    return csr_matrix((np.ones(keys.size, dtype=np.int8), dst, indptr), shape=(N, N))
+
+
+def _arc_pairs(keys, n):
+    """The arcs of the sorted keys p * N + q as pair tuples, in key order."""
+    pairs = all_pairs(n)
+    src, dst = np.divmod(keys, len(pairs))
+    return [(pairs[p], pairs[q]) for p, q in zip(src.tolist(), dst.tolist())]
 
 
 def _check_table(table):
-    """(dag_arcs, None) when the consecutive-relation digraph is acyclic,
-    else (None, explicit_cycle)."""
-    arcs = _consecutive_arcs(table)
-    nodes = all_pairs(table.n)
-    succ = {p: [] for p in nodes}
-    indeg = {p: 0 for p in nodes}
-    for p, q in arcs:
-        succ[p].append(q)
-        indeg[q] += 1
-    queue = deque(p for p in nodes if indeg[p] == 0)
-    removed = 0
-    while queue:
-        p = queue.popleft()
-        removed += 1
-        for q in succ[p]:
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                queue.append(q)
-    if removed == len(nodes):
-        return arcs, None
-    # survivors all keep an in-arc from another survivor, so walking
-    # predecessors backwards must revisit a node; that loop is the cycle
-    remaining = {p for p in nodes if indeg[p] > 0}
-    pred = {q: [] for q in remaining}
-    for p, q in arcs:
-        if p in remaining and q in remaining:
-            pred[q].append(p)
+    """(arc keys, None) when the consecutive-relation digraph is acyclic,
+    else (None, explicit cycle of pairs)."""
+    from scipy.sparse import csgraph
+
+    n = table.n
+    N = n_pairs(n)
+    keys = _consecutive_arcs(table)
+    count, labels = csgraph.connected_components(
+        _arc_graph(keys, N), directed=True, connection="strong"
+    )
+    if count == N:
+        return keys, None
+    # every node of a strong component with two or more nodes has a
+    # predecessor inside it, so walking predecessors must revisit a node
+    start = int(np.flatnonzero(np.bincount(labels)[labels] > 1)[0])
+    src, dst = np.divmod(keys, N)
+    inside = (labels[src] == labels[start]) & (labels[dst] == labels[start])
+    pred = np.full(N, -1)
+    pred[dst[inside]] = src[inside]
     seen = {}
     walk = []
-    p = next(iter(remaining))
+    p = start
     while p not in seen:
         seen[p] = len(walk)
         walk.append(p)
-        p = pred[p][0]
-    cycle = list(reversed(walk[seen[p] :]))
-    return None, cycle
+        p = int(pred[p])
+    return None, [pair_unrank(p, n) for p in reversed(walk[seen[p] :])]
 
 
 class Crs:
@@ -222,20 +220,20 @@ class Crs:
     digraph on pairs, whose reachability is the minimal partial order
     extending every per-item order) or an explicit directed cycle of pairs
     witnessing that no such partial order exists.  Evidence is computed
-    lazily on first access.
+    lazily on first access; the DAG is held as sorted arc keys p * N + q
+    over lexicographic pair indices.
     """
 
-    def __init__(self, table, dag_arcs=None, cycle=None):
+    def __init__(self, table):
         self.table = table
-        self._dag_arcs = set(dag_arcs) if dag_arcs is not None else None
-        self._cycle = list(cycle) if cycle is not None else None
-        self._checked = dag_arcs is not None or cycle is not None
-        self._succ = None
 
-    def _ensure(self):
-        if not self._checked:
-            self._dag_arcs, self._cycle = _check_table(self.table)
-            self._checked = True
+    @functools.cached_property
+    def _evidence(self):
+        return _check_table(self.table)
+
+    @functools.cached_property
+    def _graph(self):
+        return _arc_graph(self._evidence[0], n_pairs(self.n))
 
     @property
     def n(self):
@@ -243,54 +241,37 @@ class Crs:
 
     @property
     def is_concordant(self):
-        self._ensure()
-        return self._cycle is None
+        return self._evidence[1] is None
 
-    @property
+    @functools.cached_property
     def dag_arcs(self):
-        self._ensure()
-        return self._dag_arcs
+        keys = self._evidence[0]
+        return None if keys is None else set(_arc_pairs(keys, self.n))
 
     @property
     def cycle(self):
-        self._ensure()
-        return self._cycle
+        return self._evidence[1]
 
     def order_leq(self, p, q):
         """True iff p precedes-or-equals q in the order type (reachability)."""
+        from scipy.sparse import csgraph
+
         if not self.is_concordant:
             raise NotConcordantError("order type undefined for a cyclic system", self.cycle)
-        p = (min(p), max(p))
-        q = (min(q), max(q))
-        if p == q:
+        a, b = pair_index(*p, self.n), pair_index(*q, self.n)
+        if a == b:
             return True
-        if self._succ is None:
-            succ = {}
-            for a, b in self._dag_arcs:
-                succ.setdefault(a, []).append(b)
-            self._succ = succ
-        frontier = [p]
-        seen = {p}
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in self._succ.get(a, ()):
-                    if b == q:
-                        return True
-                    if b not in seen:
-                        seen.add(b)
-                        nxt.append(b)
-            frontier = nxt
-        return False
+        reach = csgraph.breadth_first_order(self._graph, a, return_predecessors=False)
+        return bool((reach == b).any())
 
     def certificate_json(self):
         import json
 
-        self._ensure()
         if self.is_concordant:
-            cert = {"type": "dag", "arcs": sorted([list(p), list(q)] for p, q in self._dag_arcs)}
+            arcs = _arc_pairs(self._evidence[0], self.n)
+            cert = {"type": "dag", "arcs": [[list(p), list(q)] for p, q in arcs]}
         else:
-            cert = {"type": "cycle", "pairs": [list(p) for p in self._cycle]}
+            cert = {"type": "cycle", "pairs": [list(p) for p in self.cycle]}
         return json.dumps(cert, sort_keys=True)
 
 
@@ -313,8 +294,9 @@ def phi(order):
 
 def concordancy_check(table):
     """Certify a ranking system: order-type DAG or explicit cycle witness."""
-    dag, cycle = _check_table(table)
-    return Crs(table, dag_arcs=dag, cycle=cycle)
+    crs = Crs(table)
+    crs.is_concordant  # run the check now rather than on first use
+    return crs
 
 
 def generic_crs(n, seed):
@@ -364,19 +346,17 @@ def _linear_extension(crs, seed):
     n = crs.n
     pairs = all_pairs(n)
     rng = np.random.default_rng(seed)
-    priority = {p: int(k) for p, k in zip(pairs, rng.permutation(len(pairs)))}
-    succ = {p: [] for p in pairs}
-    indeg = {p: 0 for p in pairs}
-    for p, q in crs.dag_arcs:
-        succ[p].append(q)
-        indeg[q] += 1
-    heap = [(priority[p], p) for p in pairs if indeg[p] == 0]
+    priority = rng.permutation(len(pairs)).tolist()
+    graph = crs._graph
+    indptr, succ = graph.indptr.tolist(), graph.indices.tolist()
+    indeg = np.bincount(graph.indices, minlength=len(pairs)).tolist()
+    heap = [(priority[p], p) for p, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
     out = []
     while heap:
         _, p = heapq.heappop(heap)
-        out.append(p)
-        for q in succ[p]:
+        out.append(pairs[p])
+        for q in succ[indptr[p] : indptr[p + 1]]:
             indeg[q] -= 1
             if indeg[q] == 0:
                 heapq.heappush(heap, (priority[q], q))
@@ -400,9 +380,12 @@ def linf_embed(crs, seed=0, extension=None):
     else:
         if extension.n != n:
             raise InputError("extension is over the wrong ground set")
-        for p, q in crs.dag_arcs:
-            if extension.position(*p) > extension.position(*q):
-                raise InputError(f"supplied order does not extend the order type at {p} -> {q}")
+        src, dst = np.divmod(crs._evidence[0], extension.N)
+        pos = extension.positions_array()
+        bad = np.flatnonzero(pos[src] > pos[dst])
+        if bad.size:
+            p, q = pair_unrank(int(src[bad[0]]), n), pair_unrank(int(dst[bad[0]]), n)
+            raise InputError(f"supplied order does not extend the order type at {p} -> {q}")
     N = extension.N
     coords = np.zeros((n, N))
     for col, (i, j) in enumerate(extension.pairs):

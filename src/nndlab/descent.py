@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph
+from .ranking import KnnGraph, unique_keys
 
 __all__ = [
     "FriendState",
@@ -31,7 +31,7 @@ __all__ = [
 
 
 class FriendState:
-    """Friend matrix F, its transpose (cofriend sets), round index, work meter."""
+    """Friend matrix F, round index, work meter."""
 
     def __init__(self, friends, t=0, work=0, last_changes=None):
         friends = np.asarray(friends, dtype=np.int32)
@@ -42,10 +42,6 @@ class FriendState:
         self.t = int(t)
         self.work = int(work)
         self.last_changes = last_changes
-        self._cof = [set() for _ in range(n)]
-        for x in range(n):
-            for y in friends[x]:
-                self._cof[y].add(x)
 
     @property
     def n(self):
@@ -55,30 +51,12 @@ class FriendState:
     def k(self):
         return self.friends.shape[1]
 
-    def cofriends(self, x):
-        """Sorted array of points currently listing x as a friend."""
-        return np.fromiter(sorted(self._cof[x]), dtype=np.int32, count=len(self._cof[x]))
-
     def set_friends(self, x, new):
-        """Replace F(x), keeping the cofriend transpose in sync."""
-        old = self.friends[x]
-        for y in old:
-            self._cof[y].discard(x)
-        for y in new:
-            self._cof[y].add(x)
+        """Replace F(x)."""
         self.friends[x] = new
 
     def copy(self):
         return FriendState(self.friends.copy(), t=self.t, work=self.work)
-
-    def transpose_consistent(self):
-        """True iff the cofriend sets equal the exact transpose of F."""
-        n = self.n
-        expected = [set() for _ in range(n)]
-        for x in range(n):
-            for y in self.friends[x]:
-                expected[y].add(x)
-        return expected == self._cof
 
     def worst_ranks(self, table):
         """Per-point max rank of the current friend set (quality measure)."""
@@ -122,7 +100,7 @@ def init_random_kout(n, K, seed):
 
 
 def _top_k(state, oracle, x, parts):
-    pool = np.unique(np.concatenate(parts))
+    pool = unique_keys(np.concatenate(parts))
     pool = pool[pool != x]
     return oracle.top_k(x, pool, state.k)
 
@@ -147,6 +125,7 @@ def friend_barter(state, x, y, oracle):
 
 
 def _cofriend_csr(F):
+    """The transpose of F as CSR: the cofriends of x are ``cof[indptr[x]:indptr[x + 1]]``."""
     n, k = F.shape
     src = np.repeat(np.arange(n, dtype=np.int32), k)
     dst = F.ravel()
@@ -213,6 +192,11 @@ def pointwise_pass(state, schedule, oracle):
 
 def default_budget(n, K):
     """Hard round budget ceil(2 log_K n)."""
+    if K < 2:
+        raise InputError(
+            f"the default round budget 2 log_K n needs K >= 2, got K={K}; "
+            "give the budget explicitly (--rounds)"
+        )
     return max(1, math.ceil(2 * math.log(n) / math.log(K)))
 
 
@@ -244,6 +228,8 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
         raise InputError(f"unknown stop rule {stop!r}")
     if oracle.n != n:
         raise InputError("oracle item count does not match n")
+    if not 1 <= K < n:
+        raise InputError(f"need 1 <= K < n, got K={K}, n={n}")
     budget = default_budget(n, K) if max_rounds is None else int(max_rounds)
     if budget < 1:
         raise InputError("round budget must be positive")

@@ -15,6 +15,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
+from .ranking import unique_keys
 
 EXACT_DIAMETER_LIMIT = 20000
 
@@ -34,7 +35,7 @@ def undirected_adjacency(out_neighbors):
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = F.ravel().astype(np.int64)
     key = np.concatenate([src * n + dst, dst * n + src])
-    key = np.unique(key)
+    key = unique_keys(key)
     a, b = key // n, key % n
     counts = np.bincount(a, minlength=n)
     indptr = np.concatenate([[0], np.cumsum(counts)])
@@ -75,7 +76,7 @@ def _bfs_eccentricity(indptr, nbrs, source, n):
     while frontier.size:
         level += 1
         spans = [nbrs[indptr[v] : indptr[v + 1]] for v in frontier]
-        nxt = np.unique(np.concatenate(spans))
+        nxt = unique_keys(np.concatenate(spans))
         nxt = nxt[dist[nxt] < 0]
         dist[nxt] = level
         frontier = nxt

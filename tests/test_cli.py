@@ -12,6 +12,15 @@ def run(args):
     return cli.main(args)
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity."""
+
+    def reject(name):
+        raise ValueError(f"non-finite constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -48,6 +57,19 @@ class TestNnd:
              "--mode", "pointwise", "--stop", "budget", "--seed", "3", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["data"]["recall"] < 0.7
+
+
+    @pytest.mark.parametrize("k", ["0", "1"])
+    def test_k_below_two_without_budget_exits_3(self, k, capsys):
+        assert run(["nnd", "--space", "paris", "--n", "64", "--k", k]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_k1_with_explicit_rounds(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["nnd", "--space", "paris", "--n", "64", "--k", "1",
+                    "--rounds", "2", "--out", str(out)]) == 0
+        doc = strict_json(out.read_text())
+        assert doc["data"]["rounds"] <= 2 and doc["data"]["K"] == 1
 
 
 class TestTwoNrq:
@@ -99,11 +121,15 @@ class TestTwoNrq:
         assert run(["2nrq", "simulate", "--n", "300", "--k", "12", "--d", "2",
                     "--sample-vertices", "2", "--out", str(out)]) == 0
 
-        def reject(name):
-            raise ValueError(name)
-
-        doc = json.loads(out.read_text(), parse_constant=reject)
+        doc = strict_json(out.read_text())
         assert all(r["sampled"] == 2 for r in doc["data"]["sampling_reports"])
+
+    def test_simulate_degenerate_statistics_are_null(self, capsys):
+        # two sampled vertices of equal rate leave the rate z-score infinite
+        assert run(["2nrq", "simulate", "--n", "60", "--k", "12", "--d", "3",
+                    "--sample-vertices", "2", "--seed", "3"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert any(r["rate_z"] is None for r in doc["data"]["sampling_reports"])
 
 
 class TestCrs:

@@ -5,6 +5,7 @@ import pytest
 
 from nndlab.errors import InputError, ScheduleExhausted
 from nndlab.rangequery import (
+    SamplingReport,
     TwoNrqState,
     compute_schedule,
     derive_params,
@@ -357,6 +358,16 @@ class TestSamplingProperty:
             assert abs(rep["rate_z"]) <= 3.5
         final = result.report["sampling_reports"][-1]
         assert abs(final["deg_mean"] - 12) <= 3.5 * final["deg_se"]
+
+    def test_report_writes_null_for_non_finite_statistics(self):
+        report = SamplingReport(
+            t=0, r_t=0.5, theta_t=0.01, sampled=2, out_of_range_neighbors=0,
+            rate_mean=0.01, rate_se=0.0, rate_z=math.inf, deg_mean=3.0, deg_se=0.0,
+            ks_stat=math.nan, ks_pvalue=math.nan,
+        )
+        doc = report.to_json_dict()
+        assert doc["rate_z"] is None and doc["ks_stat"] is None and doc["ks_pvalue"] is None
+        assert doc["rate_se"] == 0.0 and doc["sampled"] == 2 and doc["t"] == 0
 
     def test_ideal_state_rate(self):
         space = torus_poisson(2000, 2, seed=17)

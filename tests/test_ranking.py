@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nndlab.concordance import LinearOrder, baranyai_order
 from nndlab.errors import InputError
 from nndlab.ranking import (
     KnnGraph,
@@ -15,6 +16,7 @@ from nndlab.ranking import (
     ranking_from_distance_matrix,
     ranking_from_distances,
     recall,
+    unique_keys,
 )
 from nndlab.spaces import random_ranking_table
 
@@ -230,3 +232,29 @@ class TestKnnGraphSerialization:
     def test_rejects_duplicates(self):
         with pytest.raises(InputError):
             KnnGraph(np.array([[1, 1], [0, 2], [0, 1]]))
+
+
+@pytest.mark.parametrize(
+    "cls,value",
+    [
+        (RankTable, random_ranking_table(5, seed=1)),
+        (KnnGraph, exact_knn(random_ranking_table(6, seed=2), 2)),
+        (LinearOrder, baranyai_order(4)),
+    ],
+    ids=["RankTable", "KnnGraph", "LinearOrder"],
+)
+@pytest.mark.parametrize("row", ["0,1", "0,1,x", "0,1,2,3", "0;1;2"])
+def test_from_csv_rejects_malformed_row(cls, value, row):
+    lines = value.to_csv().splitlines()
+    lines[2] = row
+    with pytest.raises(InputError, match="three integers"):
+        cls.from_csv("\n".join(lines))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(min_value=-50, max_value=50), max_size=60))
+def test_unique_keys_matches_np_unique(values):
+    keys = np.array(values, dtype=np.int64)
+    got = unique_keys(keys)
+    assert got.dtype == keys.dtype
+    np.testing.assert_array_equal(got, np.unique(keys))
