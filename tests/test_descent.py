@@ -26,6 +26,16 @@ def paris_oracle(n):
     return RankingOracle(rank_table(paris_space(range(1, n + 1))))
 
 
+def assert_csr_transpose(F):
+    # the CSR transpose is the only cofriend representation; compare it
+    # with a transpose built pair by pair
+    n = F.shape[0]
+    indptr, cof = _cofriend_csr(F)
+    for x in range(n):
+        expected = sorted(y for y in range(n) if x in F[y])
+        assert cof[indptr[x] : indptr[x + 1]].tolist() == expected
+
+
 class TestInit:
     def test_forced_when_n_is_k_plus_1(self):
         state = init_random_kout(5, 4, seed=0)
@@ -99,6 +109,11 @@ class TestFriendBarter:
         with pytest.raises(InputError):
             friend_barter(state, 2, 2, paris_oracle(6))
 
+    def test_keeps_transpose_in_sync(self):
+        state = FriendState(random_kout(12, 3, 1))
+        friend_barter(state, 0, 5, paris_oracle(12))
+        assert_csr_transpose(state.friends)
+
 
 class TestBatchRound:
     def test_exact_graph_is_fixed_point(self):
@@ -134,6 +149,11 @@ class TestBatchRound:
             keep = np.argpartition(ranks, 4 - 1)[:4] if pool.size > 4 else np.arange(pool.size)
             shuffled[x] = pool[keep[np.argsort(ranks[keep])]]
         assert np.array_equal(after.friends, shuffled)
+
+    def test_transpose_invariant(self):
+        oracle = paris_oracle(30)
+        state = batch_round(init_random_kout(30, 4, seed=4), oracle)
+        assert_csr_transpose(state.friends)
 
     def test_round_counter_advances(self):
         oracle = paris_oracle(12)
@@ -176,23 +196,11 @@ class TestPointwisePass:
         with pytest.raises(InputError):
             pointwise_pass(state, np.array([0, 1, 2, 3, 4, 5, 6, 6]), paris_oracle(8))
 
-
-class TestCofriendTranspose:
-    def test_csr_matches_brute_force_after_updates(self):
-        # the CSR transpose is the only cofriend representation; check it
-        # after each kind of update against a transpose built pair by pair
-        n = 30
-        oracle = paris_oracle(n)
-        state = init_random_kout(n, 3, seed=4)
-        friend_barter(state, 0, 5, oracle)
-        states = [state, batch_round(state, oracle)]
-        states.append(pointwise_pass(states[-1], np.random.default_rng(0).permutation(n), oracle))
-        for st in states:
-            F = st.friends
-            indptr, cof = _cofriend_csr(F)
-            for x in range(n):
-                expected = sorted(y for y in range(n) if x in F[y])
-                assert cof[indptr[x] : indptr[x + 1]].tolist() == expected
+    def test_transpose_invariant(self):
+        oracle = paris_oracle(25)
+        state = init_random_kout(25, 3, seed=6)
+        after = pointwise_pass(state, np.random.default_rng(0).permutation(25), oracle)
+        assert_csr_transpose(after.friends)
 
 
 class TestRunNnd:
