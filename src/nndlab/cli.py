@@ -8,6 +8,7 @@ re-running a file's header reproduces it byte for byte.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -21,20 +22,26 @@ from .ranking import RankingOracle, exact_knn, recall
 RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
 
 
-def _count(text):
+def _finite(text):
     value = float(text)
-    if value != int(value) or value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(value)
-
-
-def _sample_count(text):
-    value = _count(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError(
-            f"need at least 2 sampled vertices for a standard error, got {text!r}"
-        )
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _count_at_least(low):
+    """An argparse type for integers of at least ``low``, also written as 1e3."""
+
+    def count(text):
+        value = _finite(text)
+        if value != int(value) or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
+        return int(value)
+
+    return count
+
+
+_count = _count_at_least(0)
 
 
 def _resolve_out(path):
@@ -309,7 +316,7 @@ def build_parser():
     ps.add_argument("--n", type=_count, required=True)
     ps.add_argument("--k", type=_count, required=True)
     ps.add_argument("--d", type=_count, required=True)
-    ps.add_argument("--alpha", type=float, default=0.5)
+    ps.add_argument("--alpha", type=_finite, default=0.5)
     ps.add_argument("--format", choices=["csv", "json"], default="csv")
     ps.add_argument("--out", default=None)
     ps.set_defaults(func=cmd_2nrq_schedule)
@@ -318,9 +325,10 @@ def build_parser():
     pm.add_argument("--n", type=_count, required=True)
     pm.add_argument("--k", type=_count, required=True)
     pm.add_argument("--d", type=_count, required=True)
-    pm.add_argument("--alpha", type=float, default=0.5)
+    pm.add_argument("--alpha", type=_finite, default=0.5)
     pm.add_argument("--seed", type=_count, default=0)
-    pm.add_argument("--sample-vertices", type=_sample_count, default=500)
+    # a standard error needs at least two sampled vertices
+    pm.add_argument("--sample-vertices", type=_count_at_least(2), default=500)
     pm.add_argument("--idealized-inputs", action="store_true",
                     help="feed each round an exact rate-theta sample (one-step diagnostic)")
     pm.add_argument("--out", default=None)
@@ -352,7 +360,7 @@ def build_parser():
 
     pf = sub3.add_parser("fraction", help="white-edge fraction, exact and Monte Carlo")
     pf.add_argument("--n", type=_count, required=True)
-    pf.add_argument("--samples", type=_count, default=100000)
+    pf.add_argument("--samples", type=_count_at_least(1), default=100000)
     pf.add_argument("--seed", type=_count, default=0)
     pf.add_argument("--out", default=None)
     pf.set_defaults(func=cmd_crs_fraction)
@@ -364,7 +372,7 @@ def build_parser():
     pd.add_argument("--n", type=_count, required=True)
     pd.add_argument("--k", type=_count, required=True)
     pd.add_argument("--trials", type=_count, default=50)
-    pd.add_argument("--eps", type=float, default=0.5)
+    pd.add_argument("--eps", type=_finite, default=0.5)
     pd.add_argument("--seed", type=_count, default=0)
     pd.add_argument("--out", default=None)
     pd.add_argument("--histogram", default=None, help="also write a diameter histogram CSV")
@@ -373,9 +381,9 @@ def build_parser():
     px = sub4.add_parser("expansion", help="sample vertex sets and check the expansion inequality")
     px.add_argument("--n", type=_count, required=True)
     px.add_argument("--k", type=_count, required=True)
-    px.add_argument("--alpha", type=float, default=0.05, help="set-size coefficient")
-    px.add_argument("--eps", type=float, default=1.0)
-    px.add_argument("--sets", type=_count, default=10000)
+    px.add_argument("--alpha", type=_finite, default=0.05, help="set-size coefficient")
+    px.add_argument("--eps", type=_finite, default=1.0)
+    px.add_argument("--sets", type=_count_at_least(1), default=10000)
     px.add_argument("--seed", type=_count, default=0)
     px.add_argument("--out", default=None)
     px.set_defaults(func=cmd_diag_expansion)

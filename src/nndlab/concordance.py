@@ -22,7 +22,7 @@ from math import comb, factorial
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable, csv_triples, unique_keys
+from .ranking import RankTable, csv_triples, rank_matrix, unique_keys
 
 __all__ = [
     "n_pairs",
@@ -150,10 +150,11 @@ class LinearOrder:
 
     @classmethod
     def from_csv(cls, text):
-        rows = {k: (i, j) for k, i, j in csv_triples(text, "position,i,j")}
-        pairs = [rows[k] for k in range(1, len(rows) + 1)]
-        n = max(max(p) for p in pairs) + 1
-        return cls(n, pairs)
+        pos, i, j = csv_triples(text, "position,i,j").T
+        # one ranked list of rows: each position 1..N must appear exactly once
+        at = rank_matrix(np.zeros_like(pos), pos, np.arange(pos.size))[0]
+        n = int(max(i.max(), j.max())) + 1
+        return cls(n, zip(i[at].tolist(), j[at].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, unique_keys
+from .ranking import KnnGraph, csr, unique_keys
 
 __all__ = [
     "FriendState",
@@ -124,17 +124,6 @@ def friend_barter(state, x, y, oracle):
     return new_x, new_y
 
 
-def _cofriend_csr(F):
-    """The transpose of F as CSR: the cofriends of x are ``cof[indptr[x]:indptr[x + 1]]``."""
-    n, k = F.shape
-    src = np.repeat(np.arange(n, dtype=np.int32), k)
-    dst = F.ravel()
-    order = np.argsort(dst, kind="stable")
-    counts = np.bincount(dst, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr, src[order]
-
-
 def batch_round(state, oracle, include_cofriends=True):
     """One simultaneous round: every point re-selects from the old snapshot.
 
@@ -147,7 +136,8 @@ def batch_round(state, oracle, include_cofriends=True):
     n, k = F.shape
     before = oracle.comparisons
     if include_cofriends:
-        indptr, cof = _cofriend_csr(F)
+        # cofriends: the transpose of F, as CSR rows
+        indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
     new_F = np.empty_like(F)
     changes = 0
     for x in range(n):

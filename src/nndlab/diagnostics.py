@@ -15,7 +15,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import unique_keys
+from .ranking import csr, csr_rows, unique_keys
 
 EXACT_DIAMETER_LIMIT = 20000
 
@@ -34,12 +34,8 @@ def undirected_adjacency(out_neighbors):
     n, k = F.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = F.ravel().astype(np.int64)
-    key = np.concatenate([src * n + dst, dst * n + src])
-    key = unique_keys(key)
-    a, b = key // n, key % n
-    counts = np.bincount(a, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr, b
+    key = unique_keys(np.concatenate([src * n + dst, dst * n + src]))
+    return csr(key // n, key % n, n)
 
 
 def _full_row_mask(n, words):
@@ -75,8 +71,7 @@ def _bfs_eccentricity(indptr, nbrs, source, n):
     level = 0
     while frontier.size:
         level += 1
-        spans = [nbrs[indptr[v] : indptr[v + 1]] for v in frontier]
-        nxt = unique_keys(np.concatenate(spans))
+        nxt = unique_keys(nbrs[csr_rows(indptr[frontier], indptr[frontier + 1] - indptr[frontier])])
         nxt = nxt[dist[nxt] < 0]
         dist[nxt] = level
         frontier = nxt

@@ -13,10 +13,9 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from itertools import combinations
 
 from .errors import InputError, ScheduleExhausted
-from .ranking import unique_keys
+from .ranking import csr, csr_rows, unique_keys
 from .spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
 
 __all__ = [
@@ -249,7 +248,7 @@ class TwoNrqState:
     """Undirected edge set over a torus sample at some round, plus a work meter.
 
     ``edges`` is an (E, 2) int64 array of distinct pairs with ``a < b``, in
-    lexicographic order.
+    lexicographic order, read-only because the adjacency built from it is kept.
     """
 
     def __init__(self, space, edges, t=0, distance_evals=0):
@@ -262,19 +261,17 @@ class TwoNrqState:
         keys = unique_keys(_edge_keys(edges, m))
         self.space = space
         self.edges = np.stack([keys // m, keys % m], axis=1)
+        self.edges.setflags(write=False)
         self.t = int(t)
         self.distance_evals = int(distance_evals)
+        self._adjacency = None
 
     @property
     def edge_count(self):
         return self.edges.shape[0]
 
     def degrees(self):
-        deg = np.zeros(self.space.n, dtype=np.int64)
-        if self.edges.size:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.diff(self.adjacency()[0])
 
     def edge_lengths(self):
         if not self.edges.size:
@@ -283,15 +280,14 @@ class TwoNrqState:
         return wrapped_distance(p[self.edges[:, 0]], p[self.edges[:, 1]])
 
     def adjacency(self):
-        """CSR-style (indptr, neighbors) view of the undirected edge set."""
-        m = self.space.n
-        if not self.edges.size:
-            return np.zeros(m + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        both = np.concatenate([self.edges, self.edges[:, ::-1]])
-        both = both[np.argsort(both[:, 0], kind="stable")]
-        counts = np.bincount(both[:, 0], minlength=m)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        return indptr, both[:, 1]
+        """Read-only CSR (indptr, neighbors), built once; row v lists the neighbours
+        above v, then those below v, each ascending (the order ``_hub_pairs`` uses)."""
+        if self._adjacency is None:
+            a, b = self.edges.T
+            self._adjacency = csr(np.concatenate([a, b]), np.concatenate([b, a]), self.space.n)
+            for arr in self._adjacency:
+                arr.setflags(write=False)
+        return self._adjacency
 
 
 def init_e0(space, K, n_mean, seed):
@@ -330,12 +326,6 @@ def init_e0(space, K, n_mean, seed):
     keys = chosen[pick]
     edges = np.stack([keys // m, keys % m], axis=1)
     return TwoNrqState(space, edges, t=0)
-
-
-def _ranges(starts, counts):
-    """Concatenation of arange(s, s + c) over the pairs of starts and counts."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
 def ball_scan(points, centres, r):
@@ -383,7 +373,7 @@ def ball_scan(points, centres, r):
         lo = np.searchsorted(sorted_id, near, side="left")
         counts = np.searchsorted(sorted_id, near, side="right") - lo
         scanned = counts.reshape(chunk.size, -1).sum(axis=1)
-        pos = _ranges(lo, counts)
+        pos = csr_rows(lo, counts)
         centre_axes = np.repeat(np.take(axes, chunk, axis=1), scanned, axis=1)
         dist = wrapped_distance(centre_axes.T, np.take(by_cell, pos, axis=1).T)
         hit = np.flatnonzero(dist <= r)
@@ -419,26 +409,16 @@ def ideal_state(space, r, theta, t, seed):
     return TwoNrqState(space, edges, t=t)
 
 
-_pair_templates = {}
-
-
 def _hub_pairs(state):
     """All (neighbor, neighbor) pairs proposed by degree >= 2 vertices."""
     indptr, nbrs = state.adjacency()
     deg = np.diff(indptr)
-    groups = []
-    for g in np.unique(deg):
-        if g < 2:
-            continue
+    groups = [np.zeros((0, 2), dtype=np.int64)]
+    for g in unique_keys(deg[deg >= 2]):
         hubs = np.flatnonzero(deg == g)
-        tmpl = _pair_templates.get(int(g))
-        if tmpl is None:
-            tmpl = np.array(list(combinations(range(int(g)), 2)))
-            _pair_templates[int(g)] = tmpl
+        pairs = np.stack(np.triu_indices(g, 1), axis=1)  # i < j, lexicographic
         block = nbrs[indptr[hubs][:, None] + np.arange(g)[None, :]]
-        groups.append(block[:, tmpl].reshape(-1, 2))
-    if not groups:
-        return np.zeros((0, 2), dtype=np.int64)
+        groups.append(block[:, pairs].reshape(-1, 2))
     return np.concatenate(groups)
 
 
@@ -548,12 +528,9 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     rng = np.random.default_rng(seed)
     sample = rng.choice(m, size=min(sample_size, m), replace=False)
     indptr, nbrs = state.adjacency()
-    deg = np.diff(indptr)
-
-    sample_deg = deg[sample]
+    sample_deg = np.diff(indptr)[sample]
     nbr_owner = np.repeat(np.arange(len(sample)), sample_deg)
-    nbr_ptr = np.concatenate([[0], np.cumsum(sample_deg)])
-    neigh = nbrs[_ranges(indptr[sample], sample_deg)]
+    nbr_ptr, neigh = csr(nbr_owner, nbrs[csr_rows(indptr[sample], sample_deg)], len(sample))
     nbr_dist = wrapped_distance(pts[sample[nbr_owner]], pts[neigh])
     out_of_range = int((nbr_dist > r_t).sum())
     nbr_radial = (nbr_dist / r_t) ** d

@@ -33,8 +33,26 @@ def unique_keys(keys):
     return keys[first]
 
 
+def csr(rows, cols, n):
+    """The entries (rows[i], cols[i]) as CSR over n rows: ``(indptr, cols')``.
+
+    Row x is ``cols'[indptr[x]:indptr[x + 1]]``; the sort by row is stable, so
+    each row keeps its entries in input order.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order]
+
+
+def csr_rows(starts, counts):
+    """The positions of the CSR rows starting at ``starts``, ``counts`` long, in turn."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
 def csv_triples(text, header):
-    """The integer rows of a three-column CSV, without ``#`` lines and the header."""
+    """The integer rows of a three-column CSV as an (R, 3) array, without ``#`` lines."""
     lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
     if lines and lines[0] == header:
         lines = lines[1:]
@@ -45,7 +63,22 @@ def csv_triples(text, header):
         except ValueError:
             raise InputError(f"expected three integers per CSV row, got {ln!r}") from None
         rows.append((a, b, c))
-    return rows
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)
+
+
+def rank_matrix(keys, ranks, values):
+    """The (n, k) matrix M with ``M[key, rank - 1] = value`` for each entry.
+
+    Raises InputError unless the entries give each key 0..n-1 each rank 1..k
+    exactly once, so a missing or repeated CSV row is refused.
+    """
+    n, k = int(keys.max(initial=-1)) + 1, int(ranks.max(initial=0))
+    cells = keys * k + ranks - 1
+    distinct = unique_keys(cells)
+    # with every rank >= 1, n * k distinct cells none below 0 are exactly 0 .. n*k - 1
+    if not 0 < keys.size == n * k == distinct.size or ranks.min() < 1 or distinct[0] < 0:
+        raise InputError(f"incomplete table: each of {n} keys needs ranks 1..{k} exactly once")
+    return values[np.argsort(cells)].reshape(n, k)
 
 
 class RankTable:
@@ -121,12 +154,7 @@ class RankTable:
 
     @classmethod
     def from_csv(cls, text):
-        rows = {}
-        for x, r, y in csv_triples(text, "source,rank,target"):
-            rows.setdefault(x, {})[r] = y
-        n = len(rows)
-        order = np.array([[rows[x][r] for r in range(1, n)] for x in range(n)])
-        return cls(order)
+        return cls(rank_matrix(*csv_triples(text, "source,rank,target").T))
 
 
 class KnnGraph:
@@ -170,13 +198,7 @@ class KnnGraph:
 
     @classmethod
     def from_csv(cls, text):
-        rows = {}
-        for x, r, y in csv_triples(text, "source,rank,target"):
-            rows.setdefault(x, {})[r] = y
-        n = len(rows)
-        k = max(rows[0])
-        neighbors = np.array([[rows[x][r] for r in range(1, k + 1)] for x in range(n)])
-        return cls(neighbors, n=n)
+        return cls(rank_matrix(*csv_triples(text, "source,rank,target").T))
 
     def to_json(self):
         return json.dumps(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -36,6 +37,37 @@ class TestUsageErrors:
         assert run([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["diag", "expansion", "--n", "100", "--k", "4", "--alpha", "nan"], 2),
+            (["diag", "expansion", "--n", "100", "--k", "4", "--alpha", "inf"], 2),
+            (["diag", "diameter", "--n", "200", "--k", "3", "--trials", "2", "--eps", "nan"], 2),
+            (["diag", "diameter", "--n", "200", "--k", "3", "--trials", "2", "--eps", "inf"], 2),
+            (["diag", "expansion", "--n", "100", "--k", "4", "--sets", "0"], 2),
+            (["crs", "fraction", "--n", "5", "--samples", "0"], 2),
+            (["nnd", "--space", "paris", "--n", "inf", "--k", "2"], 2),
+            (["2nrq", "schedule", "--n", "1e5", "--k", "20", "--d", "3", "--alpha", "nan",
+              "--format", "json"], 2),
+            (["diag", "expansion", "--n", "100", "--k", "4", "--sets", "1"], 0),
+            (["diag", "diameter", "--n", "200", "--k", "3", "--trials", "2", "--eps", "-0.5"], 0),
+            (["crs", "fraction", "--n", "5", "--samples", "1"], 0),
+        ],
+    )
+    def test_numeric_inputs_exit_2_or_write_strict_json(self, argv, code, tmp_path):
+        # non-finite floats and empty sample counts once gave tracebacks,
+        # NaN or Infinity; they are now usage errors
+        out = tmp_path / "out.json"
+        try:
+            got = run(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            got = exc.code
+        assert got == code
+        if code == 0:
+            strict_json(out.read_text())
+        else:
+            assert not out.exists()
+
 
 class TestNnd:
     def test_paris_run_report(self, tmp_path):
@@ -73,6 +105,23 @@ class TestNnd:
 
 
 class TestTwoNrq:
+    @pytest.mark.parametrize(
+        "extra,digest",
+        [
+            ([], "fde7e7e3238aeb3b443a8037ee411ae750c10f2d2f0ee7d236ba1b3a1921bf19"),
+            (["--idealized-inputs"],
+             "4cdda32f87d831c2339bed48832cdc3f2a0fd6c1fd06547ad335be3a66315727"),
+        ],
+        ids=["plain", "idealized"],
+    )
+    def test_simulate_golden_sha256(self, extra, digest, tmp_path):
+        # the report as written before the adjacency went through ranking.csr;
+        # pins the neighbour order that orders the proposals and the coins
+        out = tmp_path / "sim.json"
+        assert run(["2nrq", "simulate", "--n", "4e3", "--k", "12", "--d", "2",
+                    "--seed", "1", "--out", str(out)] + extra) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_schedule_golden_csv(self, tmp_path):
         out = tmp_path / "schedule.csv"
         code = run(["2nrq", "schedule", "--n", "1e7", "--k", "28", "--d", "4",

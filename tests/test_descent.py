@@ -6,7 +6,6 @@ from scipy import stats
 
 from nndlab.descent import (
     FriendState,
-    _cofriend_csr,
     batch_round,
     default_budget,
     friend_barter,
@@ -17,7 +16,7 @@ from nndlab.descent import (
     run_report,
 )
 from nndlab.errors import InputError
-from nndlab.ranking import RankingOracle, exact_knn, recall
+from nndlab.ranking import RankingOracle, csr, exact_knn, recall
 from nndlab.spaces import paris_space, random_ranking_table, rank_table
 from nndlab.concordance import generic_crs
 
@@ -27,10 +26,10 @@ def paris_oracle(n):
 
 
 def assert_csr_transpose(F):
-    # the CSR transpose is the only cofriend representation; compare it
-    # with a transpose built pair by pair
-    n = F.shape[0]
-    indptr, cof = _cofriend_csr(F)
+    # batch_round takes cofriends as the CSR of F's arcs keyed by target;
+    # compare that with a transpose built pair by pair
+    n, k = F.shape
+    indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
     for x in range(n):
         expected = sorted(y for y in range(n) if x in F[y])
         assert cof[indptr[x] : indptr[x + 1]].tolist() == expected

@@ -243,11 +243,25 @@ class TestKnnGraphSerialization:
     ],
     ids=["RankTable", "KnnGraph", "LinearOrder"],
 )
-@pytest.mark.parametrize("row", ["0,1", "0,1,x", "0,1,2,3", "0;1;2"])
-def test_from_csv_rejects_malformed_row(cls, value, row):
+@pytest.mark.parametrize(
+    "row,match",
+    [
+        pytest.param(row, "three integers", id=row)
+        for row in ["0,1", "0,1,x", "0,1,2,3", "0;1;2"]
+    ]
+    + [
+        # an empty line is skipped, so the second data row goes missing
+        pytest.param("", "exactly once", id="missing"),
+        pytest.param("1,1,0", "exactly once", id="repeated"),
+        pytest.param("-1,2,0", "exactly once", id="negative-key"),
+        # rank 0 of item 1 would fill the cell of item 0's last rank
+        pytest.param("1,0,2", "exactly once", id="rank-zero"),
+    ],
+)
+def test_from_csv_rejects_malformed_row(cls, value, row, match):
     lines = value.to_csv().splitlines()
     lines[2] = row
-    with pytest.raises(InputError, match="three integers"):
+    with pytest.raises(InputError, match=match):
         cls.from_csv("\n".join(lines))
 
 
