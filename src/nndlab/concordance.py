@@ -14,7 +14,7 @@ the adjacent transpositions that leave the induced system unchanged.
 
 import functools
 import itertools
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -83,31 +83,44 @@ def all_pairs(n):
 class LinearOrder:
     """A linear order on the pairs of [n], listed from bottom up.
 
-    ``pairs[k]`` is the pair at position k+1; ``position(i, j)`` returns the
-    1-based position sigma({i, j}).  Immutable and hashable.
+    ``perm[k]`` is the lexicographic index of the pair at position k+1, and
+    ``pairs[k]`` that pair as a tuple; ``position(i, j)`` returns the 1-based
+    position sigma({i, j}).  Immutable and hashable.
     """
 
-    __slots__ = ("n", "pairs", "_pos")
+    __slots__ = ("n", "perm")
 
     def __init__(self, n, pairs):
-        pairs = tuple((a, b) if a < b else (b, a) for a, b in pairs)
-        if sorted(pairs) != all_pairs(n):
-            raise InputError("pairs must enumerate every unordered pair exactly once")
-        self.n = int(n)
-        self.pairs = pairs
-        self._pos = None
+        ij = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
+        if not (ij.ndim == 2 and ij.shape[1] == 2 and ij.dtype.kind in "iu"
+                and ((0 <= ij) & (ij < n)).all()):
+            raise InputError(f"each pair must be two integer items of [0, {n})")
+        self._set(int(n), pair_index(*ij.astype(np.int64).T, n))
 
     @classmethod
-    def _trusted(cls, n, pairs):
-        self = object.__new__(cls)
-        self.n = n
-        self.pairs = pairs
-        self._pos = None
+    def from_perm(cls, n, perm):
+        """The order listing the pairs of lexicographic indices ``perm``."""
+        return cls.__new__(cls)._set(int(n), np.array(perm, dtype=np.int64))
+
+    def _set(self, n, perm):
+        N = n_pairs(max(n, 0))
+        # N indices >= 0 that fill all of the first N bins are a permutation of range(N)
+        if not (perm.shape == (N,) and perm.min(initial=0) >= 0
+                and np.bincount(perm, minlength=N)[:N].all()):
+            raise InputError("pairs must enumerate every unordered pair exactly once")
+        perm.setflags(write=False)
+        self.n, self.perm = n, perm
         return self
 
     @property
     def N(self):
-        return len(self.pairs)
+        return self.perm.size
+
+    @property
+    def pairs(self):
+        """The pairs from bottom up, as (i, j) tuples with i < j."""
+        lo, hi = np.triu_indices(self.n, 1)
+        return tuple(zip(lo[self.perm].tolist(), hi[self.perm].tolist()))
 
     def position(self, i, j):
         """1-based position of the pair {i, j}."""
@@ -115,30 +128,27 @@ class LinearOrder:
 
     def positions_array(self):
         """Positions indexed by lexicographic pair index (1-based values)."""
-        if self._pos is None:
-            ij = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
-            pos = np.empty(self.N, dtype=np.int64)
-            pos[pair_index(ij[:, 0], ij[:, 1], self.n)] = np.arange(1, self.N + 1)
-            self._pos = pos
-        return self._pos
+        pos = np.empty(self.N, dtype=np.int64)
+        pos[self.perm] = np.arange(1, self.N + 1)
+        return pos
 
     def swap(self, pos):
         """The order with the pairs at 1-based positions pos, pos+1 swapped."""
         if not 1 <= pos <= self.N - 1:
             raise InputError("swap position out of range")
-        p = list(self.pairs)
-        p[pos - 1], p[pos] = p[pos], p[pos - 1]
-        return LinearOrder._trusted(self.n, tuple(p))
+        perm = self.perm.copy()
+        perm[[pos - 1, pos]] = perm[[pos, pos - 1]]
+        return LinearOrder.from_perm(self.n, perm)
 
     def __eq__(self, other):
         return (
             isinstance(other, LinearOrder)
             and self.n == other.n
-            and self.pairs == other.pairs
+            and np.array_equal(self.perm, other.perm)
         )
 
     def __hash__(self):
-        return hash((self.n, self.pairs))
+        return hash((self.n, self.perm.tobytes()))
 
     def __repr__(self):
         return f"LinearOrder(n={self.n}, pairs={self.pairs})"
@@ -283,12 +293,9 @@ def phi(order):
     per-item restriction.
     """
     n = order.n
-    pos = order.positions_array().astype(np.float64)
-    P = np.empty((n, n))
+    P = np.full((n, n), order.N + 1)  # the diagonal sorts last
     iu = np.triu_indices(n, 1)
-    P[iu] = pos
-    P.T[iu] = pos
-    np.fill_diagonal(P, np.inf)
+    P[iu] = P.T[iu] = order.positions_array()
     rows = np.argsort(P, axis=1)[:, : n - 1]
     return Crs(RankTable(rows))
 
@@ -305,9 +312,7 @@ def generic_crs(n, seed):
     if n < 2:
         raise InputError("need at least two items")
     rng = np.random.default_rng(seed)
-    pairs = all_pairs(n)
-    order = LinearOrder._trusted(n, tuple(pairs[i] for i in rng.permutation(len(pairs))))
-    return phi(order)
+    return phi(LinearOrder.from_perm(n, rng.permutation(n_pairs(n))))
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +349,23 @@ def _linear_extension(crs, seed):
     """Seed-keyed topological order of the pairs under the order-type DAG."""
     import heapq
 
-    n = crs.n
-    pairs = all_pairs(n)
+    N = n_pairs(crs.n)
     rng = np.random.default_rng(seed)
-    priority = rng.permutation(len(pairs)).tolist()
+    priority = rng.permutation(N).tolist()
     graph = crs._graph
     indptr, succ = graph.indptr.tolist(), graph.indices.tolist()
-    indeg = np.bincount(graph.indices, minlength=len(pairs)).tolist()
+    indeg = np.bincount(graph.indices, minlength=N).tolist()
     heap = [(priority[p], p) for p, d in enumerate(indeg) if d == 0]
     heapq.heapify(heap)
     out = []
     while heap:
         _, p = heapq.heappop(heap)
-        out.append(pairs[p])
+        out.append(p)
         for q in succ[indptr[p] : indptr[p + 1]]:
             indeg[q] -= 1
             if indeg[q] == 0:
                 heapq.heappush(heap, (priority[q], q))
-    return LinearOrder(n, out)
+    return LinearOrder.from_perm(crs.n, out)
 
 
 def linf_embed(crs, seed=0, extension=None):
@@ -388,11 +392,12 @@ def linf_embed(crs, seed=0, extension=None):
             p, q = pair_unrank(int(src[bad[0]]), n), pair_unrank(int(dst[bad[0]]), n)
             raise InputError(f"supplied order does not extend the order type at {p} -> {q}")
     N = extension.N
+    lo, hi = np.triu_indices(n, 1)
+    cols = np.arange(N)
+    value = 1.0 + (cols + 1) / N
     coords = np.zeros((n, N))
-    for col, (i, j) in enumerate(extension.pairs):
-        value = 1.0 + (col + 1) / N
-        coords[i, col] = value
-        coords[j, col] = -value
+    coords[lo[extension.perm], cols] = value
+    coords[hi[extension.perm], cols] = -value
     coords.setflags(write=False)
     return EmbeddingMatrix(coords, extension.pairs)
 
@@ -402,16 +407,19 @@ def verify_embedding(crs, emb):
     n = crs.n
     if emb.coords.shape[0] != n:
         raise InputError("embedding row count must match the system")
-    D = emb.distances()
-    for x in range(n):
-        along = D[x, crs.table.order[x]]
-        if not (np.diff(along) > 0).all():
-            return False
-    return True
+    along = np.take_along_axis(emb.distances(), crs.table.order, axis=1)
+    return bool((np.diff(along, axis=1) > 0).all())
 
 
 # ---------------------------------------------------------------------------
 # The white graph of adjacent transpositions
+
+def _disjoint(p, q, n):
+    """Elementwise: whether the pairs of lexicographic indices p and q share no item."""
+    lo, hi = np.triu_indices(n, 1)
+    a, b, c, d = lo[p], hi[p], lo[q], hi[q]
+    return (a != c) & (a != d) & (b != c) & (b != d)
+
 
 def swap_is_white(order, pos):
     """True iff swapping positions pos, pos+1 leaves the induced system alone.
@@ -420,14 +428,12 @@ def swap_is_white(order, pos):
     """
     if not 1 <= pos <= order.N - 1:
         raise InputError(f"position must lie in [1, {order.N - 1}]")
-    a = order.pairs[pos - 1]
-    b = order.pairs[pos]
-    return not (set(a) & set(b))
+    return bool(_disjoint(*order.perm[pos - 1 : pos + 1], order.n))
 
 
 def is_isolated(order):
     """True iff every adjacent transposition changes the induced system."""
-    return not any(swap_is_white(order, pos) for pos in range(1, order.N))
+    return not _disjoint(order.perm[:-1], order.perm[1:], order.n).any()
 
 
 @dataclass
@@ -439,36 +445,49 @@ class WhiteComponent:
         return len(self.orders)
 
 
+# array entries per block of candidate orders in a white BFS level
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _white_neighbours(frontier, n):
+    """Keys of the orders one white swap away from each frontier row, the
+    rows in order and each row's swaps from the bottom up."""
+    N = frontier.shape[1]
+    block = max(1, _BLOCK_ENTRIES // max(N * N, 1))
+    for at in range(0, len(frontier), block):
+        cur = frontier[at : at + block]
+        rows, slots = np.nonzero(_disjoint(cur[:, :-1], cur[:, 1:], n))
+        nxt = cur[rows]
+        k = np.arange(rows.size)
+        nxt[k, slots], nxt[k, slots + 1] = cur[rows, slots + 1], cur[rows, slots]
+        yield from nxt.view(np.dtype((np.void, N * nxt.itemsize))).ravel().tolist()
+
+
 def white_component(order, cap=20000):
     """BFS over white edges from an order.
 
     Stops expanding once ``cap`` orders have been collected and flags the
     result as partial; every member maps to the same system under phi.
+    ``orders`` lists the members in discovery order; the BFS keys an order
+    by the bytes of its pair indices in the smallest unsigned dtype.
     """
     if cap < 1:
         raise InputError("cap must be positive")
     n, N = order.n, order.N
-    start = order.pairs
-    seen = {start}
-    queue = deque([start])
-    complete = True
-    while queue:
-        if len(seen) >= cap:
-            complete = False
-            break
-        cur = queue.popleft()
-        for pos in range(N - 1):
-            a, b = cur[pos], cur[pos + 1]
-            if a[0] in b or a[1] in b:
-                continue
-            nxt = cur[:pos] + (b, a) + cur[pos + 2 :]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+    dtype = np.min_scalar_type(max(N - 1, 0))
+    frontier = order.perm.astype(dtype)[None]
+    seen = {frontier.tobytes(): None}  # insertion order is discovery order
+    while frontier.size and len(seen) < cap:
+        found = []
+        for key in _white_neighbours(frontier, n):
+            if key not in seen:
+                seen[key] = None
+                found.append(key)
                 if len(seen) >= cap:
                     break
-    orders = [LinearOrder._trusted(n, p) for p in seen]
-    return WhiteComponent(orders=orders, complete=complete)
+        frontier = np.frombuffer(b"".join(found), dtype=dtype).reshape(len(found), N)
+    orders = [LinearOrder.from_perm(n, np.frombuffer(key, dtype=dtype)) for key in seen]
+    return WhiteComponent(orders=orders, complete=len(seen) < cap)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +589,10 @@ def white_edge_fraction(n, samples=100_000, seed=0):
     exact = Fraction(comb(n - 2, 2), comb(n, 2) - 1)
     rng = np.random.default_rng(seed)
     N = n_pairs(n)
-    pairs = np.array(all_pairs(n))
     orders = rng.random((samples, N)).argsort(axis=1)
     pos = rng.integers(0, N - 1, size=samples)
     rows = np.arange(samples)
-    a = pairs[orders[rows, pos]]
-    b = pairs[orders[rows, pos + 1]]
-    disjoint = (
-        (a[:, 0] != b[:, 0])
-        & (a[:, 0] != b[:, 1])
-        & (a[:, 1] != b[:, 0])
-        & (a[:, 1] != b[:, 1])
-    )
+    disjoint = _disjoint(orders[rows, pos], orders[rows, pos + 1], n)
     return exact, float(disjoint.mean())
 
 
@@ -656,9 +667,8 @@ def enumerate_small(n):
     pairs = all_pairs(n)
     inc = [[k for k, p in enumerate(pairs) if x in p] for x in range(n)]
     oth = [[p[0] if p[1] == x else p[1] for p in (pairs[k] for k in inc[x])] for x in range(n)]
-    disjoint = [
-        [not (set(pairs[a]) & set(pairs[b])) for b in range(N)] for a in range(N)
-    ]
+    idx = np.arange(N)
+    disjoint = _disjoint(idx[:, None], idx, n).tolist()
 
     num_orders = factorial(N)
     fiber_sizes = Counter()
@@ -680,26 +690,17 @@ def enumerate_small(n):
     if n <= 4:
         # exhaustive white BFS; components must match fibers exactly
         unvisited = set(keys_by_perm)
-        comp_sizes = Counter()
+        component_sizes = Counter()
         components_equal_fibers = True
         while unvisited:
-            start = next(iter(unvisited))
-            comp = {start}
-            queue = deque([start])
-            while queue:
-                cur = queue.popleft()
-                for t in range(N - 1):
-                    if disjoint[cur[t]][cur[t + 1]]:
-                        nxt = cur[:t] + (cur[t + 1], cur[t]) + cur[t + 2 :]
-                        if nxt not in comp:
-                            comp.add(nxt)
-                            queue.append(nxt)
+            start = LinearOrder.from_perm(n, next(iter(unvisited)))
+            members = white_component(start, cap=num_orders + 1).orders
+            comp = {tuple(o.perm.tolist()) for o in members}
             unvisited -= comp
-            comp_sizes[len(comp)] += 1
+            component_sizes[len(comp)] += 1
             keys = {keys_by_perm[p] for p in comp}
             if len(keys) != 1 or fiber_sizes[next(iter(keys))] != len(comp):
                 components_equal_fibers = False
-        component_sizes = comp_sizes
 
     # every distinct image must certify concordant
     all_concordant = True

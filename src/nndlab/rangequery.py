@@ -77,9 +77,8 @@ def derive_params(n, K, d, alpha):
         raise InputError("alpha must lie in (0, 1)")
     beta = -math.log1p(-alpha) / alpha
     if not 1.0 < beta < K / 2 ** d:
-        raise InputError(
-            f"beta={beta:.6f} must lie in (1, K/2^d)={K / 2 ** d:.6f}; lower alpha"
-        )
+        advice = "raise alpha" if beta <= 1.0 else "lower alpha"
+        raise InputError(f"beta={beta:.6f} must lie in (1, K/2^d)={K / 2 ** d:.6f}; {advice}")
     gamma = 1.0 - math.sqrt(1.0 - 2.0 / K ** (1.0 / d))
     gamma_star = 1.0 - math.sqrt(1.0 - 2.0 * (beta / K) ** (1.0 / d))
     log2_kb = math.log2(K / beta)
@@ -141,13 +140,13 @@ def solve_next_radius(params, r_prev):
     if r_prev > 1.0 or r_prev ** d < K / (n * alpha):
         raise InputError("r_prev must lie in the admissible range")
     theta_prev = K / (n * r_prev ** d)
+    coeff = theta_prev ** 2 * n / 2 ** d
+    if coeff == 0.0:
+        raise InputError(f"--n {n:g} is too large: theta^2 * n underflows to 0")
     if r_prev > 0.5:
-        mu = theta_prev ** 2 * n / 2 ** d
-        r = (K / (n * -math.expm1(-mu))) ** (1.0 / d)
+        r = (K / (n * -math.expm1(-coeff))) ** (1.0 / d)
         if 2 * r_prev - r >= 1.0:
             return r, True
-
-    coeff = theta_prev ** 2 * n / 2 ** d
 
     def gap(r):
         # accepted-proposal mean minus -log(1 - theta(r)); zero at the update

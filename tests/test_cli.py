@@ -141,6 +141,16 @@ class TestTwoNrq:
         doc = json.loads(out.read_text())
         assert doc["data"]["tau"] == len(doc["data"]["radii"]) - 1
 
+    def test_schedule_huge_n_exits_3(self, capsys):
+        # a ZeroDivisionError traceback (exit 1) before
+        assert run(["2nrq", "schedule", "--n", "1e300", "--k", "12", "--d", "2"]) == 3
+        assert "--n" in capsys.readouterr().err
+
+    def test_simulate_tiny_alpha_advises_raising_it(self, capsys):
+        assert run(["2nrq", "simulate", "--n", "300", "--k", "12", "--d", "2",
+                    "--alpha", "1e-300"]) == 3
+        assert "raise alpha" in capsys.readouterr().err
+
     def test_k_not_above_2d_exits_3(self, capsys):
         assert run(["2nrq", "schedule", "--n", "1e4", "--k", "4", "--d", "4"]) == 3
         assert "2^d" in capsys.readouterr().err
@@ -217,6 +227,33 @@ class TestCrs:
              "--check", "component", "--cap", "100", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["data"]["component_size"] >= 8
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["crs", "embed", "--n", "8", "--seed", "0", "--format", "json"],
+             "3844f74701d1f003bb9191fea6a2362c61943739c3502b9cc30f7f9af1494405"),
+            (["crs", "embed", "--n", "8", "--seed", "0", "--format", "csv"],
+             "10e3465de7fe7f3281b10d3fa16388147fdceaa1fb9846b92d35482f42b1cfec"),
+            (["crs", "special", "--kind", "baranyai", "--n", "6", "--check", "component",
+              "--cap", "8500"],
+             "31ceb61931c36412142c9b769e7ef057af3ce5e383caef065a3ee4083abce9b5"),
+            (["crs", "special", "--kind", "powers2", "--n", "7", "--check", "isolated"],
+             "3c2f5d6c47530c612ecb5b0633c7ee96082ae075b790a9ed6784bc5e3d4d64e7"),
+            (["crs", "enumerate", "--n", "4"],
+             "10c5cc97fda70a9a6be85425d0cec7fe5d67afb9ea115c2dc2486a2e1e95b476"),
+            (["nnd", "--space", "generic-crs", "--n", "512", "--k", "8", "--mode", "pointwise",
+              "--seed", "1"],
+             "01d8e4e53dd66356993dda8ea96fe923fef653cae1838f741b431b711a2d37de"),
+        ],
+        ids=["embed-json", "embed-csv", "baranyai-component", "powers2-isolated",
+             "enumerate-4", "nnd-generic"],
+    )
+    def test_pair_order_golden_sha256(self, argv, digest, tmp_path):
+        # the outputs as written while pair orders were tuples of pairs
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_fraction(self, tmp_path):
         out = tmp_path / "fraction.json"

@@ -53,6 +53,16 @@ class TestDeriveParams:
         with pytest.raises(InputError, match="beta"):
             derive_params(1e4, 5, 2, 0.9)
 
+    @pytest.mark.parametrize(
+        "K,alpha,advice",
+        [(12, 1e-300, "raise alpha"), (5, 0.9, "lower alpha")],
+        ids=["beta-not-above-1", "beta-not-below-K-over-2d"],
+    )
+    def test_beta_advice_points_the_right_way(self, K, alpha, advice):
+        # beta rises with alpha from 1, so only a higher alpha lifts beta above 1
+        with pytest.raises(InputError, match=advice):
+            derive_params(300, K, 2, alpha)
+
     def test_envelope_ordering(self):
         p = derive_params(**DESK)
         assert 0 < p.gamma < p.gamma_star < 1
@@ -140,6 +150,12 @@ class TestRadiusSolver:
         p = derive_params(**DESK)
         with pytest.raises(InputError):
             solve_next_radius(p, 1.2)
+
+    def test_underflowing_coefficient_names_n(self):
+        # theta^2 * n underflows to 0 and the closed form divided by zero
+        p = derive_params(1e300, 12, 2, 0.5)
+        with pytest.raises(InputError, match="--n"):
+            solve_next_radius(p, 1.0)
 
 
 class TestSchedule:
