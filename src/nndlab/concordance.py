@@ -334,8 +334,11 @@ class EmbeddingMatrix:
         return self.coords.shape[0]
 
     def distances(self):
-        c = self.coords
-        return np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
+        """The n x n sup-norm distances, folding in one column at a time (exact)."""
+        dist = np.zeros((self.n, self.n))
+        for col in self.coords.T:
+            np.maximum(dist, np.abs(col[:, None] - col[None, :]), out=dist)
+        return dist
 
     def to_csv(self):
         header = "item," + ",".join(f"{i}-{j}" for i, j in self.column_pairs)

@@ -9,6 +9,7 @@ solving the update equation round by round, and the whole process costs
 O(n K^2 log n) distance evaluations.
 """
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -121,10 +122,11 @@ def nu_overlap(space, v, vp, r):
 
 
 def _nu_many(deltas, r):
-    per_axis = np.minimum(
-        2.0, np.maximum(0.0, 2 * r - deltas) + np.maximum(0.0, 2 * r + deltas - 2.0)
-    )
-    return per_axis.prod(axis=1)
+    """``nu_overlap`` for many pairs, from a list of their per-axis wrapped deltas."""
+    nu = 1.0
+    for t in deltas:
+        nu = nu * np.minimum(2.0, np.maximum(0.0, 2 * r - t) + np.maximum(0.0, 2 * r + t - 2.0))
+    return nu
 
 
 def solve_next_radius(params, r_prev):
@@ -280,7 +282,7 @@ class TwoNrqState:
 
     def adjacency(self):
         """Read-only CSR (indptr, neighbors), built once; row v lists the neighbours
-        above v, then those below v, each ascending (the order ``_hub_pairs`` uses)."""
+        above v, then those below v, each ascending (the order a round proposes in)."""
         if self._adjacency is None:
             a, b = self.edges.T
             self._adjacency = csr(np.concatenate([a, b]), np.concatenate([b, a]), self.space.n)
@@ -330,10 +332,10 @@ def init_e0(space, K, n_mean, seed):
 def ball_scan(points, centres, r):
     """Points within wrapped sup-distance ``r`` of each centre, in chunks of centres.
 
-    ``centres`` are indices into ``points``.  Yields ``(start, indptr, idx,
-    dist)`` for consecutive runs ``centres[start:start + len(indptr) - 1]``:
-    the ball of the k-th centre of a run is ``idx[indptr[k]:indptr[k + 1]]``
-    in ascending order (the centre included) with distances ``dist``.
+    ``centres`` are indices into ``points``.  Yields ``(start, indptr, keys)``
+    for consecutive runs ``centres[start:start + len(indptr) - 1]``: the ball
+    of the k-th centre of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m``
+    (the centre included), and the keys ``k * m + vertex`` ascend.
 
     The points are bucketed into a wrapping grid of g^d cells with
     g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
@@ -349,12 +351,9 @@ def ball_scan(points, centres, r):
         rows = max(1, _SCAN_ENTRIES // max(m, 1))
         for start in range(0, centres.size, rows):
             chunk = np.take(axes, centres[start : start + rows], axis=1)
-            dist = wrapped_distance(chunk.T[:, None, :], axes.T[None, :, :])
-            inside = dist <= r
+            inside = wrapped_distance(chunk.T[:, None, :], axes.T[None, :, :]) <= r
             indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
-            # flat positions and a gather beat boolean masks on dense rows
-            hit = np.flatnonzero(inside)
-            yield start, indptr, hit % m, dist.ravel()[hit]
+            yield start, indptr, np.flatnonzero(inside)
         return
 
     cells = np.minimum(np.floor((axes.T + 1.0) * (g / 2.0)).astype(np.int64), g - 1)
@@ -377,11 +376,9 @@ def ball_scan(points, centres, r):
         dist = wrapped_distance(centre_axes.T, np.take(by_cell, pos, axis=1).T)
         hit = np.flatnonzero(dist <= r)
         owner = np.repeat(np.arange(chunk.size), scanned)[hit]
-        cand = order[pos[hit]]
-        # the 3^d cells are distinct when g >= 4, so the keys are unique
-        by_key = np.argsort(owner * m + cand)
         indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=chunk.size))])
-        yield start, indptr, cand[by_key], dist[hit[by_key]]
+        # the 3^d cells are distinct when g >= 4, so the keys are unique
+        yield start, indptr, np.sort(owner * m + order[pos[hit]])
 
 
 def ideal_state(space, r, theta, t, seed):
@@ -395,30 +392,15 @@ def ideal_state(space, r, theta, t, seed):
     m = space.n
     rng = np.random.default_rng(seed)
     rows = []
-    for start, indptr, idx, _ in ball_scan(space.points, np.arange(m), r):
-        owner = start + np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    for start, _, keys in ball_scan(space.points, np.arange(m), r):
+        owner, idx = np.divmod(keys, m)
+        owner += start
         later = idx > owner
         owner, idx = owner[later], idx[later]
-        sizes = np.bincount(owner - start, minlength=indptr.size - 1)
-        if owner.size:
-            coins = np.concatenate([rng.random(k) for k in sizes[sizes > 0]])
-            keep = coins < theta
-            rows.append(np.stack([owner[keep], idx[keep]], axis=1))
+        keep = rng.random(owner.size) < theta
+        rows.append(np.stack([owner[keep], idx[keep]], axis=1))
     edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
     return TwoNrqState(space, edges, t=t)
-
-
-def _hub_pairs(state):
-    """All (neighbor, neighbor) pairs proposed by degree >= 2 vertices."""
-    indptr, nbrs = state.adjacency()
-    deg = np.diff(indptr)
-    groups = [np.zeros((0, 2), dtype=np.int64)]
-    for g in unique_keys(deg[deg >= 2]):
-        hubs = np.flatnonzero(deg == g)
-        pairs = np.stack(np.triu_indices(g, 1), axis=1)  # i < j, lexicographic
-        block = nbrs[indptr[hubs][:, None] + np.arange(g)[None, :]]
-        groups.append(block[:, pairs].reshape(-1, 2))
-    return np.concatenate(groups)
 
 
 def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=False):
@@ -435,22 +417,25 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
         raise InputError("need 0 < r_t < r_prev <= 1")
     rng = np.random.default_rng(seed)
     axes = np.ascontiguousarray(state.space.points.T)
-    proposals = _hub_pairs(state)
-    evals = proposals.shape[0]
-    if evals:
-        u = np.take(axes, proposals[:, 0], axis=1).T
-        v = np.take(axes, proposals[:, 1], axis=1).T
-        in_range = np.flatnonzero(wrapped_distance(u, v) <= r_t)
-        prop = proposals[in_range]
-        nu = _nu_many(wrapped_deltas(u[in_range] - v[in_range]), r_prev)
-        f = g_value / nu
-        if f.size and f.max() > 1.0 + 1e-9:
-            raise InputError(
-                f"acceptance rate {f.max():.6f} exceeds 1: overlap volume fell below g"
-            )
-        accepted = prop[rng.random(f.size) < f]
-    else:
-        accepted = np.zeros((0, 2), dtype=np.int64)
+    indptr, nbrs = state.adjacency()
+    deg = np.diff(indptr)
+    evals = 0
+    ends, nus = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0)]
+    # the hubs of degree g, g ascending, propose pairs i < j of their rows in
+    # lexicographic order; each wrapped delta is computed once per axis
+    for g in unique_keys(deg[deg >= 2]):
+        block = nbrs[indptr[:-1][deg == g][:, None] + np.arange(g)]
+        I, J = np.triu_indices(g, 1)
+        evals += block.shape[0] * I.size
+        deltas = [wrapped_deltas(x[:, I] - x[:, J]).ravel() for x in axes[:, block]]
+        near = np.flatnonzero(functools.reduce(np.maximum, deltas) <= r_t)
+        hub, pair = np.divmod(near, I.size)
+        ends.append(np.stack([block[hub, I[pair]], block[hub, J[pair]]], axis=1))
+        nus.append(_nu_many([t[near] for t in deltas], r_prev))
+    f = g_value / np.concatenate(nus)
+    if f.size and f.max() > 1.0 + 1e-9:
+        raise InputError(f"acceptance rate {f.max():.6f} exceeds 1: overlap volume fell below g")
+    accepted = np.concatenate(ends)[rng.random(f.size) < f]
     new_state = TwoNrqState(
         state.space,
         accepted,
@@ -536,7 +521,7 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
 
     rates = np.empty(len(sample))
     pop_radial = []
-    for start, ptr, idx, dist in ball_scan(pts, sample, r_t):
+    for start, ptr, keys in ball_scan(pts, sample, r_t):
         size = ptr.size - 1
         stop = start + size
         # every ball holds its centre (r_t > 0); the centre and its neighbors
@@ -546,7 +531,6 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
             rate = sample_deg[start:stop] / q
         rates[start:stop] = np.where(q > 0, rate, np.nan)
         ball = np.arange(size) * m
-        keys = np.repeat(ball, np.diff(ptr)) + idx
         mine = slice(nbr_ptr[start], nbr_ptr[stop])
         drop = np.concatenate(
             [ball + sample[start:stop], ball[nbr_owner[mine] - start] + neigh[mine]]
@@ -556,12 +540,16 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
         keep[at[keys[at] == drop]] = False
         others = np.flatnonzero(keep)
         bounds = np.searchsorted(others, ptr)
+        picks = []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             pick = others[lo:hi]
             if pick.size > ks_cap_per_vertex:
                 pick = rng.choice(pick, size=ks_cap_per_vertex, replace=False)
-            if pick.size:
-                pop_radial.append((dist[pick] / r_t) ** d)
+            picks.append(pick)
+        # distances only for the picks, in the order they were drawn
+        owner, vertex = np.divmod(keys[np.concatenate(picks)], m)
+        dist = wrapped_distance(pts[sample[start + owner]], pts[vertex])
+        pop_radial.append((dist / r_t) ** d)
 
     rates = rates[np.isfinite(rates)]
     rate_mean = float(rates.mean())

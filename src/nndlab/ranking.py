@@ -37,9 +37,13 @@ def csr(rows, cols, n):
     """The entries (rows[i], cols[i]) as CSR over n rows: ``(indptr, cols')``.
 
     Row x is ``cols'[indptr[x]:indptr[x + 1]]``; the sort by row is stable, so
-    each row keeps its entries in input order.
+    each row keeps its entries in input order.  It is a least-significant-digit
+    radix sort over 16-bit digits, which numpy's stable argsort sorts by
+    counting: one pass per digit of n - 1, and no comparison sort.
     """
-    order = np.argsort(rows, kind="stable")
+    order = np.argsort(rows.astype(np.uint16), kind="stable")
+    for shift in range(16, int(n - 1).bit_length(), 16):
+        order = order[np.argsort((rows[order] >> shift).astype(np.uint16), kind="stable")]
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr, cols[order]

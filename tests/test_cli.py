@@ -90,6 +90,12 @@ class TestNnd:
         doc = json.loads(out.read_text())
         assert doc["data"]["recall"] < 0.7
 
+    def test_paris_golden_sha256(self, tmp_path):
+        # the report as written while ranking.csr sorted its rows by comparison
+        out = tmp_path / "report.json"
+        assert run(["nnd", "--space", "paris", "--n", "2048", "--k", "8", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "3b8b3cf66062e45c96a3cd4ac15b241466d5ed0bea0d68aa0ed4f7b677ce6d57")
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_k_below_two_without_budget_exits_3(self, k, capsys):
@@ -120,6 +126,27 @@ class TestTwoNrq:
         out = tmp_path / "sim.json"
         assert run(["2nrq", "simulate", "--n", "4e3", "--k", "12", "--d", "2",
                     "--seed", "1", "--out", str(out)] + extra) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "2e4", "--k", "12", "--d", "2", "--alpha", "0.5", "--seed", "1"],
+             "1e63808efc4557a9176bd0f16a4898b4b8a0118705cf204bb744cd5ff2b04cd1"),
+            (["--n", "8e3", "--k", "30", "--d", "3", "--seed", "2"],
+             "a9d8ae45a59e05234a95ec5da5abd38423d027192afdb13b7632f536d7ff5f1a"),
+            (["--n", "3e3", "--k", "5", "--d", "1", "--alpha", "0.3", "--seed", "2"],
+             "211afa3dd5caf25b7cb8e500369706a1d848547a0e161af76aea9f2e7951ca26"),
+            (["--n", "5e3", "--k", "12", "--d", "2", "--idealized-inputs", "--seed", "1"],
+             "10b8daa5041843a0bde0c0bbf7dd3c51bc54a819a8de10864cbacddf019b28b9"),
+        ],
+        ids=["bench-d2", "d3", "d1", "idealized-5e3"],
+    )
+    def test_round_and_scan_golden_sha256(self, argv, digest, tmp_path):
+        # the reports as written while each round gathered its proposals as
+        # an array of vertex pairs and ball scans returned distances
+        out = tmp_path / "sim.json"
+        assert run(["2nrq", "simulate"] + argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_schedule_golden_csv(self, tmp_path):
@@ -273,6 +300,14 @@ class TestDiag:
         doc = json.loads(out.read_text())
         assert len(doc["data"]["diameters"]) == 3
         assert hist.read_text().splitlines()[1] == "diameter,count"
+
+    def test_diameter_golden_sha256(self, tmp_path):
+        # the report as written while ranking.csr sorted its rows by comparison
+        out = tmp_path / "diam.json"
+        assert run(["diag", "diameter", "--n", "10000", "--k", "3", "--trials", "3",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fe7d9ea7c9723d6f6d0796c221ed2e8f89209c1917ebf95f130e813487466270")
 
     def test_diameter_k2_rejected(self, capsys):
         assert run(["diag", "diameter", "--n", "100", "--k", "2"]) == 3

@@ -178,6 +178,15 @@ class TestEmbedding:
             for j in range(i + 1, 8):
                 assert abs(D[i, j] - (2 + 2 * position[(i, j)] / N)) < 1e-12
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (8, 2), (17, 3), (40, 4)])
+    def test_distances_equal_broadcast_form(self, n, seed):
+        # the n x n x N broadcast this once allocated, as the byte-for-byte reference
+        emb = linf_embed(generic_crs(n, seed=seed), seed=seed)
+        c = emb.coords
+        want = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
+        got = emb.distances()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_verify_accepts_output(self):
         crs = generic_crs(7, seed=1)
         assert verify_embedding(crs, linf_embed(crs, seed=2))

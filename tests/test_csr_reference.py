@@ -3,7 +3,9 @@
 The cofriend transpose of descent, the undirected adjacency of the diameter
 diagnostic and the 2NRQ state's adjacency are compared with their verbatim
 copies in ``reference_csr`` on arbitrary inputs, including empty edge sets
-and vertices without neighbours: equal arrays with equal dtypes.
+and vertices without neighbours: equal arrays with equal dtypes.  The radix
+order of ``csr`` itself is compared with numpy's stable argsort for n on both
+sides of 2^16, up to 2^20.
 """
 
 import numpy as np
@@ -84,3 +86,25 @@ def test_two_nrq_adjacency_is_built_once():
     assert all(a is b for a, b in zip(first, second, strict=True))
     # the arrays are shared by every caller, so none may write to them
     assert not any(a.flags.writeable for a in first)
+
+
+@st.composite
+def row_lists(draw):
+    """Row ids below n, n on both sides of 2^16 and up to 2^20, with ties in the low digit."""
+    edge = [1, 2, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2, 2 ** 17, 2 ** 20]
+    n = draw(st.sampled_from(edge) | st.integers(1, 2 ** 20))
+    digit = st.sampled_from([0, 1, 2 ** 16 - 1]) | st.integers(0, 2 ** 16 - 1)
+    cells = draw(st.lists(st.tuples(st.integers(0, 16), digit), max_size=300))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array([(hi << 16 | lo) % n for hi, lo in cells], dtype=dtype), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+def test_csr_radix_order_matches_stable_argsort(case):
+    # n near 2^32 is left out: bincount(minlength=n) would allocate 32 GB
+    rows, n = case
+    indptr, order = csr(rows, np.arange(rows.size), n)
+    np.testing.assert_array_equal(order, np.argsort(rows, kind="stable"))
+    np.testing.assert_array_equal(indptr[1:], np.cumsum(np.bincount(rows, minlength=n)))
+    assert indptr[0] == 0 and indptr.size == n + 1

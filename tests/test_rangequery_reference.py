@@ -1,10 +1,14 @@
-"""The cell-grid ball scan against brute force and against the quadratic code it replaced.
+"""The cell-grid ball scan and the range-query round against brute force and reference copies.
 
 ``ball_scan`` is checked against an all-points scan on arbitrary point sets,
-including points on cell boundaries and radii r = 2/g.  ``verify_sampling_property``
-and ``ideal_state`` are checked against their verbatim pre-grid copies in
-``reference_rangequery`` for d in {1, 2, 3} and radii on both sides of the
+including points on cell boundaries and radii r = 2/g, and its runs against
+the verbatim copy in ``reference_rangequery`` that also returned distances.
+``verify_sampling_property`` and ``ideal_state`` are checked against their
+verbatim pre-grid copies for d in {1, 2, 3} and radii on both sides of the
 whole-row switch (r > 0.4 scans every point, r <= 0.4 uses the grid).
+``range_query_round`` is checked against its verbatim copy that gathered the
+proposals as an array of vertex pairs: equal edges, work counts, acceptance
+counts and "exceeds 1" errors.
 """
 
 from unittest import mock
@@ -25,7 +29,7 @@ from nndlab.rangequery import (
     range_query_round,
     verify_sampling_property,
 )
-from nndlab.spaces import TorusSpace, torus_poisson, wrapped_deltas
+from nndlab.spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
 
 RADII = (1.0, 0.6, 0.2, 0.07)
 
@@ -38,9 +42,13 @@ def _brute_balls(points, centres, r):
 
 
 def _scanned_balls(points, centres, r):
-    for start, indptr, idx, dist in ball_scan(points, centres, r):
+    """Each ball's decoded (ball, vertex) keys; the keys of a run must ascend."""
+    for start, indptr, keys in ball_scan(points, centres, r):
+        assert indptr[0] == 0 and indptr[-1] == keys.size
+        assert (np.diff(keys) > 0).all()
+        owner, vertex = np.divmod(keys, len(points))
         for k in range(indptr.size - 1):
-            yield idx[indptr[k] : indptr[k + 1]], dist[indptr[k] : indptr[k + 1]]
+            yield owner[indptr[k] : indptr[k + 1]], vertex[indptr[k] : indptr[k + 1]]
 
 
 @st.composite
@@ -69,9 +77,29 @@ def test_ball_scan_matches_brute_force(case):
         scanned = list(_scanned_balls(points, centres, r))
     brute = list(_brute_balls(points, centres, r))
     assert len(scanned) == len(brute)
-    for (idx, dist), (want_idx, want_dist) in zip(scanned, brute):
-        np.testing.assert_array_equal(idx, want_idx)
+    for c, (owner, members), (want_members, want_dist) in zip(centres, scanned, brute):
+        np.testing.assert_array_equal(members, want_members)
+        assert (owner == owner[0]).all()
+        # the distances verify computes for the members it picks
+        dist = wrapped_distance(points[c], points[members])
         assert dist.tobytes() == want_dist.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ball_cases())
+def test_ball_scan_runs_match_reference(case):
+    points, centres, r, entries = case
+    m = len(points)
+    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries), \
+            mock.patch.object(ref, "_SCAN_ENTRIES", entries):
+        runs = list(ball_scan(points, centres, r))
+        want = list(ref.ball_scan(points, centres, r))
+    assert len(runs) == len(want)
+    for (start, indptr, keys), (want_start, want_ptr, idx, _) in zip(runs, want):
+        assert start == want_start
+        np.testing.assert_array_equal(indptr, want_ptr)
+        owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+        np.testing.assert_array_equal(keys, owner * m + idx)
 
 
 def _mixed_state(d, r, seed):
@@ -140,3 +168,73 @@ def test_acceptance_above_one_is_a_package_error():
     with pytest.raises(NndlabError, match="exceeds 1"):
         range_query_round(state, 0.5, 1.0, 2 ** 2 + 1, seed=0)
     assert range_query_round(state, 0.5, 1.0, 0.5, seed=0).distance_evals == 1
+
+
+@st.composite
+def _round_cases(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # a spread below 1 packs the points so that most proposals are in range
+    points = rng.uniform(-1.0, 1.0, size=(m, d)) * draw(st.sampled_from([1.0, 0.3, 0.05]))
+    on_grid = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3]))
+    points[on_grid] = rng.choice([-1.0, -0.5, 0.0, 0.5], size=on_grid.sum())
+    points.setflags(write=False)
+    space = TorusSpace(d, points, float(m), 0)
+    kind = draw(st.sampled_from(["arbitrary"] * 3 + ["empty", "matching"]))
+    if kind == "arbitrary":
+        edges = rng.integers(0, m, size=(draw(st.integers(1, 6 * m)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+    elif kind == "empty":
+        edges = np.zeros((0, 2), dtype=np.int64)
+    else:  # every degree at most 1: nothing is proposed
+        edges = rng.permutation(m)[: 2 * draw(st.integers(0, m // 2))].reshape(-1, 2)
+    r_prev = draw(st.just(1.0) | st.floats(0.02, 1.0))
+    r_t = r_prev * draw(st.floats(0.05, 0.999))
+    # the schedule's own g, a multiple of it, or anything up to past 2^d; a g
+    # above some in-range overlap volume makes a rate exceed 1
+    g_min = rangequery.g_min_overlap(r_t, r_prev, d)
+    g = draw(st.just(g_min) | st.floats(0.0, 4.0).map(g_min.__mul__)
+             | st.floats(0.0, 2.0 ** d + 1))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return TwoNrqState(space, edges, t=draw(st.integers(0, 5))), r_t, r_prev, g, seed
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args, return_accept_counts=True)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_round_cases())
+def test_range_query_round_matches_reference(case):
+    state, r_t, r_prev, g, seed = case
+    got = _outcome(range_query_round, state, r_t, r_prev, g, seed)
+    want = _outcome(ref.range_query_round, state, r_t, r_prev, g, seed)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (new, counts), (want_new, want_counts) = got, want
+    assert new.edges.tobytes() == want_new.edges.tobytes()
+    assert new.distance_evals == want_new.distance_evals
+    assert new.t == want_new.t == state.t + 1
+    assert counts == want_counts
+    plain = range_query_round(state, r_t, r_prev, g, seed)
+    assert plain.edges.tobytes() == new.edges.tobytes()
+
+
+@pytest.mark.parametrize("d, n, k", [(1, 3000, 5), (2, 20000, 12), (3, 8000, 30)])
+def test_range_query_round_matches_reference_at_scale(d, n, k):
+    # rounds 1-3 of a real run, each fed the reference's own previous state
+    space = torus_poisson(n, d, seed=d)
+    params = rangequery.derive_params(float(space.n), k, d, 0.5)
+    radii = rangequery.compute_schedule(params).radii
+    state = init_e0(space, k, float(space.n), seed=d + 1)
+    for t in range(1, min(4, len(radii))):
+        g = rangequery.g_min_overlap(radii[t], radii[t - 1], d)
+        got = range_query_round(state, radii[t], radii[t - 1], g, seed=t)
+        state = ref.range_query_round(state, radii[t], radii[t - 1], g, seed=t)
+        assert got.edges.tobytes() == state.edges.tobytes()
+        assert got.distance_evals == state.distance_evals
