@@ -43,7 +43,9 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
-_SCAN_ENTRIES = 1 << 20  # candidate pairs examined per chunk of ball centres
+# candidate pairs examined per chunk of ball centres: 2^16 keeps each chunk's
+# float64 temporaries at 512 KiB, inside a 4 MiB L2 (2^20 spilled to memory)
+_SCAN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -341,7 +343,8 @@ def ball_scan(points, centres, r):
     g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
     a ball meets only the 3^d cells around its centre's cell, however the
     coordinates round (Bentley, Stanat & Williams, IPL 1977).  When g <= 3
-    that window is the whole torus, and every point is scanned as one row.
+    that window is the whole torus, and every point is scanned as one row
+    (verification does not scan at r >= 1, where every point is in every ball).
     """
     centres = np.asarray(centres, dtype=np.int64)
     m, d = np.shape(points)
@@ -497,6 +500,9 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     mean of deg(v)/|ball population| versus theta_t in standard errors; and
     (c) a two-sided two-sample KS test at the h-transformed radial statistic
     between neighbor distances and non-neighbor in-ball distances.
+
+    A ball of radius >= 1 is the whole torus and is not scanned.  The KS sample
+    is drawn by rank, and only the drawn members get a distance.
     """
     from scipy import stats
 
@@ -521,7 +527,11 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
 
     rates = np.empty(len(sample))
     pop_radial = []
-    for start, ptr, keys in ball_scan(pts, sample, r_t):
+    # every wrapped sup-distance is at most 1 (2 - t is exact for t in (1, 2]),
+    # so a ball of radius >= 1 is the whole torus: one run, the key at p is p
+    whole = r_t >= 1.0
+    runs = [(0, np.arange(len(sample) + 1) * m, None)] if whole else ball_scan(pts, sample, r_t)
+    for start, ptr, keys in runs:
         size = ptr.size - 1
         stop = start + size
         # every ball holds its centre (r_t > 0); the centre and its neighbors
@@ -532,28 +542,30 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
         rates[start:stop] = np.where(q > 0, rate, np.nan)
         ball = np.arange(size) * m
         mine = slice(nbr_ptr[start], nbr_ptr[stop])
-        drop = np.concatenate(
+        drop = np.sort(np.concatenate(
             [ball + sample[start:stop], ball[nbr_owner[mine] - start] + neigh[mine]]
-        )
-        at = np.minimum(np.searchsorted(keys, drop), keys.size - 1)
-        keep = np.ones(keys.size, dtype=bool)
-        keep[at[keys[at] == drop]] = False
-        others = np.flatnonzero(keep)
-        bounds = np.searchsorted(others, ptr)
-        picks = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            pick = others[lo:hi]
-            if pick.size > ks_cap_per_vertex:
-                pick = rng.choice(pick, size=ks_cap_per_vertex, replace=False)
-            picks.append(pick)
+        ))
+        at = drop if whole else np.minimum(np.searchsorted(keys, drop), keys.size - 1)
+        gone = at if whole else at[keys[at] == drop]  # ascending positions
+        # ball b's KS population is the kept positions of ranks first[b] on,
+        # pop[b] of them; each draw is rng.choice over a population of that size
+        cut = np.searchsorted(gone, ptr)
+        pop = (np.diff(ptr) - np.diff(cut)).tolist()
+        first = (ptr[:-1] - cut[:-1]).tolist()
+        ranks = np.concatenate([
+            f + (rng.choice(n, size=ks_cap_per_vertex, replace=False)
+                 if n > ks_cap_per_vertex else np.arange(n))
+            for f, n in zip(first, pop)
+        ])
+        pos = ranks + np.searchsorted(gone - np.arange(gone.size), ranks, side="right")
         # distances only for the picks, in the order they were drawn
-        owner, vertex = np.divmod(keys[np.concatenate(picks)], m)
+        owner, vertex = np.divmod(pos if whole else keys[pos], m)
         dist = wrapped_distance(pts[sample[start + owner]], pts[vertex])
         pop_radial.append((dist / r_t) ** d)
 
     rates = rates[np.isfinite(rates)]
-    rate_mean = float(rates.mean())
-    rate_se = float(rates.std(ddof=1) / math.sqrt(len(rates)))
+    rate_mean = float(rates.mean()) if rates.size else math.nan
+    rate_se = float(rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else math.nan
     deg_mean = float(sample_deg.mean())
     deg_se = float(sample_deg.std(ddof=1) / math.sqrt(len(sample)))
     pop_radial = np.concatenate(pop_radial) if pop_radial else np.zeros(0)

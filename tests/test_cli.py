@@ -149,6 +149,24 @@ class TestTwoNrq:
         assert run(["2nrq", "simulate"] + argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (["--n", "3e3", "--k", "5", "--d", "1", "--alpha", "0.3", "--seed", "2",
+              "--sample-vertices", "3000"],
+             "9cbf47b3bbfdef98614c8faf585844b53541f35910a8c21ae1821e8ece4f54fa"),
+            (["--n", "300", "--k", "12", "--d", "2", "--seed", "4", "--sample-vertices", "400"],
+             "b1f73102253f47761340923689c77676ef8a096bbdbe0f6d5abef1cd2ec4a396"),
+        ],
+        ids=["every-vertex-d1", "sample-above-m"],
+    )
+    def test_verify_golden_sha256(self, argv, digest, tmp_path):
+        # the reports as written while verification drew its KS sample from a
+        # kept-member array and scanned whole-torus balls point by point
+        out = tmp_path / "sim.json"
+        assert run(["2nrq", "simulate"] + argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_schedule_golden_csv(self, tmp_path):
         out = tmp_path / "schedule.csv"
         code = run(["2nrq", "schedule", "--n", "1e7", "--k", "28", "--d", "4",

@@ -4,13 +4,17 @@
 including points on cell boundaries and radii r = 2/g, and its runs against
 the verbatim copy in ``reference_rangequery`` that also returned distances.
 ``verify_sampling_property`` and ``ideal_state`` are checked against their
-verbatim pre-grid copies for d in {1, 2, 3} and radii on both sides of the
-whole-row switch (r > 0.4 scans every point, r <= 0.4 uses the grid).
+verbatim pre-grid copies for d in {1, 2, 3} and radii on every side of the
+scan's switches: r >= 1 makes every ball the whole torus, which verification
+does not scan; 0.4 < r < 1 scans every point as one row (g <= 3); r <= 0.4
+uses the grid.  Small Hypothesis states also put the KS draws at a ball's
+first and last members.
 ``range_query_round`` is checked against its verbatim copy that gathered the
 proposals as an array of vertex pairs: equal edges, work counts, acceptance
 counts and "exceeds 1" errors.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -31,7 +35,7 @@ from nndlab.rangequery import (
 )
 from nndlab.spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
 
-RADII = (1.0, 0.6, 0.2, 0.07)
+RADII = (1.5, 1.0, 0.6, 0.2, 0.07)
 
 
 def _brute_balls(points, centres, r):
@@ -117,7 +121,7 @@ def _mixed_state(d, r, seed):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("r", RADII)
-@pytest.mark.parametrize("cap, entries", [(3, 20_000), (200, 1 << 20)])
+@pytest.mark.parametrize("cap, entries", [(3, 20_000), (200, 1 << 20), (3, 1 << 16), (200, 1 << 16)])
 def test_verify_matches_reference(d, r, cap, entries):
     # cap 3 subsamples nearly every ball; cap 200 keeps the small-radius balls whole
     state, theta = _mixed_state(d, r, seed=40 + d)
@@ -125,6 +129,76 @@ def test_verify_matches_reference(d, r, cap, entries):
     with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries):
         got = verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=cap)
     assert repr(got) == repr(want)
+
+
+def _reference_report(*args, **kwargs):
+    """The reference's report; its empty-slice statistics warn, so they are muted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return ref.verify_sampling_property(*args, **kwargs)
+
+
+@st.composite
+def _verify_cases(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g = draw(st.integers(4, 12))
+    r_t = draw(st.sampled_from([1.0, 1.5, 2.0 / g]) | st.floats(0.01, 1.0))
+    # a spread below 1 packs the points; some sit on the walls of a scan grid
+    points = rng.uniform(-1.0, 1.0, size=(m, d)) * draw(st.sampled_from([1.0, 0.3, 0.05]))
+    on_wall = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3]))
+    points[on_wall] = -1.0 + 2.0 * rng.integers(0, g, size=on_wall.sum()) / g
+    points.setflags(write=False)
+    space = TorusSpace(d, points, float(m), 0)
+    kind = draw(st.sampled_from(["arbitrary", "empty", "in-range plus far"]))
+    if kind == "arbitrary":
+        edges = rng.integers(0, m, size=(draw(st.integers(1, 6 * m)), 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+    elif kind == "empty":
+        edges = np.zeros((0, 2), dtype=np.int64)
+    else:
+        near = ideal_state(space, r_t, draw(st.floats(0.1, 0.9)), t=0, seed=rng.integers(99))
+        far = rng.integers(0, m, size=(draw(st.integers(0, 3)), 2))
+        edges = np.concatenate([near.edges, far[far[:, 0] != far[:, 1]]])
+    state = TwoNrqState(space, edges, t=draw(st.integers(0, 5)))
+    kwargs = dict(sample_size=draw(st.integers(2, m + 3)), seed=draw(st.integers(0, 2 ** 32 - 1)),
+                  ks_cap_per_vertex=draw(st.integers(1, 5)))
+    return state, r_t, kwargs, draw(st.sampled_from([1, 7, 1 << 16]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verify_cases())
+def test_verify_matches_reference_on_small_states(case):
+    # small caps and balls put draws at each ball's first and last members
+    state, r_t, kwargs, entries = case
+    want = _reference_report(state, r_t, 0.3, **kwargs)
+    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries):
+        got = verify_sampling_property(state, r_t, 0.3, **kwargs)
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5])
+def test_verify_does_not_scan_whole_torus_balls(r):
+    def no_scan(*args):
+        raise AssertionError("ball_scan called for a whole-torus ball")
+
+    state, theta = _mixed_state(2, r, seed=42)
+    want = ref.verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=3)
+    with mock.patch.object(rangequery, "ball_scan", no_scan):
+        got = verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=3)
+    assert repr(got) == repr(want)
+
+
+def test_verify_without_usable_rates_does_not_warn():
+    # no sampled ball holds another vertex: the rate statistics are undefined
+    state = init_e0(torus_poisson(8, 2, 0), 2, 3.0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = verify_sampling_property(state, 0.07, 0.1, 7)
+    assert np.isnan(got.rate_mean) and np.isnan(got.rate_se) and got.rate_z == np.inf
+    assert got.to_json_dict()["rate_z"] is None
+    assert repr(got) == repr(_reference_report(state, 0.07, 0.1, 7))
 
 
 @pytest.mark.parametrize("d, m", [(1, 800), (2, 1500), (3, 3000)])
