@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -68,16 +68,18 @@ def pair_index(i, j, n):
 
 
 def pair_unrank(idx, n):
-    i = 0
-    while idx >= n - i - 1:
-        idx -= n - i - 1
-        i += 1
-    return i, i + 1 + idx
+    """The pair (i, j), i < j, of lexicographic index idx; elementwise on
+    arrays, Python ints for a scalar index."""
+    lo, hi = np.triu_indices(n, 1)
+    if np.ndim(idx) == 0:
+        return int(lo[idx]), int(hi[idx])
+    return lo[idx], hi[idx]
 
 
 def all_pairs(n):
     """All unordered pairs of [n] in lexicographic order."""
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lo, hi = pair_unrank(np.arange(n_pairs(n)), n)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 class LinearOrder:
@@ -119,8 +121,8 @@ class LinearOrder:
     @property
     def pairs(self):
         """The pairs from bottom up, as (i, j) tuples with i < j."""
-        lo, hi = np.triu_indices(self.n, 1)
-        return tuple(zip(lo[self.perm].tolist(), hi[self.perm].tolist()))
+        pairs = all_pairs(self.n)
+        return tuple(pairs[k] for k in self.perm.tolist())
 
     def position(self, i, j):
         """1-based position of the pair {i, j}."""
@@ -170,12 +172,15 @@ class LinearOrder:
 # ---------------------------------------------------------------------------
 # The induced ranking system and its concordancy certificate
 
-def _consecutive_arcs(table):
+def _consecutive_arcs(orders):
     """Distinct arcs p -> q, for pair p immediately below pair q in some item's
-    order, as sorted keys p * N + q over lexicographic pair indices."""
-    n = table.n
-    P = pair_index(np.arange(n, dtype=np.int64)[:, None], table.order.astype(np.int64), n)
-    return unique_keys((P[:, :-1] * n_pairs(n) + P[:, 1:]).ravel())
+    order, over a (B, n, n-1) stack of rank tables, as sorted keys p * BN + q;
+    table b's pair nodes are its lexicographic pair indices plus b * N."""
+    B, n = orders.shape[:2]
+    N = n_pairs(n)
+    P = pair_index(np.arange(n, dtype=np.int64)[:, None], orders.astype(np.int64), n)
+    P += N * np.arange(B)[:, None, None]
+    return unique_keys((P[..., :-1] * (B * N) + P[..., 1:]).ravel())
 
 
 def _arc_graph(keys, N):
@@ -194,17 +199,26 @@ def _arc_pairs(keys, n):
     return [(pairs[p], pairs[q]) for p, q in zip(src.tolist(), dst.tolist())]
 
 
+def _strong_components(orders):
+    """Arc keys of a (B, n, n-1) stack of rank tables, and the count and labels
+    of the strong components of its B*N pair nodes: all B tables are
+    concordant iff every node is a component of its own, i.e. count == B*N."""
+    from scipy.sparse import csgraph
+
+    keys = _consecutive_arcs(orders)
+    size = len(orders) * n_pairs(orders.shape[1])
+    count, labels = csgraph.connected_components(
+        _arc_graph(keys, size), directed=True, connection="strong"
+    )
+    return keys, count, labels
+
+
 def _check_table(table):
     """(arc keys, None) when the consecutive-relation digraph is acyclic,
     else (None, explicit cycle of pairs)."""
-    from scipy.sparse import csgraph
-
     n = table.n
     N = n_pairs(n)
-    keys = _consecutive_arcs(table)
-    count, labels = csgraph.connected_components(
-        _arc_graph(keys, N), directed=True, connection="strong"
-    )
+    keys, count, labels = _strong_components(table.order[None])
     if count == N:
         return keys, None
     # every node of a strong component with two or more nodes has a
@@ -221,7 +235,8 @@ def _check_table(table):
         seen[p] = len(walk)
         walk.append(p)
         p = int(pred[p])
-    return None, [pair_unrank(p, n) for p in reversed(walk[seen[p] :])]
+    pairs = all_pairs(n)
+    return None, [pairs[q] for q in reversed(walk[seen[p] :])]
 
 
 class Crs:
@@ -286,18 +301,25 @@ class Crs:
         return json.dumps(cert, sort_keys=True)
 
 
+def _phi_orders(perms, n):
+    """The (B, n, n-1) rank rows of phi for a (B, N) stack of pair-index
+    permutations: item x ranks y by the position of {x, y}."""
+    B, N = perms.shape
+    pos = np.empty_like(perms)
+    np.put_along_axis(pos, perms, np.arange(N), axis=1)
+    P = np.full((B, n, n), N)  # the diagonal sorts last
+    lo, hi = np.triu_indices(n, 1)
+    P[:, lo, hi] = P[:, hi, lo] = pos
+    return np.argsort(P, axis=2)[..., : n - 1]
+
+
 def phi(order):
     """The ranking system induced by restricting the pair order per item.
 
     Concordant by construction: the input order itself extends every
     per-item restriction.
     """
-    n = order.n
-    P = np.full((n, n), order.N + 1)  # the diagonal sorts last
-    iu = np.triu_indices(n, 1)
-    P[iu] = P.T[iu] = order.positions_array()
-    rows = np.argsort(P, axis=1)[:, : n - 1]
-    return Crs(RankTable(rows))
+    return Crs(RankTable(_phi_orders(order.perm[None], order.n)[0]))
 
 
 def concordancy_check(table):
@@ -392,15 +414,15 @@ def linf_embed(crs, seed=0, extension=None):
         pos = extension.positions_array()
         bad = np.flatnonzero(pos[src] > pos[dst])
         if bad.size:
-            p, q = pair_unrank(int(src[bad[0]]), n), pair_unrank(int(dst[bad[0]]), n)
+            p, q = pair_unrank(src[bad[0]], n), pair_unrank(dst[bad[0]], n)
             raise InputError(f"supplied order does not extend the order type at {p} -> {q}")
     N = extension.N
-    lo, hi = np.triu_indices(n, 1)
+    lo, hi = pair_unrank(extension.perm, n)
     cols = np.arange(N)
     value = 1.0 + (cols + 1) / N
     coords = np.zeros((n, N))
-    coords[lo[extension.perm], cols] = value
-    coords[hi[extension.perm], cols] = -value
+    coords[lo, cols] = value
+    coords[hi, cols] = -value
     coords.setflags(write=False)
     return EmbeddingMatrix(coords, extension.pairs)
 
@@ -419,8 +441,7 @@ def verify_embedding(crs, emb):
 
 def _disjoint(p, q, n):
     """Elementwise: whether the pairs of lexicographic indices p and q share no item."""
-    lo, hi = np.triu_indices(n, 1)
-    a, b, c, d = lo[p], hi[p], lo[q], hi[q]
+    (a, b), (c, d) = pair_unrank(p, n), pair_unrank(q, n)
     return (a != c) & (a != d) & (b != c) & (b != d)
 
 
@@ -640,25 +661,18 @@ class SmallCensus:
         }
 
 
-def _phi_key(perm, inc, oth):
-    """Hashable rank-table key of phi for a permutation of pair indices."""
-    pos = [0] * len(perm)
-    for p, pr in enumerate(perm):
-        pos[pr] = p
-    return tuple(
-        tuple(y for _, y in sorted((pos[k], y) for k, y in zip(inc_x, oth_x)))
-        for inc_x, oth_x in zip(inc, oth)
-    )
+_CENSUS_CHUNK = 1 << 16
 
 
 def enumerate_small(n):
     """Exhaustive census of all N! pair orders for n <= 5.
 
-    For n <= 4 the white graph is traversed exhaustively and component
-    classes are verified to coincide with phi fibers.  For n = 5 the 10!
-    orders are classed by phi fiber (the coincidence having been exhaustively
-    verified at the smaller sizes) and white edges are counted exactly per
-    order; a full 10!-vertex traversal is not attempted.
+    Each order is classed by its phi image, keyed as one base-n integer of
+    the image's n(n-1) rank entries, and its white edges are counted
+    exactly; every distinct image is certified concordant.  For n <= 4 the
+    white graph is also traversed exhaustively and component classes are
+    verified to coincide with phi fibers; a full 10!-vertex traversal at
+    n = 5 is not attempted.
     """
     if n > 5:
         raise ResourceLimitError(
@@ -667,66 +681,55 @@ def enumerate_small(n):
     if n < 2:
         raise InputError("need n >= 2")
     N = n_pairs(n)
-    pairs = all_pairs(n)
-    inc = [[k for k, p in enumerate(pairs) if x in p] for x in range(n)]
-    oth = [[p[0] if p[1] == x else p[1] for p in (pairs[k] for k in inc[x])] for x in range(n)]
-    idx = np.arange(N)
-    disjoint = _disjoint(idx[:, None], idx, n).tolist()
+    place = n ** np.arange(n * (n - 1) - 1, -1, -1, dtype=np.int64)  # 5^20 < 2^63
+    white = _disjoint(np.arange(N)[:, None], np.arange(N), n)
 
-    num_orders = factorial(N)
-    fiber_sizes = Counter()
-    keys_by_perm = {} if n <= 4 else None
+    keys = []
     white_edges2 = 0  # each white edge seen from both endpoints
-    for perm in itertools.permutations(range(N)):
-        key = _phi_key(perm, inc, oth)
-        fiber_sizes[key] += 1
-        for t in range(N - 1):
-            if disjoint[perm[t]][perm[t + 1]]:
-                white_edges2 += 1
-        if keys_by_perm is not None:
-            keys_by_perm[perm] = key
-    white_edges = white_edges2 // 2
-    adjacent_slots = num_orders * (N - 1) // 2
+    orders = itertools.permutations(range(N))
+    while (perms := np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(orders, _CENSUS_CHUNK)), dtype=np.int64).reshape(-1, N)).size:
+        keys.append(_phi_orders(perms, n).reshape(len(perms), -1) @ place)
+        white_edges2 += int(white[perms[:, :-1], perms[:, 1:]].sum())
+    images, fiber_sizes = np.unique(np.concatenate(keys), return_counts=True)
+    num_orders = factorial(N)
 
     components_equal_fibers = None
-    component_sizes = Counter(fiber_sizes.values())
+    component_sizes = Counter(fiber_sizes.tolist())
     if n <= 4:
-        # exhaustive white BFS; components must match fibers exactly
-        unvisited = set(keys_by_perm)
+        # exhaustive white BFS; components equal fibers iff each component
+        # lies in one fiber and there are as many components as fibers
+        unvisited = set(itertools.permutations(range(N)))
         component_sizes = Counter()
-        components_equal_fibers = True
+        within_fibers = True
         while unvisited:
             start = LinearOrder.from_perm(n, next(iter(unvisited)))
-            members = white_component(start, cap=num_orders + 1).orders
-            comp = {tuple(o.perm.tolist()) for o in members}
-            unvisited -= comp
-            component_sizes[len(comp)] += 1
-            keys = {keys_by_perm[p] for p in comp}
-            if len(keys) != 1 or fiber_sizes[next(iter(keys))] != len(comp):
-                components_equal_fibers = False
+            perms = np.stack([o.perm for o in white_component(start, cap=num_orders + 1).orders])
+            unvisited -= set(map(tuple, perms.tolist()))
+            component_sizes[len(perms)] += 1
+            rows = _phi_orders(perms, n)
+            within_fibers &= bool((rows == rows[0]).all())
+        components_equal_fibers = within_fibers and sum(component_sizes.values()) == images.size
 
     # every distinct image must certify concordant
-    all_concordant = True
-    for key in fiber_sizes:
-        table = RankTable(np.array(key))
-        if not concordancy_check(table).is_concordant:
-            all_concordant = False
-            break
+    all_concordant = all(
+        _strong_components(digits.reshape(-1, n, n - 1))[1] == len(digits) * N
+        for digits in (images[at : at + _CENSUS_CHUNK, None] // place % n
+                       for at in range(0, images.size, _CENSUS_CHUNK))
+    )
 
     return SmallCensus(
         n=n,
         num_orders=num_orders,
-        num_systems=len(fiber_sizes),
+        num_systems=images.size,
         component_sizes=dict(component_sizes),
-        white_edges=white_edges,
-        adjacent_slots=adjacent_slots,
+        white_edges=white_edges2 // 2,
+        adjacent_slots=num_orders * (N - 1) // 2,
         white_fraction_exact=Fraction(comb(n - 2, 2), comb(n, 2) - 1) if n >= 3 else Fraction(0),
         all_concordant=all_concordant,
         components_equal_fibers=components_equal_fibers,
         ratio_lower=Fraction(factorial(N), factorial(n - 1) ** n),
-        ratio_upper=Fraction(
-            factorial(N), int(np.prod([factorial(k) for k in range(1, n - 1)], dtype=object))
-        ),
+        ratio_upper=Fraction(factorial(N), prod(factorial(k) for k in range(1, n - 1))),
     )
 
 

@@ -124,27 +124,23 @@ def friend_barter(state, x, y, oracle):
     return new_x, new_y
 
 
-def batch_round(state, oracle, include_cofriends=True):
+def batch_round(state, oracle):
     """One simultaneous round: every point re-selects from the old snapshot.
 
-    Candidates for x are its friends and their friends and, when
-    ``include_cofriends`` is set, its cofriends and their friends.  The
-    result is a pure function of the previous state, so it cannot depend on
-    any processing order.
+    Candidates for x are its friends and their friends, its cofriends and
+    their friends.  The result is a pure function of the previous state, so
+    it cannot depend on any processing order.
     """
     F = state.friends
     n, k = F.shape
     before = oracle.comparisons
-    if include_cofriends:
-        # cofriends: the transpose of F, as CSR rows
-        indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
+    # cofriends: the transpose of F, as CSR rows
+    indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
     new_F = np.empty_like(F)
     changes = 0
     for x in range(n):
-        parts = [F[x], F[F[x]].ravel()]
-        if include_cofriends:
-            c = cof[indptr[x] : indptr[x + 1]]
-            parts.extend([c, F[c].ravel()])
+        c = cof[indptr[x] : indptr[x + 1]]
+        parts = [F[x], F[F[x]].ravel(), c, F[c].ravel()]
         new_F[x] = _top_k(state, oracle, x, parts)
         if not np.array_equal(np.sort(new_F[x]), np.sort(F[x])):
             changes += 1
@@ -230,7 +226,7 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
     rounds = 0
     for _ in range(budget):
         if mode == "batch":
-            state = batch_round(state, oracle, include_cofriends=True)
+            state = batch_round(state, oracle)
         else:
             state = pointwise_pass(state, schedule, oracle)
         rounds += 1

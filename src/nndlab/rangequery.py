@@ -118,13 +118,11 @@ def nu_overlap(space, v, vp, r):
     vp = np.asarray(vp, dtype=np.float64)
     if v.shape != (space.d,) or vp.shape != (space.d,):
         raise InputError("points must have the space's dimension")
-    t = wrapped_deltas(v - vp)
-    per_axis = np.minimum(2.0, np.maximum(0.0, 2 * r - t) + np.maximum(0.0, 2 * r + t - 2.0))
-    return float(per_axis.prod())
+    return float(_nu_many(wrapped_deltas(v - vp), r))
 
 
 def _nu_many(deltas, r):
-    """``nu_overlap`` for many pairs, from a list of their per-axis wrapped deltas."""
+    """``nu_overlap`` for many pairs, or one, from their wrapped deltas, one entry per axis."""
     nu = 1.0
     for t in deltas:
         nu = nu * np.minimum(2.0, np.maximum(0.0, 2 * r - t) + np.maximum(0.0, 2 * r + t - 2.0))
@@ -222,21 +220,21 @@ def schedule_csv(schedule):
     return "\n".join(lines) + "\n"
 
 
+def _log_rounds(params, n):
+    """log(n alpha / K) / (d log(1/gamma_star)), the rounds past the explicit steps."""
+    return math.log(n * params.alpha / params.K) / (params.d * math.log(1.0 / params.gamma_star))
+
+
 def tau_bound(params, n=None):
     """Round-count bound t' bound + log(n alpha / K) / (d log(1/gamma_star))."""
     n = params.n if n is None else n
-    return params.t_prime_bound + math.log(n * params.alpha / params.K) / (
-        params.d * math.log(1.0 / params.gamma_star)
-    )
+    return params.t_prime_bound + _log_rounds(params, n)
 
 
 def work_bound(params, t_prime, n=None):
     """Distance-evaluation scale n K^2 (t' + log(n alpha/K)/(d log(1/gamma_star)))."""
     n = params.n if n is None else n
-    rounds = t_prime + math.log(n * params.alpha / params.K) / (
-        params.d * math.log(1.0 / params.gamma_star)
-    )
-    return n * params.K ** 2 * rounds
+    return n * params.K ** 2 * (t_prime + _log_rounds(params, n))
 
 
 # ---------------------------------------------------------------------------

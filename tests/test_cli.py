@@ -287,12 +287,14 @@ class TestCrs:
              "3c2f5d6c47530c612ecb5b0633c7ee96082ae075b790a9ed6784bc5e3d4d64e7"),
             (["crs", "enumerate", "--n", "4"],
              "10c5cc97fda70a9a6be85425d0cec7fe5d67afb9ea115c2dc2486a2e1e95b476"),
+            (["crs", "enumerate", "--n", "5"],
+             "33889f7f8b6d8ed6fdcd0ef9fdb773e505750365aa25ad0cc77d0013226b230a"),
             (["nnd", "--space", "generic-crs", "--n", "512", "--k", "8", "--mode", "pointwise",
               "--seed", "1"],
              "01d8e4e53dd66356993dda8ea96fe923fef653cae1838f741b431b711a2d37de"),
         ],
         ids=["embed-json", "embed-csv", "baranyai-component", "powers2-isolated",
-             "enumerate-4", "nnd-generic"],
+             "enumerate-4", "enumerate-5", "nnd-generic"],
     )
     def test_pair_order_golden_sha256(self, argv, digest, tmp_path):
         # the outputs as written while pair orders were tuples of pairs

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nndlab import concordance
 from nndlab.concordance import (
     LinearOrder,
     all_pairs,
@@ -100,7 +101,47 @@ class TestPhi:
             assert list(crs.table.order[x]) == ranked
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=8),
+           st.data())
+    def test_batched_rows_match_phi(self, n, B, data):
+        N = n_pairs(n)
+        perms = np.array([data.draw(st.permutations(range(N))) for _ in range(B)],
+                         dtype=np.int64)
+        rows = concordance._phi_orders(perms, n)
+        assert rows.shape == (B, n, n - 1)
+        for perm, row in zip(perms, rows):
+            order = LinearOrder.from_perm(n, perm)
+            assert np.array_equal(row, phi(order).table.order)
+            # item x lists the others by the position of {x, y}
+            assert row.tolist() == [sorted(set(range(n)) - {x}, key=lambda y: order.position(x, y))
+                                    for x in range(n)]
+
+
 class TestConcordancyCheck:
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_batched_check_matches_per_table(self, n):
+        # generic images are concordant, most random tables are cyclic
+        tables = ([generic_crs(n, s).table for s in range(4)]
+                  + [random_ranking_table(n, s) for s in range(8)])
+        tables = [tables[i] for i in np.random.default_rng(n).permutation(len(tables))]
+        expect = [concordancy_check(t).is_concordant for t in tables]
+        assert any(expect) and not all(expect)
+        N = n_pairs(n)
+        keys, count, labels = concordance._strong_components(np.stack([t.order for t in tables]))
+        on_cycle = (np.bincount(labels)[labels] > 1).reshape(len(tables), N).any(axis=1)
+        assert (~on_cycle).tolist() == expect
+        assert count < len(tables) * N
+        # table b's arcs are its own, shifted to the nodes b*N .. b*N + N-1
+        src, dst = np.divmod(keys, len(tables) * N)
+        for b, table in enumerate(tables):
+            mine = src // N == b
+            assert (dst[mine] // N == b).all()
+            alone = concordance._consecutive_arcs(table.order[None])
+            assert np.array_equal((src[mine] - b * N) * N + dst[mine] - b * N, alone)
+        concordant = np.stack([t.order for t, ok in zip(tables, expect) if ok])
+        assert concordance._strong_components(concordant)[1] == len(concordant) * N
+
     def test_worked_five_point_system(self):
         table, _ = concordant5_system()
         crs = concordancy_check(table)

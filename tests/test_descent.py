@@ -134,7 +134,7 @@ class TestBatchRound:
         # recompute the round with shuffled vertex processing; same result
         oracle = RankingOracle(random_ranking_table(40, seed=2))
         state = init_random_kout(40, 4, seed=3)
-        after = batch_round(state, oracle, include_cofriends=True)
+        after = batch_round(state, oracle)
 
         F = state.friends
         shuffled = np.empty_like(F)
