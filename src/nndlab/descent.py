@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, csr, unique_keys
+from .ranking import KnnGraph, csr
 
 __all__ = [
     "FriendState",
@@ -100,9 +100,10 @@ def init_random_kout(n, K, seed):
 
 
 def _top_k(state, oracle, x, parts):
-    pool = unique_keys(np.concatenate(parts))
-    pool = pool[pool != x]
-    return oracle.top_k(x, pool, state.k)
+    pool = np.sort(np.concatenate(parts))
+    keep = pool != x
+    keep[1:] &= pool[1:] != pool[:-1]
+    return oracle.top_k(x, pool[keep], state.k)
 
 
 def friend_barter(state, x, y, oracle):
@@ -165,10 +166,10 @@ def pointwise_pass(state, schedule, oracle):
     before = oracle.comparisons
     changes = 0
     F = new_state.friends
-    for x in schedule:
+    for x in schedule.tolist():
+        old = set(F[x].tolist())  # F[x] is a view that set_friends overwrites
         new = _top_k(new_state, oracle, x, [F[x], F[F[x]].ravel()])
-        if not np.array_equal(np.sort(new), np.sort(F[x])):
-            changes += 1
+        changes += set(new.tolist()) != old
         new_state.set_friends(x, new)
     new_state.t = state.t + 1
     new_state.work += oracle.comparisons - before

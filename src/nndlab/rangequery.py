@@ -472,17 +472,6 @@ class SamplingReport:
     def range_ok(self):
         return self.out_of_range_neighbors == 0
 
-    @property
-    def rate_ok(self):
-        return abs(self.rate_z) <= 3.0
-
-    @property
-    def ks_ok(self):
-        return not np.isfinite(self.ks_pvalue) or self.ks_pvalue >= 0.01
-
-    def deg_z(self, K):
-        return (self.deg_mean - K) / self.deg_se if self.deg_se > 0 else math.inf
-
     def to_json_dict(self):
         """The fields, with null for a non-finite statistic (strict JSON)."""
         return {

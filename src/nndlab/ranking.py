@@ -219,11 +219,12 @@ class KnnGraph:
 class RankingOracle:
     """Answers "does x prefer y to z" over a RankTable, metering work.
 
-    ``prefers`` charges exactly one comparison per query.  ``top_k`` selects
-    and rank-orders the best k of a candidate pool with vectorised lookups
-    and charges the ``c * ceil(log2 c)`` comparison cost of the sort it
-    stands in for, keeping desk-scale descent runs fast while the meter
-    stays an honest upper-bound accouting of comparison-based selection.
+    ``prefers`` charges exactly one comparison per query.  ``top_k`` sorts
+    the ranks of a candidate pool once, reads the best k from the table's
+    ``order`` row, and charges the ``c * ceil(log2 c)`` comparison cost of
+    the sort it stands in for, keeping desk-scale descent runs fast while
+    the meter stays an honest upper-bound accounting of comparison-based
+    selection.
     The meter is guarded by a lock so concurrent readers may share one
     oracle.
     """
@@ -257,16 +258,13 @@ class RankingOracle:
         ``candidates`` must be distinct and must not contain x.  Returns all
         of them (ordered) when there are fewer than k.
         """
-        cand = np.asarray(candidates)
-        if (cand == x).any():
+        r = np.sort(self.table.ranks[x][candidates])
+        c = r.size
+        # rank 0 is the diagonal's alone, so it heads the sort exactly when x is a candidate
+        if c and r[0] == 0:
             raise InputError("candidate pool must not contain x itself")
-        c = cand.size
         self._charge(0 if c <= 1 else c * math.ceil(math.log2(c)))
-        r = self.table.ranks[x, cand]
-        if c > k:
-            keep = np.argpartition(r, k - 1)[:k]
-            cand, r = cand[keep], r[keep]
-        return cand[np.argsort(r)]
+        return self.table.order[x][r[:k] - 1]
 
 
 def ranking_from_distance_matrix(dist, tie_break=None, max_items=MAX_TABLE_ITEMS):

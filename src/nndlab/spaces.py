@@ -7,7 +7,6 @@ ranking systems.  Every space is immutable once sampled, records its seed,
 and can be turned into an exact rank table.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -340,12 +339,6 @@ def torus_distance(space, u, v):
     return float(wrapped_distance(u, v))
 
 
-def torus_distances(space, u):
-    """Distances from coordinate vector u to every point of the space."""
-    u = np.asarray(u, dtype=np.float64)
-    return wrapped_distance(space.points, u[None, :])
-
-
 def torus_distance_matrix(space):
     p = space.points
     return wrapped_distance(p[:, None, :], p[None, :, :])
@@ -418,10 +411,6 @@ def space_config(space):
     if isinstance(space, RandomRankingSystem):
         return {"space": "random-ranking", "n": space.n, "seed": space.seed}
     raise InputError(f"no config for {type(space).__name__}")
-
-
-def space_config_json(space):
-    return json.dumps(space_config(space), sort_keys=True)
 
 
 def space_points_csv(space):

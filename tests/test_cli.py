@@ -97,6 +97,25 @@ class TestNnd:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "3b8b3cf66062e45c96a3cd4ac15b241466d5ed0bea0d68aa0ed4f7b677ce6d57")
 
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [
+            (["--space", "random-ranking", "--n", "600", "--k", "6", "--seed", "4"],
+             "3f3a8d673d571aff41959d051057f02ef150de8a3527f0171839fc285716a4e1"),
+            (["--space", "random-ranking", "--n", "600", "--k", "6", "--seed", "4",
+              "--mode", "pointwise"],
+             "256d88a1920ee00e1f4e1175666e238cbad72f7c2dfb2b345d51619a57afd57b"),
+            (["--space", "paris", "--n", "2048", "--k", "8", "--mode", "pointwise"],
+             "c4629e924cd69c22e7ec42ef3d4bc977eea6323e16d52acc936a9cbe8973407d"),
+        ],
+        ids=["random-batch", "random-pointwise", "paris-pointwise"],
+    )
+    def test_descent_golden_sha256(self, argv, digest, tmp_path):
+        # the reports as written while top_k partitioned the pool before sorting it
+        out = tmp_path / "report.json"
+        assert run(["nnd"] + argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_k_below_two_without_budget_exits_3(self, k, capsys):
         assert run(["nnd", "--space", "paris", "--n", "64", "--k", k]) == 3

@@ -164,6 +164,28 @@ class TestOracle:
         with pytest.raises(InputError):
             oracle.top_k(2, np.array([1, 2, 3]), 2)
 
+    def test_top_k_empty_pool_is_free(self):
+        oracle = RankingOracle(random_ranking_table(6, seed=0))
+        assert oracle.top_k(2, np.array([], dtype=np.int64), 3).size == 0
+        assert oracle.comparisons == 0
+
+    def test_top_k_short_pool_returns_all_ordered(self):
+        table = random_ranking_table(30, seed=2)
+        oracle = RankingOracle(table)
+        pool = np.array([19, 3, 11])
+        assert oracle.top_k(0, pool, 5).tolist() == sorted(pool, key=lambda y: table.rank(0, y))
+        assert oracle.comparisons == 3 * math.ceil(math.log2(3))
+
+    @pytest.mark.parametrize("pool", [[4, 1, 3, 5], [1, 3, 4, 5], [1, 3, 5, 4]],
+                             ids=["first", "middle", "last"])
+    def test_top_k_rejects_self_anywhere_without_charge(self, pool):
+        oracle = RankingOracle(random_ranking_table(8, seed=3))
+        oracle.top_k(4, np.array([1, 2, 3]), 2)
+        before = oracle.comparisons
+        with pytest.raises(InputError):
+            oracle.top_k(4, np.array(pool), 2)
+        assert oracle.comparisons == before
+
     def test_meter_safe_under_concurrent_readers(self):
         import threading
 
