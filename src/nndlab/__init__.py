@@ -27,7 +27,6 @@ from .ranking import (
     RankTable,
     RankingOracle,
     exact_knn,
-    exact_knn_via_oracle,
     ranking_from_distance_matrix,
     ranking_from_distances,
     recall,

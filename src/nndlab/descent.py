@@ -6,6 +6,13 @@ it prefers among its friends and their friends (and, in batch mode, its
 cofriends and their friends).  Two update disciplines are provided:
 simultaneous batch rounds, a pure function of the previous state, and
 scheduled pointwise passes where updates are visible immediately.
+
+Every step works on whole arrays, as the local join of NN-descent does over
+fixed-width rows: it lists (owner, candidate) pairs, drops repeats and the
+owner itself with one sort, and hands all the pools to one batched
+``RankingOracle.top_k``.  A pointwise pass is defined by its visit order and
+computed by dependency level: all points whose earlier-visited friends are
+done are updated in one batch.
 """
 
 import math
@@ -14,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, csr
+from .ranking import KnnGraph, csr, csr_rows, unique_keys
 
 __all__ = [
     "FriendState",
@@ -52,16 +59,11 @@ class FriendState:
         return self.friends.shape[1]
 
     def set_friends(self, x, new):
-        """Replace F(x)."""
+        """Replace F(x); with an array of points, each row of ``new`` in turn."""
         self.friends[x] = new
 
     def copy(self):
         return FriendState(self.friends.copy(), t=self.t, work=self.work)
-
-    def worst_ranks(self, table):
-        """Per-point max rank of the current friend set (quality measure)."""
-        rows = np.arange(self.n)[:, None]
-        return table.ranks[rows, self.friends].max(axis=1)
 
     def to_graph(self):
         return KnnGraph(self.friends.copy(), n=self.n)
@@ -99,11 +101,25 @@ def init_random_kout(n, K, seed):
     return FriendState(random_kout(n, K, seed), t=0)
 
 
-def _top_k(state, oracle, x, parts):
-    pool = np.sort(np.concatenate(parts))
-    keep = pool != x
-    keep[1:] &= pool[1:] != pool[:-1]
-    return oracle.top_k(x, pool[keep], state.k)
+# Candidate keys one batch round lists per chunk of owners, so memory stays
+# bounded at large n; a chunk holds at least one owner.
+_CHUNK_KEYS = 1 << 20
+
+
+def _select(oracle, owners, cands, k):
+    """Each owner's top k among its distinct candidates other than itself.
+
+    One row per distinct owner, in increasing owner order.
+    """
+    n = oracle.n
+    keys = unique_keys((owners.astype(np.int64) * n + cands)[cands != owners])
+    own = keys // n
+    return oracle.top_k(own, keys - own * n, k)
+
+
+def _changed(new, old):
+    """The number of rows whose friend sets differ."""
+    return int((np.sort(new, axis=1) != np.sort(old, axis=1)).any(axis=1).sum())
 
 
 def friend_barter(state, x, y, oracle):
@@ -112,17 +128,20 @@ def friend_barter(state, x, y, oracle):
     Both new sets are computed from the pre-barter lists, then installed.
     Returns the two new friend arrays.
     """
+    n, k = state.n, state.k
+    if not (0 <= x < n and 0 <= y < n):
+        raise InputError(f"point ids must lie in 0..{n - 1}, got {x} and {y}")
     if x == y:
         raise InputError("a point cannot barter with itself")
     before = oracle.comparisons
-    F = state.friends
-    fx, fy = F[x].copy(), F[y].copy()
-    new_x = _top_k(state, oracle, x, [fx, fy])
-    new_y = _top_k(state, oracle, y, [fx, fy])
-    state.set_friends(x, new_x)
-    state.set_friends(y, new_y)
+    pair = np.array([x, y])
+    pool = state.friends[pair].ravel()
+    new = _select(oracle, np.repeat(pair, 2 * k), np.tile(pool, 2), k)
+    if x > y:
+        new = new[::-1]
+    state.set_friends(pair, new)
     state.work += oracle.comparisons - before
-    return new_x, new_y
+    return new[0], new[1]
 
 
 def batch_round(state, oracle):
@@ -137,19 +156,24 @@ def batch_round(state, oracle):
     before = oracle.comparisons
     # cofriends: the transpose of F, as CSR rows
     indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
+    indeg = np.diff(indptr)
+    # owners a..b-1 list (k + indeg) * (k + 1) keys each; cut where the running sum passes a multiple
+    total = np.cumsum((k + indeg) * (k + 1))
+    cuts = np.searchsorted(total, np.arange(_CHUNK_KEYS, total[-1], _CHUNK_KEYS), side="right")
+    bounds = unique_keys(np.concatenate([[0], cuts, [n]]))
     new_F = np.empty_like(F)
-    changes = 0
-    for x in range(n):
-        c = cof[indptr[x] : indptr[x + 1]]
-        parts = [F[x], F[F[x]].ravel(), c, F[c].ravel()]
-        new_F[x] = _top_k(state, oracle, x, parts)
-        if not np.array_equal(np.sort(new_F[x]), np.sort(F[x])):
-            changes += 1
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        xs = np.arange(a, b)
+        c = cof[indptr[a] : indptr[b]]
+        own = np.concatenate([np.repeat(xs, k * (k + 1)), np.repeat(np.repeat(xs, indeg[a:b]), k + 1)])
+        mine = np.concatenate([F[a:b], F[F[a:b]].reshape(b - a, k * k)], axis=1)
+        theirs = np.concatenate([c[:, None], F[c]], axis=1)
+        new_F[a:b] = _select(oracle, own, np.concatenate([mine.ravel(), theirs.ravel()]), k)
     return FriendState(
         new_F,
         t=state.t + 1,
         work=state.work + (oracle.comparisons - before),
-        last_changes=changes,
+        last_changes=_changed(new_F, F),
     )
 
 
@@ -157,23 +181,38 @@ def pointwise_pass(state, schedule, oracle):
     """One scheduled pass: visit points in order, updates visible at once.
 
     Each visited x replaces F(x) by its top K among F(x) and the current
-    friend lists of its friends.  Inherently sequential.
+    friend lists of its friends.  The pass is defined by visit order and
+    computed by dependency level: x waits for each friend y visited before
+    it, and every point whose earlier friends are all done is updated in one
+    batch, reading the new F(y) of an earlier friend and the pass-start F(y)
+    of a later one.  The result equals the visit-order loop.
     """
     schedule = np.asarray(schedule)
     if not np.array_equal(np.sort(schedule), np.arange(state.n)):
         raise InputError("schedule must be a permutation of the point ids")
     new_state = state.copy()
     before = oracle.comparisons
-    changes = 0
-    F = new_state.friends
-    for x in schedule.tolist():
-        old = set(F[x].tolist())  # F[x] is a view that set_friends overwrites
-        new = _top_k(new_state, oracle, x, [F[x], F[F[x]].ravel()])
-        changes += set(new.tolist()) != old
-        new_state.set_friends(x, new)
+    F0, F = state.friends, new_state.friends
+    n, k = F0.shape
+    pos = np.empty(n, dtype=np.int64)
+    pos[schedule] = np.arange(n)
+    earlier = pos[F0] < pos[:, None]
+    waits = earlier.sum(axis=1)
+    # Kahn's frontier over the arcs y -> x, y an earlier friend of x
+    indptr, dependents = csr(F0[earlier], np.repeat(np.arange(n), k)[earlier.ravel()], n)
+    level = np.flatnonzero(waits == 0)
+    while level.size:
+        rows = F0[level]
+        seen = np.where(earlier[level][:, :, None], F[rows], F0[rows]).reshape(level.size, k * k)
+        cands = np.concatenate([rows, seen], axis=1).ravel()
+        new_state.set_friends(level, _select(oracle, np.repeat(level, k * (k + 1)), cands, k))
+        done = dependents[csr_rows(indptr[level], indptr[level + 1] - indptr[level])]
+        np.subtract.at(waits, done, 1)
+        ready = unique_keys(done)
+        level = ready[waits[ready] == 0]
     new_state.t = state.t + 1
     new_state.work += oracle.comparisons - before
-    new_state.last_changes = changes
+    new_state.last_changes = _changed(F, F0)
     return new_state
 
 

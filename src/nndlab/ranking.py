@@ -7,9 +7,6 @@ quadratic reference that descent tries to approximate cheaply), and scores
 approximate graphs against exact ones.
 """
 
-import functools
-import json
-import math
 import threading
 
 import numpy as np
@@ -204,27 +201,18 @@ class KnnGraph:
     def from_csv(cls, text):
         return cls(rank_matrix(*csv_triples(text, "source,rank,target").T))
 
-    def to_json(self):
-        return json.dumps(
-            {"n": self.n, "k": self.k, "neighbors": self.neighbors.tolist()},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        return cls(np.array(obj["neighbors"]), n=obj["n"])
-
 
 class RankingOracle:
     """Answers "does x prefer y to z" over a RankTable, metering work.
 
-    ``prefers`` charges exactly one comparison per query.  ``top_k`` sorts
-    the ranks of a candidate pool once, reads the best k from the table's
-    ``order`` row, and charges the ``c * ceil(log2 c)`` comparison cost of
-    the sort it stands in for, keeping desk-scale descent runs fast while
-    the meter stays an honest upper-bound accounting of comparison-based
-    selection.
+    ``prefers`` charges exactly one comparison per query.  ``top_k`` is the
+    one selection: it takes a batch of candidate pools, each candidate with
+    its owner beside it, sorts the keys ``owner * n + rank`` once and reads
+    each owner's best k from the table's ``order``.  It charges
+    ``c * ceil(log2 c)`` per pool of c candidates, the comparison cost of the
+    sort it stands in for, so desk-scale descent runs stay fast while the
+    meter stays an honest upper-bound accounting of comparison-based
+    selection.  A scalar owner is the batch of one.
     The meter is guarded by a lock so concurrent readers may share one
     oracle.
     """
@@ -253,18 +241,36 @@ class RankingOracle:
         return result
 
     def top_k(self, x, candidates, k):
-        """The k most-preferred candidates of x, best first.
+        """The k most-preferred candidates of each owner, best first.
 
-        ``candidates`` must be distinct and must not contain x.  Returns all
-        of them (ordered) when there are fewer than k.
+        Each owner's candidates must be distinct and must not contain the
+        owner.  With a scalar ``x`` the result is x's best k, or all of its
+        candidates (ordered) when there are fewer.  With an array ``x``, the
+        owner of each candidate, every pool must hold at least k candidates,
+        and the result has one row of k per distinct owner, in increasing
+        owner order.  A pool that breaks these rules refuses the whole call
+        before anything is charged.
         """
-        r = np.sort(self.table.ranks[x][candidates])
-        c = r.size
-        # rank 0 is the diagonal's alone, so it heads the sort exactly when x is a candidate
-        if c and r[0] == 0:
-            raise InputError("candidate pool must not contain x itself")
-        self._charge(0 if c <= 1 else c * math.ceil(math.log2(c)))
-        return self.table.order[x][r[:k] - 1]
+        n = self.n
+        cand = np.asarray(candidates)
+        owners = np.broadcast_to(np.asarray(x, dtype=np.int64), cand.shape)
+        ranks = self.table.ranks[owners, cand]
+        # rank 0 is the diagonal's alone, so it occurs exactly when a pool holds its owner
+        if not ranks.all():
+            raise InputError("candidate pool must not contain its owner")
+        keys = np.sort(owners * n + ranks)
+        own = keys // n
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = own[1:] != own[:-1]
+        starts = np.flatnonzero(first)
+        sizes = np.diff(starts, append=keys.size)
+        if np.ndim(x) and (sizes < k).any():
+            raise InputError(f"every pool of a batch needs at least k={k} candidates")
+        # ceil(log2 c) is the bit length of c - 1, the exponent frexp returns
+        self._charge(int((sizes * np.frexp(sizes - 1)[1]).sum()))
+        take = starts[:, None] + np.arange(k) if np.ndim(x) else slice(k)
+        # order[o, r - 1] sits at o * (n - 1) + r - 1 = key - o - 1 of the flat order
+        return self.table.order.ravel()[keys[take] - own[take] - 1]
 
 
 def ranking_from_distance_matrix(dist, tie_break=None, max_items=MAX_TABLE_ITEMS):
@@ -321,26 +327,6 @@ def exact_knn(table, K):
     return KnnGraph(table.order[:, :K], n=table.n)
 
 
-def exact_knn_via_oracle(oracle, K):
-    """Exact K-NN via counted pairwise comparisons only.
-
-    Slow by design: sorts each item's candidate list through the oracle, so
-    the work meter reflects a genuine comparison sort.
-    """
-    n = oracle.n
-    if not 1 <= K < n:
-        raise InputError(f"need 1 <= K < n, got K={K}, n={n}")
-    rows = np.empty((n, K), dtype=np.int32)
-    for x in range(n):
-        others = [y for y in range(n) if y != x]
-
-        def cmp(a, b, x=x):
-            return -1 if oracle.prefers(x, a, b) else 1
-
-        rows[x] = sorted(others, key=functools.cmp_to_key(cmp))[:K]
-    return KnnGraph(rows, n=n)
-
-
 def recall(approx, exact):
     """Fraction of exact K-NN arcs present in the approximation."""
     if approx.n != exact.n:
@@ -348,7 +334,7 @@ def recall(approx, exact):
     if approx.k != exact.k:
         raise InputError("graphs must share the same K")
     n, k = exact.n, exact.k
-    member = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k)
-    member[rows, exact.neighbors.ravel()] = True
-    return float(member[rows, approx.neighbors.ravel()].sum()) / (n * k)
+    # each graph's arcs x * n + y are distinct, so a key seen twice is an arc of both
+    rows = np.repeat(np.arange(n, dtype=np.int64) * n, k)
+    keys = np.sort(np.concatenate([rows + exact.neighbors.ravel(), rows + approx.neighbors.ravel()]))
+    return int(np.count_nonzero(keys[1:] == keys[:-1])) / (n * k)

@@ -25,6 +25,12 @@ def paris_oracle(n):
     return RankingOracle(rank_table(paris_space(range(1, n + 1))))
 
 
+def worst_ranks(state, table):
+    """Per-point max rank of the current friend set (quality measure)."""
+    rows = np.arange(state.n)[:, None]
+    return table.ranks[rows, state.friends].max(axis=1)
+
+
 def assert_csr_transpose(F):
     # batch_round takes cofriends as the CSR of F's arcs keyed by target;
     # compare that with a transpose built pair by pair
@@ -107,6 +113,16 @@ class TestFriendBarter:
         state = FriendState(random_kout(6, 2, 0))
         with pytest.raises(InputError):
             friend_barter(state, 2, 2, paris_oracle(6))
+
+    @pytest.mark.parametrize("x,y", [(9, 12), (12, 3), (-1, 3), (3, -1)])
+    def test_ids_out_of_range_rejected(self, x, y):
+        oracle = paris_oracle(10)
+        state = FriendState(random_kout(10, 3, 2))
+        before = state.friends.copy()
+        with pytest.raises(InputError, match="must lie in 0..9"):
+            friend_barter(state, x, y, oracle)
+        assert np.array_equal(state.friends, before)
+        assert oracle.comparisons == state.work == 0
 
     def test_keeps_transpose_in_sync(self):
         state = FriendState(random_kout(12, 3, 1))
@@ -232,10 +248,10 @@ class TestRunNnd:
     def test_monotone_quality_per_vertex(self):
         oracle = paris_oracle(128)
         state = init_random_kout(128, 4, seed=8)
-        worst = state.worst_ranks(oracle.table)
+        worst = worst_ranks(state, oracle.table)
         for _ in range(4):
             state = batch_round(state, oracle)
-            new_worst = state.worst_ranks(oracle.table)
+            new_worst = worst_ranks(state, oracle.table)
             assert (new_worst <= worst).all()
             worst = new_worst
 

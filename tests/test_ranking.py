@@ -1,3 +1,5 @@
+import functools
+import json
 import math
 
 import numpy as np
@@ -6,19 +8,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nndlab.concordance import LinearOrder, baranyai_order
+from nndlab.descent import random_kout
 from nndlab.errors import InputError
 from nndlab.ranking import (
     KnnGraph,
     RankTable,
     RankingOracle,
     exact_knn,
-    exact_knn_via_oracle,
     ranking_from_distance_matrix,
     ranking_from_distances,
     recall,
     unique_keys,
 )
 from nndlab.spaces import random_ranking_table
+
+
+def exact_knn_via_oracle(oracle, K):
+    """Exact K-NN via counted pairwise comparisons only.
+
+    Slow by design: sorts each item's candidate list through the oracle, so
+    the work meter reflects a genuine comparison sort.
+    """
+    n = oracle.n
+    if not 1 <= K < n:
+        raise InputError(f"need 1 <= K < n, got K={K}, n={n}")
+    rows = np.empty((n, K), dtype=np.int32)
+    for x in range(n):
+        others = [y for y in range(n) if y != x]
+
+        def cmp(a, b, x=x):
+            return -1 if oracle.prefers(x, a, b) else 1
+
+        rows[x] = sorted(others, key=functools.cmp_to_key(cmp))[:K]
+    return KnnGraph(rows, n=n)
+
+
+def graph_to_json(graph):
+    return json.dumps(
+        {"n": graph.n, "k": graph.k, "neighbors": graph.neighbors.tolist()},
+        sort_keys=True,
+    )
+
+
+def graph_from_json(text):
+    obj = json.loads(text)
+    return KnnGraph(np.array(obj["neighbors"]), n=obj["n"])
 
 
 def paris_dist(etas):
@@ -186,6 +220,46 @@ class TestOracle:
             oracle.top_k(4, np.array(pool), 2)
         assert oracle.comparisons == before
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.data())
+    def test_batched_top_k_equals_per_owner_calls(self, n, seed, data):
+        table = random_ranking_table(n, seed)
+        k = data.draw(st.integers(1, n - 1))
+        owners = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+        pools = [
+            data.draw(st.lists(st.sampled_from([y for y in range(n) if y != x]),
+                               min_size=k, unique=True))
+            for x in owners
+        ]
+        scalar = RankingOracle(table)
+        want = {x: scalar.top_k(x, np.array(pool), k).tolist() for x, pool in zip(owners, pools)}
+        # the pools interleaved, as descent lists them
+        cand = np.concatenate([np.array(pool) for pool in pools])
+        own = np.repeat(owners, [len(pool) for pool in pools])
+        mix = np.random.default_rng(seed).permutation(cand.size)
+        batched = RankingOracle(table)
+        got = batched.top_k(own[mix], cand[mix], k)
+        assert got.tolist() == [want[x] for x in sorted(owners)]
+        assert batched.comparisons == scalar.comparisons
+
+    @pytest.mark.parametrize("where", [0, 4, 8])
+    def test_batched_top_k_refuses_an_owner_in_any_pool_without_charge(self, where):
+        oracle = RankingOracle(random_ranking_table(8, seed=3))
+        own = np.repeat([1, 4, 6], 3)
+        cand = np.array([2, 3, 5, 1, 2, 3, 0, 2, 3])
+        cand[where] = own[where]
+        with pytest.raises(InputError):
+            oracle.top_k(own, cand, 2)
+        assert oracle.comparisons == 0
+
+    def test_batched_top_k_refuses_a_short_pool_without_charge(self):
+        oracle = RankingOracle(random_ranking_table(8, seed=3))
+        with pytest.raises(InputError, match="at least k=3"):
+            oracle.top_k(np.array([1, 1, 1, 4, 4]), np.array([2, 3, 5, 2, 3]), 3)
+        assert oracle.comparisons == 0
+        # the scalar owner keeps returning a short pool whole
+        assert oracle.top_k(4, np.array([2, 3]), 3).size == 2
+
     def test_meter_safe_under_concurrent_readers(self):
         import threading
 
@@ -228,6 +302,19 @@ class TestRecall:
         approx = KnnGraph(np.array([[(x + 1) % 10, (x + 5) % 10] for x in range(10)]))
         assert recall(approx, exact) == 0.5
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(3, 30), st.data())
+    def test_equals_membership_matrix_count(self, n, data):
+        k = data.draw(st.integers(1, n - 1))
+        exact, approx = (
+            KnnGraph(random_kout(n, k, data.draw(st.integers(0, 2**32 - 1))))
+            for _ in range(2)
+        )
+        member = np.zeros((n, n), dtype=bool)
+        rows = np.repeat(np.arange(n), k)
+        member[rows, exact.neighbors.ravel()] = True
+        assert recall(approx, exact) == float(member[rows, approx.neighbors.ravel()].sum()) / (n * k)
+
     def test_mismatched_inputs_rejected(self):
         a = exact_knn(random_ranking_table(8, seed=0), 2)
         b = exact_knn(random_ranking_table(8, seed=0), 3)
@@ -245,7 +332,7 @@ class TestKnnGraphSerialization:
 
     def test_json_roundtrip_exact(self):
         graph = exact_knn(random_ranking_table(9, seed=6), 4)
-        assert KnnGraph.from_json(graph.to_json()) == graph
+        assert graph_from_json(graph_to_json(graph)) == graph
 
     def test_rejects_self_loops(self):
         with pytest.raises(InputError):
