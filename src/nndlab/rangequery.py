@@ -43,8 +43,9 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
-# candidate pairs examined per chunk of ball centres: 2^16 keeps each chunk's
-# float64 temporaries at 512 KiB, inside a 4 MiB L2 (2^20 spilled to memory)
+# candidate pairs examined per chunk of ball centres, and proposals per chunk
+# of a round's hubs: 2^16 keeps each chunk's float64 temporaries at 512 KiB,
+# inside a 4 MiB L2 (2^20 spilled to memory)
 _SCAN_ENTRIES = 1 << 16
 
 
@@ -258,10 +259,20 @@ class TwoNrqState:
             edges.min() < 0 or edges.max() >= space.n or (edges[:, 0] == edges[:, 1]).any()
         ):
             raise InputError("edges must join distinct in-range vertices")
-        m = space.n
-        keys = unique_keys(_edge_keys(edges, m))
+        self._set_keys(space, _edge_keys(edges, space.n), t, distance_evals)
+
+    @classmethod
+    def _from_keys(cls, space, keys, t, distance_evals=0):
+        """The state of the edges with keys lo*m + hi (0 <= lo < hi < m), repeats allowed."""
+        state = cls.__new__(cls)
+        state._set_keys(space, keys, t, distance_evals)
+        return state
+
+    def _set_keys(self, space, keys, t, distance_evals):
+        keys = unique_keys(keys)
         self.space = space
-        self.edges = np.stack([keys // m, keys % m], axis=1)
+        self.edges = np.empty((keys.size, 2), dtype=np.int64)
+        np.divmod(keys, space.n, out=(self.edges[:, 0], self.edges[:, 1]))
         self.edges.setflags(write=False)
         self.t = int(t)
         self.distance_evals = int(distance_evals)
@@ -273,12 +284,6 @@ class TwoNrqState:
 
     def degrees(self):
         return np.diff(self.adjacency()[0])
-
-    def edge_lengths(self):
-        if not self.edges.size:
-            return np.zeros(0)
-        p = self.space.points
-        return wrapped_distance(p[self.edges[:, 0]], p[self.edges[:, 1]])
 
     def adjacency(self):
         """Read-only CSR (indptr, neighbors), built once; row v lists the neighbours
@@ -305,28 +310,33 @@ def init_e0(space, K, n_mean, seed):
     total = m * (m - 1) // 2
     rate = min(1.0, K / float(n_mean))
     count = int(rng.binomial(total, rate))
-    if count == 0:
-        return TwoNrqState(space, np.zeros((0, 2), dtype=np.int64), t=0)
     if count > total // 4:
         iu = np.triu_indices(m, 1)
-        keys = np.stack([iu[0], iu[1]], axis=1)
-        pick = rng.permutation(total)[:count]
-        return TwoNrqState(space, keys[pick], t=0)
+        keys = iu[0] * m + iu[1]
+        return TwoNrqState._from_keys(space, keys[rng.permutation(total)[:count]], t=0)
     # draw i.i.d. pairs until enough distinct ones exist, then thin uniformly;
     # symmetric over pairs, so the final set is uniform of its size
     chosen = np.zeros(0, dtype=np.int64)
     while chosen.size < count:
-        batch = max(4 * count, 1024)
-        a = rng.integers(0, m, size=batch)
-        b = rng.integers(0, m, size=batch)
-        ok = a != b
-        lo = np.minimum(a[ok], b[ok]).astype(np.int64)
-        hi = np.maximum(a[ok], b[ok]).astype(np.int64)
-        chosen = unique_keys(np.concatenate([chosen, lo * m + hi]))
+        chosen = np.concatenate([chosen, _random_pair_keys(rng, m, max(4 * count, 1024))])
+        chosen = unique_keys(chosen)
     pick = rng.choice(chosen.size, size=count, replace=False)
-    keys = chosen[pick]
-    edges = np.stack([keys // m, keys % m], axis=1)
-    return TwoNrqState(space, edges, t=0)
+    return TwoNrqState._from_keys(space, chosen[pick], t=0)
+
+
+def _random_pair_keys(rng, m, size):
+    """Keys lo*m + hi of ``size`` i.i.d. uniform vertex pairs, those with lo = hi left out.
+
+    The keys are computed in the arrays of the draws, which are freed on return.
+    """
+    a = rng.integers(0, m, size=size)
+    b = rng.integers(0, m, size=size)
+    ok = a != b
+    swap = a > b
+    a[swap], b[swap] = b[swap], a[swap]
+    a *= m
+    a += b
+    return a[ok]
 
 
 def ball_scan(points, centres, r):
@@ -392,16 +402,15 @@ def ideal_state(space, r, theta, t, seed):
     """
     m = space.n
     rng = np.random.default_rng(seed)
-    rows = []
+    rows = [np.zeros(0, dtype=np.int64)]
     for start, _, keys in ball_scan(space.points, np.arange(m), r):
         owner, idx = np.divmod(keys, m)
         owner += start
         later = idx > owner
         owner, idx = owner[later], idx[later]
         keep = rng.random(owner.size) < theta
-        rows.append(np.stack([owner[keep], idx[keep]], axis=1))
-    edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
-    return TwoNrqState(space, edges, t=t)
+        rows.append(owner[keep] * m + idx[keep])
+    return TwoNrqState._from_keys(space, np.concatenate(rows), t=t)
 
 
 def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=False):
@@ -413,39 +422,47 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
     ``g_value / nu`` where nu is the exact overlap volume of the two
     ``r_prev`` balls.  Successes are deduplicated into the new edge set;
     old edges are not carried over.
+
+    The hubs are walked in chunks of at most ``_SCAN_ENTRIES`` proposals,
+    and only the accepted ones are kept, so memory is bounded by the chunk
+    and the new edge set.  Each chunk draws its coins in turn, which is the
+    same stream as one draw for the whole round.
     """
     if not 0 < r_t < r_prev <= 1.0:
         raise InputError("need 0 < r_t < r_prev <= 1")
     rng = np.random.default_rng(seed)
+    m = state.space.n
     axes = np.ascontiguousarray(state.space.points.T)
     indptr, nbrs = state.adjacency()
     deg = np.diff(indptr)
     evals = 0
-    ends, nus = [np.zeros((0, 2), dtype=np.int64)], [np.zeros(0)]
+    f_max = 0.0
+    accepted = [np.zeros(0, dtype=np.int64)]
     # the hubs of degree g, g ascending, propose pairs i < j of their rows in
     # lexicographic order; each wrapped delta is computed once per axis
     for g in unique_keys(deg[deg >= 2]):
-        block = nbrs[indptr[:-1][deg == g][:, None] + np.arange(g)]
+        row_starts = indptr[:-1][deg == g]
         I, J = np.triu_indices(g, 1)
-        evals += block.shape[0] * I.size
-        deltas = [wrapped_deltas(x[:, I] - x[:, J]).ravel() for x in axes[:, block]]
-        near = np.flatnonzero(functools.reduce(np.maximum, deltas) <= r_t)
-        hub, pair = np.divmod(near, I.size)
-        ends.append(np.stack([block[hub, I[pair]], block[hub, J[pair]]], axis=1))
-        nus.append(_nu_many([t[near] for t in deltas], r_prev))
-    f = g_value / np.concatenate(nus)
-    if f.size and f.max() > 1.0 + 1e-9:
-        raise InputError(f"acceptance rate {f.max():.6f} exceeds 1: overlap volume fell below g")
-    accepted = np.concatenate(ends)[rng.random(f.size) < f]
-    new_state = TwoNrqState(
-        state.space,
-        accepted,
-        t=state.t + 1,
-        distance_evals=state.distance_evals + evals,
+        evals += row_starts.size * I.size
+        hubs_per_chunk = max(1, _SCAN_ENTRIES // I.size)
+        for c in range(0, row_starts.size, hubs_per_chunk):
+            block = nbrs[row_starts[c : c + hubs_per_chunk, None] + np.arange(g)]
+            deltas = [wrapped_deltas(x[:, I] - x[:, J]).ravel() for x in axes[:, block]]
+            near = np.flatnonzero(functools.reduce(np.maximum, deltas) <= r_t)
+            f = g_value / _nu_many([t[near] for t in deltas], r_prev)
+            f_max = max(f_max, f.max(initial=0.0))
+            hub, pair = np.divmod(near[rng.random(f.size) < f], I.size)
+            ends = np.stack([block[hub, I[pair]], block[hub, J[pair]]], axis=1)
+            accepted.append(_edge_keys(ends, m))
+    # the round's largest rate, as one check over all proposals would quote it
+    if f_max > 1.0 + 1e-9:
+        raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
+    keys = np.concatenate(accepted)
+    new_state = TwoNrqState._from_keys(
+        state.space, keys, t=state.t + 1, distance_evals=state.distance_evals + evals
     )
     if return_accept_counts:
-        m = state.space.n
-        keys, counts = np.unique(_edge_keys(accepted, m), return_counts=True)
+        keys, counts = np.unique(keys, return_counts=True)
         pairs = zip((keys // m).tolist(), (keys % m).tolist())
         return new_state, dict(zip(pairs, counts.tolist()))
     return new_state
@@ -620,37 +637,54 @@ def run_2nrq(
     ideal_seeds = [ideal_seed + t for t in range(schedule.tau + 1)]
 
     per_round = []
-    reports = []
-    if verify_rounds:
-        rep = verify_sampling_property(
-            state, schedule.radii[0], schedule.rates[0], sample_size, seed=verify_seeds[0]
-        )
-        reports.append(rep)
-    evals = 0
-    for t in range(1, schedule.tau + 1):
+
+    def advance(state, t):
+        """E_t from E_{t-1}, with its adjacency built: nothing writes to it after this."""
         r_t, r_prev = schedule.radii[t], schedule.radii[t - 1]
-        g_value = g_min_overlap(r_t, r_prev, d)
         src = state
         if idealized_inputs and t > 1:
             src = ideal_state(space, r_prev, schedule.rates[t - 1], t - 1, ideal_seeds[t - 1])
             src.distance_evals = state.distance_evals
-        state = range_query_round(src, r_t, r_prev, g_value, round_seeds[t - 1])
+        g_value = g_min_overlap(r_t, r_prev, d)
+        new = range_query_round(src, r_t, r_prev, g_value, round_seeds[t - 1])
         per_round.append(
             {
                 "t": t,
                 "r_t": r_t,
                 "theta_t": schedule.rates[t],
-                "edges": state.edge_count,
-                "mean_degree": float(state.degrees().mean()),
-                "distance_evals": state.distance_evals - evals,
+                "edges": new.edge_count,
+                "mean_degree": float(new.degrees().mean()),
+                "distance_evals": new.distance_evals - state.distance_evals,
             }
         )
-        evals = state.distance_evals
-        if verify_rounds:
-            rep = verify_sampling_property(
-                state, r_t, schedule.rates[t], sample_size, seed=verify_seeds[t]
-            )
-            reports.append(rep)
+        return new
+
+    def verify(state, t):
+        return verify_sampling_property(
+            state, schedule.radii[t], schedule.rates[t], sample_size, seed=verify_seeds[t]
+        )
+
+    reports = []
+    if not verify_rounds:
+        for t in range(1, schedule.tau + 1):
+            state = advance(state, t)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # verifying E_t and computing E_{t+1} both only read E_t, so they overlap;
+        # at most one verification is in flight, which keeps two states alive
+        state.adjacency()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pending = pool.submit(verify, state, 0)
+            for t in range(1, schedule.tau + 1):
+                try:
+                    state = advance(state, t)
+                finally:
+                    # raised here first, as in sequence: E_{t-1}'s verification
+                    # error wins over an error of round t
+                    reports.append(pending.result())
+                pending = pool.submit(verify, state, t)
+            reports.append(pending.result())
 
     report = {
         "n_mean": float(n_mean),

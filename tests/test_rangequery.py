@@ -1,8 +1,13 @@
 import math
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nndlab import rangequery
 from nndlab.errors import InputError, ScheduleExhausted
 from nndlab.rangequery import (
     SamplingReport,
@@ -20,7 +25,7 @@ from nndlab.rangequery import (
     tau_bound,
     verify_sampling_property,
 )
-from nndlab.spaces import TorusSpace, torus_poisson, wrapped_deltas
+from nndlab.spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
 
 GOLDEN = dict(n=1e7, K=28, d=4, alpha=0.5)
 DESK = dict(n=2e4, K=12, d=2, alpha=0.5)
@@ -331,7 +336,9 @@ class TestRangeQueryRound:
         result = run_2nrq(3000, 12, 2, 0.5, seed=13)
         final_r = result.schedule.radii[-1]
         if result.state.edge_count:
-            assert result.state.edge_lengths().max() <= final_r + 1e-12
+            a, b = result.state.edges.T
+            p = result.state.space.points
+            assert wrapped_distance(p[a], p[b]).max() <= final_r + 1e-12
 
     def test_radius_ordering_validated(self):
         space = torus_poisson(50, 2, seed=0)
@@ -415,3 +422,106 @@ class TestRun2nrq:
         b = run_2nrq(2000, 12, 2, 0.5, seed=3)
         assert np.array_equal(a.state.edges, b.state.edges)
         assert a.state.distance_evals == b.state.distance_evals
+
+
+def _peak_above_start(fn, *args):
+    """fn(*args) and the peak of the memory it allocated, in MB, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_init_and_first_round_memory_is_bounded(monkeypatch):
+    # the benchmark's configuration; a round that kept every in-range proposal
+    # until its coins were drawn peaked at 26.7 MB, and init_e0 at 27.1 MB
+    real_init, real_round = rangequery.init_e0, rangequery.range_query_round
+    peaks = {}
+
+    def init(*args):
+        state, peaks["init_e0"] = _peak_above_start(real_init, *args)
+        return state
+
+    def first_round(state, *args):
+        if state.t:
+            return real_round(state, *args)
+        state.adjacency()  # part of the input state, as run_2nrq builds it before round 1
+        new, peaks["round 1"] = _peak_above_start(real_round, state, *args)
+        return new
+
+    monkeypatch.setattr(rangequery, "init_e0", init)
+    monkeypatch.setattr(rangequery, "range_query_round", first_round)
+    run_2nrq(2e4, 12, 2, 0.5, seed=1)
+    assert peaks["init_e0"] <= 16
+    assert peaks["round 1"] <= 12
+
+
+def test_round_memory_is_bounded_by_its_chunk():
+    # 98 cliques of 41 make one degree block of 3.1e6 proposals; held at once,
+    # their per-axis deltas alone would take 48 MB
+    space = torus_poisson(4100, 2, seed=20)
+    I, J = np.triu_indices(41, 1)
+    base = 41 * np.arange(space.n // 41)[:, None]
+    state = TwoNrqState(space, np.stack([(base + I).ravel(), (base + J).ravel()], axis=1))
+    state.adjacency()
+    after, peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 1.0, 0)
+    assert after.distance_evals == base.size * 41 * math.comb(40, 2)
+    assert peak <= 8
+
+
+def _failing_at(fn, t, message):
+    """fn, except that it raises InputError(message) on the state of round t."""
+
+    def wrapper(state, *args, **kwargs):
+        if state.t == t:
+            raise InputError(message)
+        return fn(state, *args, **kwargs)
+
+    return wrapper
+
+
+class TestVerificationThread:
+    def test_no_thread_left_after_a_verified_run(self):
+        before = threading.active_count()
+        result = run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=100)
+        assert len(result.report["sampling_reports"]) == result.schedule.tau + 1
+        assert threading.active_count() == before
+
+    def test_round_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        failing = _failing_at(rangequery.range_query_round, 1, "round 2 failed")
+        monkeypatch.setattr(rangequery, "range_query_round", failing)
+        before = threading.active_count()
+        with pytest.raises(InputError, match="round 2 failed"):
+            run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=100)
+        assert threading.active_count() == before
+
+    def test_verification_error_wins_over_a_later_round_error(self, monkeypatch):
+        # in sequence, E_1 is verified before round 2 runs
+        failing = _failing_at(rangequery.range_query_round, 1, "round 2 failed")
+        monkeypatch.setattr(rangequery, "range_query_round", failing)
+        failing = _failing_at(rangequery.verify_sampling_property, 1, "verification 1 failed")
+        monkeypatch.setattr(rangequery, "verify_sampling_property", failing)
+        before = threading.active_count()
+        with pytest.raises(InputError, match="verification 1 failed"):
+            run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=100)
+        assert threading.active_count() == before
+
+    def test_one_sampled_vertex_is_refused(self):
+        before = threading.active_count()
+        with pytest.raises(InputError, match="at least 2"):
+            run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=1)
+        assert threading.active_count() == before
+
+    def test_unverified_run_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert run_2nrq(2000, 12, 2, 0.5, seed=3).report["sampling_reports"] == []
+
+    def test_cli_import_leaves_the_executor_unloaded(self):
+        code = "import sys; from nndlab import cli; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert done.stdout.strip() == "False"

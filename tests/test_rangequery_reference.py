@@ -11,7 +11,8 @@ uses the grid.  Small Hypothesis states also put the KS draws at a ball's
 first and last members.
 ``range_query_round`` is checked against its verbatim copy that gathered the
 proposals as an array of vertex pairs: equal edges, work counts, acceptance
-counts and "exceeds 1" errors.
+counts and "exceeds 1" errors, also when its hubs are walked in chunks of 1,
+7 or 100 proposals.
 """
 
 import warnings
@@ -297,6 +298,24 @@ def test_range_query_round_matches_reference(case):
     assert counts == want_counts
     plain = range_query_round(state, r_t, r_prev, g, seed)
     assert plain.edges.tobytes() == new.edges.tobytes()
+
+
+@pytest.mark.parametrize("entries", [1, 7, 100])
+@settings(max_examples=100, deadline=None)
+@given(case=_round_cases())
+def test_range_query_round_chunks_match_reference(entries, case):
+    # chunk edges split degree blocks mid-block, and each chunk draws its own coins
+    state, r_t, r_prev, g, seed = case
+    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries):
+        got = _outcome(range_query_round, state, r_t, r_prev, g, seed)
+    want = _outcome(ref.range_query_round, state, r_t, r_prev, g, seed)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (new, counts), (want_new, want_counts) = got, want
+    assert new.edges.tobytes() == want_new.edges.tobytes()
+    assert new.distance_evals == want_new.distance_evals
+    assert counts == want_counts
 
 
 @pytest.mark.parametrize("d, n, k", [(1, 3000, 5), (2, 20000, 12), (3, 8000, 30)])
