@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from . import concordance, descent, diagnostics, rangequery, spaces
 from .errors import InputError, NndlabError, ResourceLimitError
-from .ranking import RankingOracle, exact_knn, recall
+from .ranking import RankingOracle, check_table_size, exact_knn, recall
 
 RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
 
@@ -76,6 +76,7 @@ def golden_schedule_checksum():
 
 
 def _build_space_table(args):
+    check_table_size(args.n)  # before any space builds an n x n array
     name = args.space
     if name == "paris":
         space = spaces.paris_space(range(1, args.n + 1))

@@ -9,7 +9,7 @@ forces logarithmic diameter.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,7 +110,7 @@ def undirected_diameter(graph, exact_limit=EXACT_DIAMETER_LIMIT, seed=0):
     ecc2, _ = _bfs_eccentricity(indptr, nbrs, far2, n)
     lower = max(ecc1, ecc2)
     upper = 2 * min(ecc0, ecc1, ecc2)
-    return (lower, max(lower, upper) if upper >= lower else lower)
+    return (lower, max(lower, upper))
 
 
 @dataclass
@@ -130,17 +130,7 @@ class DiameterReport:
         return within / self.trials
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "K": self.K,
-            "trials": self.trials,
-            "epsilon": self.epsilon,
-            "seed": self.seed,
-            "bound": self.bound,
-            "diameters": list(self.diameters),
-            "disconnected": self.disconnected,
-            "fraction_within": self.fraction_within,
-        }
+        return {**asdict(self), "fraction_within": self.fraction_within}
 
     def histogram_csv(self):
         from collections import Counter
@@ -205,17 +195,7 @@ class ExpansionReport:
     min_margin: float
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "K": self.K,
-            "expansion_alpha": self.expansion_alpha,
-            "epsilon": self.epsilon,
-            "sample_sets": self.sample_sets,
-            "seed": self.seed,
-            "max_size": self.max_size,
-            "violations": self.violations,
-            "min_margin": self.min_margin,
-        }
+        return asdict(self)
 
 
 def expansion_check(graph, expansion_alpha, epsilon, sample_sets, seed):
@@ -228,7 +208,7 @@ def expansion_check(graph, expansion_alpha, epsilon, sample_sets, seed):
     """
     F = _out_matrix(graph)
     n, K = F.shape
-    max_size = int(expansion_alpha * n / math.log(n))
+    max_size = int(min(expansion_alpha * n / math.log(n), n - 1))
     if max_size < 1:
         raise InputError("expansion_alpha too small: no admissible set size")
     rng = np.random.default_rng(seed)

@@ -413,7 +413,7 @@ def ideal_state(space, r, theta, t, seed):
     return TwoNrqState._from_keys(space, np.concatenate(rows), t=t)
 
 
-def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=False):
+def range_query_round(state, r_t, r_prev, g_value, seed):
     """One range-query update: E_t built fresh from E_{t-1}'s neighbor pairs.
 
     Every vertex of degree >= 2 proposes each unordered pair of its
@@ -457,15 +457,10 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
     # the round's largest rate, as one check over all proposals would quote it
     if f_max > 1.0 + 1e-9:
         raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
-    keys = np.concatenate(accepted)
-    new_state = TwoNrqState._from_keys(
-        state.space, keys, t=state.t + 1, distance_evals=state.distance_evals + evals
+    return TwoNrqState._from_keys(
+        state.space, np.concatenate(accepted), t=state.t + 1,
+        distance_evals=state.distance_evals + evals,
     )
-    if return_accept_counts:
-        keys, counts = np.unique(keys, return_counts=True)
-        pairs = zip((keys // m).tolist(), (keys % m).tolist())
-        return new_state, dict(zip(pairs, counts.tolist()))
-    return new_state
 
 
 @dataclass

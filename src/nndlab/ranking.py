@@ -18,6 +18,15 @@ from .errors import InputError
 MAX_TABLE_ITEMS = 2 ** 15
 
 
+def check_table_size(n):
+    """Refuse a rank table of more than ``MAX_TABLE_ITEMS`` items."""
+    if n > MAX_TABLE_ITEMS:
+        raise InputError(
+            f"n={n} exceeds the rank-table cap of {MAX_TABLE_ITEMS}; "
+            "full tables above this size are disallowed by design"
+        )
+
+
 def unique_keys(keys):
     """The sorted distinct keys, as ``np.unique`` gives them, by one plain sort.
 
@@ -91,18 +100,14 @@ class RankTable:
     across threads.
     """
 
-    def __init__(self, order, max_items=MAX_TABLE_ITEMS):
+    def __init__(self, order):
         order = np.asarray(order)
         if order.ndim != 2 or order.shape[1] != order.shape[0] - 1:
             raise InputError(f"order must be (n, n-1), got {order.shape}")
         n = order.shape[0]
         if n < 2:
             raise InputError("a ranking system needs at least two items")
-        if n > max_items:
-            raise InputError(
-                f"n={n} exceeds the rank-table cap of {max_items}; "
-                "full tables above this size are disallowed by design"
-            )
+        check_table_size(n)
         order = order.astype(np.int32)
         # each row must be a permutation of the complement of its index
         expected = np.arange(n - 1, dtype=np.int32)[None, :]
@@ -273,7 +278,7 @@ class RankingOracle:
         return self.table.order.ravel()[keys[take] - own[take] - 1]
 
 
-def ranking_from_distance_matrix(dist, tie_break=None, max_items=MAX_TABLE_ITEMS):
+def ranking_from_distance_matrix(dist, tie_break=None):
     """RankTable from a symmetric distance matrix with deterministic ties.
 
     Equal distances are broken by ``tie_break`` (a permutation of item ids
@@ -299,10 +304,10 @@ def ranking_from_distance_matrix(dist, tie_break=None, max_items=MAX_TABLE_ITEMS
     np.fill_diagonal(d, np.inf)  # self sorts last and is dropped
     keys_pri = np.broadcast_to(priority, (n, n))
     order = np.lexsort((keys_pri, d), axis=1)[:, : n - 1]
-    return RankTable(order, max_items=max_items)
+    return RankTable(order)
 
 
-def ranking_from_distances(points, distance, tie_break=None, max_items=MAX_TABLE_ITEMS):
+def ranking_from_distances(points, distance, tie_break=None):
     """RankTable from a symmetric pair distance function.
 
     ``distance`` is called once per unordered pair of elements of ``points``
@@ -317,7 +322,7 @@ def ranking_from_distances(points, distance, tie_break=None, max_items=MAX_TABLE
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = distance(pts[i], pts[j])
-    return ranking_from_distance_matrix(dist, tie_break=tie_break, max_items=max_items)
+    return ranking_from_distance_matrix(dist, tie_break=tie_break)
 
 
 def exact_knn(table, K):

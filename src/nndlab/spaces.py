@@ -3,8 +3,9 @@
 Generators for the star-path ("Paris") points, uniform circle samples,
 powers of two on the line, random strings under the longest-common-substring
 distance, the flat torus with the sup-norm metric, and uniformly random
-ranking systems.  Every space is immutable once sampled, records its seed,
-and can be turned into an exact rank table.
+ranking systems.  Every space is immutable once sampled and can be turned
+into an exact rank table.  Each metric space defines its distance once, as
+the whole matrix its rank table sorts.
 """
 
 import math
@@ -39,12 +40,6 @@ def paris_space(etas):
     return ParisSpace(etas)
 
 
-def paris_distance(space, i, j):
-    if i == j:
-        raise InputError("distance is undefined for i == j")
-    return space.etas[i] + space.etas[j]
-
-
 def paris_distance_matrix(space):
     e = np.asarray(space.etas)
     d = e[:, None] + e[None, :]
@@ -60,32 +55,19 @@ class CircleSpace:
     """Points on the unit circle under arc-length (path) distance."""
 
     angles: tuple
-    seed: int
-    n_mean: float
-    poissonized: bool
 
     @property
     def n(self):
         return len(self.angles)
 
 
-def circle_sample(n_mean, seed, poissonize=False):
-    """Sample points i.i.d. uniform on [0, 2*pi).
-
-    With ``poissonize`` the count itself is Poisson(n_mean), otherwise
-    exactly round(n_mean) points are drawn.
-    """
-    if n_mean < 1:
-        raise InputError("n_mean must be at least 1")
+def circle_sample(n, seed):
+    """Sample round(n) points i.i.d. uniform on [0, 2*pi)."""
+    if n < 1:
+        raise InputError("n must be at least 1")
     rng = np.random.default_rng(seed)
-    count = int(rng.poisson(n_mean)) if poissonize else int(round(n_mean))
-    angles = rng.uniform(0.0, 2 * np.pi, size=count)
-    return CircleSpace(tuple(angles.tolist()), int(seed), float(n_mean), bool(poissonize))
-
-
-def circle_distance(space, i, j):
-    delta = abs(space.angles[i] - space.angles[j])
-    return min(delta, 2 * np.pi - delta)
+    angles = rng.uniform(0.0, 2 * np.pi, size=int(round(n)))
+    return CircleSpace(tuple(angles.tolist()))
 
 
 def circle_distance_matrix(space):
@@ -118,7 +100,7 @@ def powers_of_two_space(n):
 
 
 def powers_of_two_distance_matrix(space):
-    v = np.array([float(2 ** i) for i in range(space.n)])
+    v = np.array(space.values, dtype=np.float64)
     return np.abs(v[:, None] - v[None, :])
 
 
@@ -138,7 +120,6 @@ class LcsSpace:
     alphabet: str
     mu: tuple
     strings: tuple
-    seed: int
 
     @property
     def n(self):
@@ -163,7 +144,7 @@ def lcs_sample(n, m, alphabet="acgt", mu=None, seed=0):
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(alphabet), size=(n, m), p=mu)
     strings = tuple("".join(alphabet[i] for i in row) for row in idx)
-    return LcsSpace(int(m), alphabet, tuple(mu), strings, int(seed))
+    return LcsSpace(int(m), alphabet, tuple(mu), strings)
 
 
 def longest_common_substring(a, b):
@@ -213,14 +194,26 @@ def lcs_distance(space, a, b):
     """
     if a == b:
         raise InputError("distance is undefined for a == b")
-    sa, sb = space.strings[a], space.strings[b]
-    if len(sa) != len(sb):
+    if len(space.strings[a]) != len(space.strings[b]):
         raise InputError("strings must have equal length")
-    length, start_a, _ = longest_common_substring(sa, sb)
-    rho = 1.0 - length / space.m
-    logp = {c: math.log(q) for c, q in zip(space.alphabet, space.mu)}
-    tiekey = -sum(logp[c] for c in sa[start_a : start_a + length]) if length else 0.0
+    rho, tiekey, _ = _lcs_keys(space, a, b)
     return rho, tiekey
+
+
+def _lcs_keys(space, a, b):
+    """(rho, a's tie key, b's tie key) for strings a and b of the space.
+
+    Each tie key is the negated log probability of the longest shared
+    substring at its earliest start in that string (0.0 when none is shared).
+    """
+    sa, sb = space.strings[a], space.strings[b]
+    length, start_a, start_b = longest_common_substring(sa, sb)
+    logp = {c: math.log(q) for c, q in zip(space.alphabet, space.mu)}
+
+    def tiekey(s, start):
+        return -sum(logp[c] for c in s[start : start + length]) if length else 0.0
+
+    return 1.0 - length / space.m, tiekey(sa, start_a), tiekey(sb, start_b)
 
 
 def lcs_qk(m, n, K, p):
@@ -249,15 +242,10 @@ def lcs_rank_table(space):
     n = space.n
     rho = np.zeros((n, n))
     tiekey = np.zeros((n, n))
-    logp = {c: math.log(q) for c, q in zip(space.alphabet, space.mu)}
     for i in range(n):
         for j in range(i + 1, n):
-            length, si, sj = longest_common_substring(space.strings[i], space.strings[j])
-            r = 1.0 - length / space.m
-            rho[i, j] = rho[j, i] = r
-            if length:
-                tiekey[i, j] = -sum(logp[c] for c in space.strings[i][si : si + length])
-                tiekey[j, i] = -sum(logp[c] for c in space.strings[j][sj : sj + length])
+            rho[i, j], tiekey[i, j], tiekey[j, i] = _lcs_keys(space, i, j)
+            rho[j, i] = rho[i, j]
     np.fill_diagonal(rho, np.inf)
     ids = np.broadcast_to(np.arange(n), (n, n))
     order = np.lexsort((ids, tiekey, rho), axis=1)[:, : n - 1]
@@ -277,22 +265,10 @@ class TorusSpace:
 
     d: int
     points: np.ndarray
-    n_mean: float
-    seed: int
 
     @property
     def n(self):
         return self.points.shape[0]
-
-    @property
-    def volume(self):
-        return 2.0 ** self.d
-
-    def volume_ratio(self, r):
-        return min(float(r), 1.0) ** self.d
-
-    def ball_volume(self, r):
-        return (2.0 * min(float(r), 1.0)) ** self.d
 
 
 def torus_poisson(n_mean, d, seed):
@@ -303,7 +279,7 @@ def torus_poisson(n_mean, d, seed):
     count = int(rng.poisson(n_mean))
     points = rng.uniform(-1.0, 1.0, size=(count, d))
     points.setflags(write=False)
-    return TorusSpace(int(d), points, float(n_mean), int(seed))
+    return TorusSpace(int(d), points)
 
 
 def wrapped_deltas(diff):
@@ -331,14 +307,6 @@ def wrapped_distance(u, v):
     return dist
 
 
-def torus_distance(space, u, v):
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != (space.d,) or v.shape != (space.d,):
-        raise InputError("points must have the space's dimension")
-    return float(wrapped_distance(u, v))
-
-
 def torus_distance_matrix(space):
     p = space.points
     return wrapped_distance(p[:, None, :], p[None, :, :])
@@ -346,12 +314,6 @@ def torus_distance_matrix(space):
 
 # ---------------------------------------------------------------------------
 # Uniformly random ranking systems (no metric at all)
-
-@dataclass(frozen=True)
-class RandomRankingSystem:
-    n: int
-    seed: int
-
 
 def random_ranking_table(n, seed):
     """Each item's ranking an independent uniform permutation of the rest."""
@@ -365,74 +327,18 @@ def random_ranking_table(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# Rank tables and serialization
+# Rank tables
 
-def rank_table(space, tie_break=None):
-    """Exact rank table for any space defined above."""
+def rank_table(space):
+    """Exact rank table for any metric space defined above."""
     if isinstance(space, ParisSpace):
-        return ranking_from_distance_matrix(paris_distance_matrix(space), tie_break)
+        return ranking_from_distance_matrix(paris_distance_matrix(space))
     if isinstance(space, CircleSpace):
-        return ranking_from_distance_matrix(circle_distance_matrix(space), tie_break)
+        return ranking_from_distance_matrix(circle_distance_matrix(space))
     if isinstance(space, PowersOfTwoSpace):
-        return ranking_from_distance_matrix(powers_of_two_distance_matrix(space), tie_break)
+        return ranking_from_distance_matrix(powers_of_two_distance_matrix(space))
     if isinstance(space, TorusSpace):
-        return ranking_from_distance_matrix(torus_distance_matrix(space), tie_break)
+        return ranking_from_distance_matrix(torus_distance_matrix(space))
     if isinstance(space, LcsSpace):
         return lcs_rank_table(space)
-    if isinstance(space, RandomRankingSystem):
-        return random_ranking_table(space.n, space.seed)
     raise InputError(f"no rank table builder for {type(space).__name__}")
-
-
-def space_config(space):
-    """Parameters-plus-seed description of a space (never raw samples)."""
-    if isinstance(space, ParisSpace):
-        return {"space": "paris", "etas": list(space.etas)}
-    if isinstance(space, CircleSpace):
-        return {
-            "space": "circle",
-            "n_mean": space.n_mean,
-            "poissonize": space.poissonized,
-            "seed": space.seed,
-        }
-    if isinstance(space, PowersOfTwoSpace):
-        return {"space": "powers2", "n": space.n}
-    if isinstance(space, LcsSpace):
-        return {
-            "space": "lcs",
-            "m": space.m,
-            "alphabet": space.alphabet,
-            "mu": list(space.mu),
-            "n": space.n,
-            "seed": space.seed,
-        }
-    if isinstance(space, TorusSpace):
-        return {"space": "torus", "d": space.d, "n_mean": space.n_mean, "seed": space.seed}
-    if isinstance(space, RandomRankingSystem):
-        return {"space": "random-ranking", "n": space.n, "seed": space.seed}
-    raise InputError(f"no config for {type(space).__name__}")
-
-
-def space_points_csv(space):
-    """Raw sample CSV for plotting; parameter-only spaces are rejected."""
-    if isinstance(space, CircleSpace):
-        lines = ["index,angle"]
-        lines.extend(f"{i},{a!r}" for i, a in enumerate(space.angles))
-    elif isinstance(space, TorusSpace):
-        lines = ["index," + ",".join(f"x{j}" for j in range(space.d))]
-        lines.extend(
-            f"{i}," + ",".join(repr(float(c)) for c in row)
-            for i, row in enumerate(space.points)
-        )
-    elif isinstance(space, ParisSpace):
-        lines = ["index,eta"]
-        lines.extend(f"{i},{e!r}" for i, e in enumerate(space.etas))
-    elif isinstance(space, PowersOfTwoSpace):
-        lines = ["index,value"]
-        lines.extend(f"{i},{v}" for i, v in enumerate(space.values))
-    elif isinstance(space, LcsSpace):
-        lines = ["index,string"]
-        lines.extend(f"{i},{s}" for i, s in enumerate(space.strings))
-    else:
-        raise InputError(f"{type(space).__name__} has no point representation")
-    return "\n".join(lines) + "\n"

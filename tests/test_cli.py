@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from nndlab import cli
+from nndlab import cli, concordance, ranking, spaces
 from nndlab.concordance import concordancy_check, concordant5_system, linf_embed
 
 
@@ -115,6 +115,39 @@ class TestNnd:
         out = tmp_path / "report.json"
         assert run(["nnd"] + argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        ("argv", "digest"),
+        [
+            (["--space", "circle", "--n", "300", "--k", "6", "--seed", "3"],
+             "32f1f0d00d84775c8cd579714cfae97931bcfa133fbb4ea487d9576964db6e30"),
+            (["--space", "powers2", "--n", "40", "--k", "4"],
+             "46b30e9e44ac32136f285ac7ce42b5661f43d58a02f2b3ab75c2b7a24f482ab8"),
+            (["--space", "lcs", "--n", "60", "--k", "4", "--seed", "2", "--lcs-m", "12"],
+             "48b7e3883304e1f7cb51f25a5dc00f416fec065c8821a7a8d537bbcabe6988cc"),
+        ],
+        ids=["circle", "powers2", "lcs"],
+    )
+    def test_space_golden_sha256(self, argv, digest, tmp_path):
+        # the reports as written while each metric space also had a per-pair distance
+        out = tmp_path / "report.json"
+        assert run(["nnd"] + argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "space", ["paris", "circle", "powers2", "lcs", "random-ranking", "generic-crs"])
+    def test_table_cap_refused_before_building(self, space, monkeypatch, capsys):
+        # a paris table one item past the cap would be an 8.6 GB distance matrix
+        def refuse(*args, **kwargs):
+            raise AssertionError("a space was built before the table cap was checked")
+
+        for name in ("paris_space", "circle_sample", "powers_of_two_space", "lcs_sample",
+                     "random_ranking_table", "rank_table"):
+            monkeypatch.setattr(spaces, name, refuse)
+        monkeypatch.setattr(concordance, "generic_crs", refuse)
+        n = str(ranking.MAX_TABLE_ITEMS + 1)
+        assert run(["nnd", "--space", space, "--n", n, "--k", "4"]) == 3
+        assert "exceeds the rank-table cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "1"])
     def test_k_below_two_without_budget_exits_3(self, k, capsys):
@@ -351,6 +384,22 @@ class TestDiag:
     def test_diameter_k2_rejected(self, capsys):
         assert run(["diag", "diameter", "--n", "100", "--k", "2"]) == 3
         assert "K >= 3" in capsys.readouterr().err
+
+    def test_expansion_golden_sha256(self, tmp_path):
+        # the report as written while ExpansionReport listed its fields by hand
+        out = tmp_path / "exp.json"
+        assert run(["diag", "expansion", "--n", "2000", "--k", "8", "--sets", "500",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "fa88ee34a0e5c661c6ed349176c20bcced872eb3d7bf88252113ce3780fe6f7e")
+
+    @pytest.mark.parametrize("alpha", ["3.9", "1e308"])
+    def test_expansion_sets_stay_below_n(self, alpha, tmp_path):
+        # alpha n / ln n at or past n once reached rng.choice, or int() as infinity
+        out = tmp_path / "exp.json"
+        assert run(["diag", "expansion", "--n", "10", "--k", "3", "--alpha", alpha,
+                    "--sets", "20", "--out", str(out)]) == 0
+        assert strict_json(out.read_text())["data"]["max_size"] == 9
 
     def test_expansion_report(self, tmp_path):
         out = tmp_path / "exp.json"

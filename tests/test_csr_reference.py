@@ -43,7 +43,7 @@ def edge_sets(draw):
     )
     edges = np.array([(a, b) for a, b in pairs if a != b], dtype=np.int64).reshape(-1, 2)
     pts = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, 2))
-    return TwoNrqState(TorusSpace(2, pts, float(m), 0), edges)
+    return TwoNrqState(TorusSpace(2, pts), edges)
 
 
 @settings(max_examples=200, deadline=None)

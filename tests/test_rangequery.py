@@ -3,6 +3,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ class TestInitE0:
 def _three_point_state(r_gap):
     pts = np.array([[0.0, 0.0], [r_gap / 2, 0.0], [-r_gap / 2, 0.0]])
     pts.setflags(write=False)
-    space = TorusSpace(2, pts, 3.0, 0)
+    space = TorusSpace(2, pts)
     edges = np.array([[0, 1], [0, 2]])
     return space, TwoNrqState(space, edges, t=0)
 
@@ -317,7 +318,17 @@ class TestRangeQueryRound:
         schedule = compute_schedule(p)
         r1 = schedule.radii[1]
         g = g_min_overlap(r1, 1.0, 2)
-        _, counts = range_query_round(state, r1, 1.0, g, seed=12, return_accept_counts=True)
+        raw = []
+        build = TwoNrqState._from_keys
+
+        def spy(space, keys, **kwargs):
+            raw.append(keys)  # the accepted proposals as keys lo*m + hi, repeats kept
+            return build(space, keys, **kwargs)
+
+        with mock.patch.object(TwoNrqState, "_from_keys", spy):
+            range_query_round(state, r1, 1.0, g, seed=12)
+        keys, hits = np.unique(raw[0], return_counts=True)
+        counts = dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), hits.tolist()))
         mu = m * (12 / m) ** 2 * g / 4
         draws = 400_000
         a = rng.integers(0, m, size=draws)

@@ -151,7 +151,7 @@ def _verify_cases(draw):
     on_wall = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3]))
     points[on_wall] = -1.0 + 2.0 * rng.integers(0, g, size=on_wall.sum()) / g
     points.setflags(write=False)
-    space = TorusSpace(d, points, float(m), 0)
+    space = TorusSpace(d, points)
     kind = draw(st.sampled_from(["arbitrary", "empty", "in-range plus far"]))
     if kind == "arbitrary":
         edges = rng.integers(0, m, size=(draw(st.integers(1, 6 * m)), 2))
@@ -237,7 +237,7 @@ def test_verify_rejects_degenerate_arguments(size, r, message):
 def test_acceptance_above_one_is_a_package_error():
     pts = np.array([[0.0, 0.0], [0.15, 0.0], [-0.15, 0.0]])
     pts.setflags(write=False)
-    space = TorusSpace(2, pts, 3.0, 0)
+    space = TorusSpace(2, pts)
     state = TwoNrqState(space, np.array([[0, 1], [0, 2]]), t=0)
     # the overlap volume never exceeds 2^d, so g = 2^d + 1 forces a rate above 1
     with pytest.raises(NndlabError, match="exceeds 1"):
@@ -255,7 +255,7 @@ def _round_cases(draw):
     on_grid = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3]))
     points[on_grid] = rng.choice([-1.0, -0.5, 0.0, 0.5], size=on_grid.sum())
     points.setflags(write=False)
-    space = TorusSpace(d, points, float(m), 0)
+    space = TorusSpace(d, points)
     kind = draw(st.sampled_from(["arbitrary"] * 3 + ["empty", "matching"]))
     if kind == "arbitrary":
         edges = rng.integers(0, m, size=(draw(st.integers(1, 6 * m)), 2))
@@ -275,8 +275,27 @@ def _round_cases(draw):
     return TwoNrqState(space, edges, t=draw(st.integers(0, 5))), r_t, r_prev, g, seed
 
 
+def _counted_round(*args):
+    """``range_query_round(*args)`` and its accepted proposals per vertex pair,
+    counted from the raw keys lo*m + hi that it hands to ``TwoNrqState._from_keys``."""
+    raw = []
+    build = TwoNrqState._from_keys
+
+    def spy(space, keys, **kwargs):
+        raw.append(keys)
+        return build(space, keys, **kwargs)
+
+    with mock.patch.object(TwoNrqState, "_from_keys", spy):
+        new = range_query_round(*args)
+    keys, counts = np.unique(raw[0], return_counts=True)
+    m = new.space.n
+    return new, dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), counts.tolist()))
+
+
 def _outcome(fn, *args):
     try:
+        if fn is range_query_round:
+            return _counted_round(*args)
         return fn(*args, return_accept_counts=True)
     except InputError as exc:
         return str(exc)

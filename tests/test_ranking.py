@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nndlab import ranking
 from nndlab.concordance import LinearOrder, baranyai_order
 from nndlab.descent import random_kout
 from nndlab.errors import InputError
@@ -123,10 +124,12 @@ class TestRankTable:
         with pytest.raises(InputError):
             RankTable(np.array([[0, 1], [0, 2], [0, 1]]))
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        # the cap is read when a table is built, so patching it takes effect
+        monkeypatch.setattr(ranking, "MAX_TABLE_ITEMS", 2)
         order = np.array([[1, 2], [0, 2], [0, 1]])
-        with pytest.raises(InputError):
-            RankTable(order, max_items=2)
+        with pytest.raises(InputError, match="rank-table cap of 2"):
+            RankTable(order)
 
     def test_csv_roundtrip(self):
         table = random_ranking_table(7, seed=3)
