@@ -43,10 +43,13 @@ __all__ = [
 
 _BISECT_TOL = 1e-12
 _BISECT_MAX_ITER = 200
-# candidate pairs examined per chunk of ball centres, and proposals per chunk
-# of a round's hubs: 2^16 keeps each chunk's float64 temporaries at 512 KiB,
-# inside a 4 MiB L2 (2^20 spilled to memory)
+# candidate pairs examined per chunk of ball centres on the cell grid, and
+# proposals per chunk of a round's hubs: 2^16 keeps each chunk's float64
+# temporaries at 512 KiB, inside a 4 MiB L2 (2^20 spilled to memory)
 _SCAN_ENTRIES = 1 << 16
+# (centre, point) pairs per run of a whole-row scan, whose temporaries are
+# bool: 8x the entries fills the same 512 KiB, in 8x fewer runs
+_ROW_ENTRIES = 8 * _SCAN_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,11 @@ class Schedule:
 def compute_schedule(params):
     """Iterate the radius solver from r_0 = 1 until theta would exceed alpha."""
     n, K, d, alpha = params.n, params.K, params.d, params.alpha
+    if K / (n * alpha) > 1.0:
+        raise InputError(
+            f"K/(n*alpha) = {K}/({n:g}*{alpha:g}) = {K / (n * alpha):.6g} exceeds 1: even the "
+            "whole torus (r = 1) has a rate K/n above alpha; raise n or alpha, or lower K"
+        )
     radii = [1.0]
     formulas = ["init"]
     while True:
@@ -327,16 +335,17 @@ def init_e0(space, K, n_mean, seed):
 def _random_pair_keys(rng, m, size):
     """Keys lo*m + hi of ``size`` i.i.d. uniform vertex pairs, those with lo = hi left out.
 
-    The keys are computed in the arrays of the draws, which are freed on return.
+    The draws are freed before the kept keys are gathered, so no more than
+    three int64 arrays of ``size`` are alive at once.
     """
     a = rng.integers(0, m, size=size)
     b = rng.integers(0, m, size=size)
     ok = a != b
-    swap = a > b
-    a[swap], b[swap] = b[swap], a[swap]
-    a *= m
-    a += b
-    return a[ok]
+    keys = np.minimum(a, b)
+    keys *= m
+    keys += np.maximum(a, b, out=a)
+    del a, b
+    return keys[ok]
 
 
 def ball_scan(points, centres, r):
@@ -350,21 +359,47 @@ def ball_scan(points, centres, r):
     The points are bucketed into a wrapping grid of g^d cells with
     g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
     a ball meets only the 3^d cells around its centre's cell, however the
-    coordinates round (Bentley, Stanat & Williams, IPL 1977).  When g <= 3
-    that window is the whole torus, and every point is scanned as one row
-    (verification does not scan at r >= 1, where every point is in every ball).
+    coordinates round (Bentley, Stanat & Williams, IPL 1977).
+
+    When g <= 3 that window is the whole torus, and every point is tested as
+    one row (verification does not scan at r >= 1, where every point is in
+    every ball).  A sup-norm ball is an orthogonal range, so the test is one
+    window of sorted coordinates per axis (Bentley & Friedman, ACM Computing
+    Surveys 1979), and it is exact: ``wrapped_distance`` puts a point in the
+    ball iff on every axis |t| <= r or fl(2 - |t|) <= r, where t = fl(x - c)
+    (|fl(c - x)| = |fl(x - c)|, since rounding is odd).  That is
+    -r <= t <= r, or fl(2 + t) <= r, or fl(2 - t) <= r: for t <= 0,
+    fl(2 - |t|) is fl(2 + t), and each clause that holds at the other sign
+    needs r >= 2 >= |t|.  Rounding is monotone, so t and fl(2 + t) ascend and
+    fl(2 - t) descends with x, and along the sorted coordinates each clause
+    holds on one interval of positions: a wrap prefix, the middle and a wrap
+    suffix, found by bisection.  Equal coordinates give equal t, so the
+    intervals are the coordinate ranges x <= P, L <= x <= U and x >= S
+    between the values at their ends (+-inf for an empty part); a run
+    compares coordinates with these ends and subtracts nothing per pair.
     """
     centres = np.asarray(centres, dtype=np.int64)
     m, d = np.shape(points)
     axes = np.ascontiguousarray(np.transpose(points), dtype=np.float64)  # one row per coordinate
     g = min(int(2.0 / r) - 1, int(2.0 ** (62.0 / d)))  # cell ids must fit in int64
     if g <= 3:
-        rows = max(1, _SCAN_ENTRIES // max(m, 1))
+        windows = [_coordinate_windows(x, x[centres], r) for x in axes]
+        rows = max(1, _ROW_ENTRIES // max(m, 1))
         for start in range(0, centres.size, rows):
-            chunk = np.take(axes, centres[start : start + rows], axis=1)
-            inside = wrapped_distance(chunk.T[:, None, :], axes.T[None, :, :]) <= r
-            indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
-            yield start, indptr, np.flatnonzero(inside)
+            run = slice(start, start + rows)
+            inside, hit, tmp = np.empty((3, min(rows, centres.size - start), m), dtype=bool)
+            for k, (x, ends) in enumerate(zip(axes, windows)):
+                below, lo, hi, above = (e[run, None] for e in ends)
+                out = inside if k == 0 else hit
+                np.greater_equal(x, lo, out=out)
+                out &= np.less_equal(x, hi, out=tmp)
+                out |= np.less_equal(x, below, out=tmp)
+                out |= np.greater_equal(x, above, out=tmp)
+                if k:
+                    inside &= hit
+            keys = np.flatnonzero(inside)
+            # ball k's keys are those in [k*m, (k+1)*m)
+            yield start, np.searchsorted(keys, np.arange(inside.shape[0] + 1) * m), keys
         return
 
     cells = np.minimum(np.floor((axes.T + 1.0) * (g / 2.0)).astype(np.int64), g - 1)
@@ -390,6 +425,40 @@ def ball_scan(points, centres, r):
         indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=chunk.size))])
         # the 3^d cells are distinct when g >= 4, so the keys are unique
         yield start, indptr, np.sort(owner * m + order[pos[hit]])
+
+
+def _coordinate_windows(x, c, r):
+    """Per centre coordinate c, the ends (P, L, U, S) for which a coordinate
+    of ``x`` is within wrapped distance r of c iff it is <= P, in [L, U] or
+    >= S (see ``ball_scan``)."""
+    sx = np.sort(x)
+    first = functools.partial(_first_position, sx, c)
+    prefix = first(lambda t: 2.0 + t > r)  # fl(2 + t) <= r before this position
+    lo = first(lambda t: t >= -r)
+    hi = first(lambda t: t > r)
+    suffix = first(lambda t: 2.0 - t <= r)
+    pad = np.concatenate([[-np.inf], sx, [np.inf]])  # pad[i + 1] = sx[i]
+    middle = lo < hi
+    return (
+        pad[prefix],
+        np.where(middle, pad[lo + 1], np.inf),
+        np.where(middle, pad[hi], -np.inf),
+        pad[suffix + 1],
+    )
+
+
+def _first_position(sx, c, pred):
+    """Per centre coordinate c, the first position i with ``pred(sx[i] - c)``,
+    or ``sx.size`` if none, by bisection; ``pred`` is false, then true, along
+    the ascending ``sx``."""
+    lo = np.zeros(c.size, dtype=np.int64)
+    hi = np.full(c.size, sx.size, dtype=np.int64)
+    for _ in range(sx.size.bit_length()):
+        mid = (lo + hi) >> 1  # = lo = hi once a centre's search is done
+        ok = pred(sx[np.minimum(mid, sx.size - 1)] - c)
+        np.copyto(hi, mid, where=ok)
+        np.copyto(lo, mid + 1, where=~ok & (lo < hi))
+    return lo
 
 
 def ideal_state(space, r, theta, t, seed):
@@ -447,13 +516,22 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
         hubs_per_chunk = max(1, _SCAN_ENTRIES // I.size)
         for c in range(0, row_starts.size, hubs_per_chunk):
             block = nbrs[row_starts[c : c + hubs_per_chunk, None] + np.arange(g)]
-            deltas = [wrapped_deltas(x[:, I] - x[:, J]).ravel() for x in axes[:, block]]
+            deltas = []
+            for x in axes[:, block]:
+                t = x[:, I]  # wrapped_deltas(x[:, I] - x[:, J]), in the gathered array
+                np.subtract(t, x[:, J], out=t)
+                np.abs(t, out=t)
+                np.minimum(t, 2.0 - t, out=t)
+                deltas.append(t.ravel())
             near = np.flatnonzero(functools.reduce(np.maximum, deltas) <= r_t)
             f = g_value / _nu_many([t[near] for t in deltas], r_prev)
             f_max = max(f_max, f.max(initial=0.0))
             hub, pair = np.divmod(near[rng.random(f.size) < f], I.size)
-            ends = np.stack([block[hub, I[pair]], block[hub, J[pair]]], axis=1)
-            accepted.append(_edge_keys(ends, m))
+            u, v = block[hub, I[pair]], block[hub, J[pair]]
+            keys = np.minimum(u, v)
+            keys *= m
+            keys += np.maximum(u, v, out=u)
+            accepted.append(keys)
     # the round's largest rate, as one check over all proposals would quote it
     if f_max > 1.0 + 1e-9:
         raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
@@ -501,7 +579,11 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     between neighbor distances and non-neighbor in-ball distances.
 
     A ball of radius >= 1 is the whole torus and is not scanned.  The KS sample
-    is drawn by rank, and only the drawn members get a distance.
+    is drawn by rank, and only the drawn members get a distance.  Each run of
+    ``ball_scan`` gives the positions of the centre and its neighbours, one
+    ``rng.choice`` per ball in ball order, and the keys of the picks; the ball
+    counts, rates and the picks' distances are computed once, after the last
+    run, so a run costs no more than its keys need.
     """
     from scipy import stats
 
@@ -524,8 +606,7 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     out_of_range = int((nbr_dist > r_t).sum())
     nbr_radial = (nbr_dist / r_t) ** d
 
-    rates = np.empty(len(sample))
-    pop_radial = []
+    sizes, picks = [], []
     # every wrapped sup-distance is at most 1 (2 - t is exact for t in (1, 2]),
     # so a ball of radius >= 1 is the whole torus: one run, the key at p is p
     whole = r_t >= 1.0
@@ -533,12 +614,9 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     for start, ptr, keys in runs:
         size = ptr.size - 1
         stop = start + size
+        sizes.append(np.diff(ptr))
         # every ball holds its centre (r_t > 0); the centre and its neighbors
         # leave the KS population, located by the sorted keys ball*m + vertex
-        q = np.diff(ptr) - 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = sample_deg[start:stop] / q
-        rates[start:stop] = np.where(q > 0, rate, np.nan)
         ball = np.arange(size) * m
         mine = slice(nbr_ptr[start], nbr_ptr[stop])
         drop = np.sort(np.concatenate(
@@ -549,7 +627,7 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
         # ball b's KS population is the kept positions of ranks first[b] on,
         # pop[b] of them; each draw is rng.choice over a population of that size
         cut = np.searchsorted(gone, ptr)
-        pop = (np.diff(ptr) - np.diff(cut)).tolist()
+        pop = (sizes[-1] - np.diff(cut)).tolist()
         first = (ptr[:-1] - cut[:-1]).tolist()
         ranks = np.concatenate([
             f + (rng.choice(n, size=ks_cap_per_vertex, replace=False)
@@ -557,17 +635,20 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
             for f, n in zip(first, pop)
         ])
         pos = ranks + np.searchsorted(gone - np.arange(gone.size), ranks, side="right")
-        # distances only for the picks, in the order they were drawn
-        owner, vertex = np.divmod(pos if whole else keys[pos], m)
-        dist = wrapped_distance(pts[sample[start + owner]], pts[vertex])
-        pop_radial.append((dist / r_t) ** d)
+        # keys ball*m + vertex over the whole sample, in the order they were drawn
+        picks.append((pos if whole else keys[pos]) + start * m)
 
-    rates = rates[np.isfinite(rates)]
+    # the rates of the balls beyond their centre, and distances only for the
+    # picks, once per round
+    q = np.concatenate(sizes) - 1
+    rates = sample_deg[q > 0] / q[q > 0]
+    owner, vertex = np.divmod(np.concatenate(picks), m)
+    pop_radial = (wrapped_distance(pts[sample[owner]], pts[vertex]) / r_t) ** d
+
     rate_mean = float(rates.mean()) if rates.size else math.nan
     rate_se = float(rates.std(ddof=1) / math.sqrt(rates.size)) if rates.size > 1 else math.nan
     deg_mean = float(sample_deg.mean())
     deg_se = float(sample_deg.std(ddof=1) / math.sqrt(len(sample)))
-    pop_radial = np.concatenate(pop_radial) if pop_radial else np.zeros(0)
     if nbr_radial.size >= 5 and pop_radial.size >= 5:
         ks = stats.ks_2samp(nbr_radial, pop_radial)
         ks_stat, ks_p = float(ks.statistic), float(ks.pvalue)
@@ -624,6 +705,11 @@ def run_2nrq(
     )
     space = torus_poisson(n_mean, d, space_seed)
     m = space.n
+    if m < 2:
+        raise InputError(
+            f"the realized point count {m} (a Poisson sample of mean n={n_mean:g}) is below 2: "
+            "raise n or change the seed"
+        )
     params = derive_params(float(m), K, d, alpha)
     schedule = compute_schedule(params)
     state = init_e0(space, K, float(m), e0_seed)

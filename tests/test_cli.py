@@ -248,6 +248,20 @@ class TestTwoNrq:
                     "--alpha", "1e-300"]) == 3
         assert "raise alpha" in capsys.readouterr().err
 
+    def test_simulate_empty_sample_names_realized_count(self, capsys):
+        # seed 0 draws no points at n=5; the error named "n >= 1" before
+        assert run(["2nrq", "simulate", "--n", "5", "--k", "3", "--d", "1"]) == 3
+        assert "realized point count 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["schedule", "simulate"])
+    def test_rate_above_alpha_at_r1_names_k_over_n_alpha(self, command, capsys):
+        # K/(n alpha) = 30 > 1 leaves no admissible radius; the error named
+        # "r_prev must lie in the admissible range" before
+        assert run(["2nrq", command, "--n", "10", "--k", "3", "--d", "1",
+                    "--alpha", "0.01"]) == 3
+        err = capsys.readouterr().err
+        assert "K/(n*alpha)" in err and "exceeds 1" in err and "r_prev" not in err
+
     def test_k_not_above_2d_exits_3(self, capsys):
         assert run(["2nrq", "schedule", "--n", "1e4", "--k", "4", "--d", "4"]) == 3
         assert "2^d" in capsys.readouterr().err

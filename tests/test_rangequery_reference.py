@@ -96,6 +96,7 @@ def test_ball_scan_runs_match_reference(case):
     points, centres, r, entries = case
     m = len(points)
     with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries), \
+            mock.patch.object(rangequery, "_ROW_ENTRIES", entries), \
             mock.patch.object(ref, "_SCAN_ENTRIES", entries):
         runs = list(ball_scan(points, centres, r))
         want = list(ref.ball_scan(points, centres, r))
@@ -105,6 +106,47 @@ def test_ball_scan_runs_match_reference(case):
         np.testing.assert_array_equal(indptr, want_ptr)
         owner = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
         np.testing.assert_array_equal(keys, owner * m + idx)
+
+
+@st.composite
+def _window_cases(draw):
+    """Whole-row radii (g <= 3) and coordinates on and beside each ball's edges."""
+    d = draw(st.integers(1, 3))
+    top = np.nextafter(1.0, 0.0)
+    r = draw(st.sampled_from([top, np.nextafter(0.4, 1.0), 0.5, 1.0, 1.5])
+             | st.floats(0.4, top, exclude_min=True))
+    coord = st.sampled_from([-1.0, np.nextafter(1.0, -1.0), 0.0]) | st.floats(-1.0, 1.0,
+                                                                              exclude_max=True)
+    seeds = np.array(draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1,
+                                   max_size=3)))
+    # per axis: the seeds' coordinates, c +- r and c +- r -+ 2, and the next
+    # floats on either side, where they lie on the torus [-1, 1)
+    edges = seeds[:, None, :] + np.array([r, -r, r - 2.0, 2.0 - r])[:, None]
+    edges = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -2.0)])
+    pools = [np.unique(np.concatenate([seeds[:, k], e[(e >= -1.0) & (e < 1.0)]]))
+             for k, e in enumerate(np.moveaxis(edges, -1, 0).reshape(d, -1))]
+    m = draw(st.integers(0, 40))
+    extra = [[draw(st.sampled_from(pools[k].tolist()) | coord) for k in range(d)]
+             for _ in range(m)]
+    points = np.concatenate([seeds, np.array(extra).reshape(m, d)])
+    points = points[draw(st.permutations(range(len(points))))]  # duplicates anywhere
+    entries = draw(st.sampled_from([1, 7, 1 << 20]))
+    return points, r, entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(_window_cases())
+def test_row_windows_match_wrapped_distance(case):
+    # every point is a centre; membership must be wrapped_distance(...) <= r exactly
+    points, r, entries = case
+    assert int(2.0 / r) - 1 <= 3  # the whole-row path
+    centres = np.arange(len(points))
+    with mock.patch.object(rangequery, "_ROW_ENTRIES", entries):
+        scanned = list(_scanned_balls(points, centres, r))
+    assert len(scanned) == len(points)
+    for c, (_, members) in zip(centres, scanned):
+        want = np.flatnonzero(wrapped_distance(points[c], points) <= r)
+        np.testing.assert_array_equal(members, want)
 
 
 def _mixed_state(d, r, seed):
