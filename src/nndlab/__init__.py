@@ -59,7 +59,6 @@ from .concordance import (
     linf_embed,
     phi,
     powers_of_two_order,
-    swap_is_white,
     verify_embedding,
     white_component,
     white_edge_fraction,

@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable, csv_triples, rank_matrix, unique_keys
+from .ranking import RankTable, unique_keys
 
 __all__ = [
     "n_pairs",
@@ -37,7 +37,6 @@ __all__ = [
     "EmbeddingMatrix",
     "linf_embed",
     "verify_embedding",
-    "swap_is_white",
     "is_isolated",
     "WhiteComponent",
     "white_component",
@@ -86,8 +85,7 @@ class LinearOrder:
     """A linear order on the pairs of [n], listed from bottom up.
 
     ``perm[k]`` is the lexicographic index of the pair at position k+1, and
-    ``pairs[k]`` that pair as a tuple; ``position(i, j)`` returns the 1-based
-    position sigma({i, j}).  Immutable and hashable.
+    ``pairs[k]`` that pair as a tuple.  Immutable and hashable.
     """
 
     __slots__ = ("n", "perm")
@@ -124,10 +122,6 @@ class LinearOrder:
         pairs = all_pairs(self.n)
         return tuple(pairs[k] for k in self.perm.tolist())
 
-    def position(self, i, j):
-        """1-based position of the pair {i, j}."""
-        return int(self.positions_array()[pair_index(i, j, self.n)])
-
     def positions_array(self):
         """Positions indexed by lexicographic pair index (1-based values)."""
         pos = np.empty(self.N, dtype=np.int64)
@@ -154,19 +148,6 @@ class LinearOrder:
 
     def __repr__(self):
         return f"LinearOrder(n={self.n}, pairs={self.pairs})"
-
-    def to_csv(self):
-        lines = ["position,i,j"]
-        lines.extend(f"{k},{i},{j}" for k, (i, j) in enumerate(self.pairs, start=1))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text):
-        pos, i, j = csv_triples(text, "position,i,j").T
-        # one ranked list of rows: each position 1..N must appear exactly once
-        at = rank_matrix(np.zeros_like(pos), pos, np.arange(pos.size))[0]
-        n = int(max(i.max(), j.max())) + 1
-        return cls(n, zip(i[at].tolist(), j[at].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +250,7 @@ class Crs:
     def is_concordant(self):
         return self._evidence[1] is None
 
+    # kept for perfbench's NndGeneric counters, extras and fingerprint; goes with _arc_pairs
     @functools.cached_property
     def dag_arcs(self):
         keys = self._evidence[0]
@@ -289,16 +271,6 @@ class Crs:
             return True
         reach = csgraph.breadth_first_order(self._graph, a, return_predecessors=False)
         return bool((reach == b).any())
-
-    def certificate_json(self):
-        import json
-
-        if self.is_concordant:
-            arcs = _arc_pairs(self._evidence[0], self.n)
-            cert = {"type": "dag", "arcs": [[list(p), list(q)] for p, q in arcs]}
-        else:
-            cert = {"type": "cycle", "pairs": [list(p) for p in self.cycle]}
-        return json.dumps(cert, sort_keys=True)
 
 
 def _phi_orders(perms, n):
@@ -445,16 +417,6 @@ def _disjoint(p, q, n):
     return (a != c) & (a != d) & (b != c) & (b != d)
 
 
-def swap_is_white(order, pos):
-    """True iff swapping positions pos, pos+1 leaves the induced system alone.
-
-    That happens exactly when the two pairs are disjoint.
-    """
-    if not 1 <= pos <= order.N - 1:
-        raise InputError(f"position must lie in [1, {order.N - 1}]")
-    return bool(_disjoint(*order.perm[pos - 1 : pos + 1], order.n))
-
-
 def is_isolated(order):
     """True iff every adjacent transposition changes the induced system."""
     return not _disjoint(order.perm[:-1], order.perm[1:], order.n).any()
@@ -562,13 +524,6 @@ def baranyai_order(n):
             matching.append((min(a, b), max(a, b)))
         pairs.extend(matching)
     return LinearOrder(n, pairs)
-
-
-def baranyai_matchings(n):
-    """The n-1 perfect matchings underlying ``baranyai_order``."""
-    order = baranyai_order(n)
-    size = n // 2
-    return [list(order.pairs[r * size : (r + 1) * size]) for r in range(n - 1)]
 
 
 def eulerian_order(n):

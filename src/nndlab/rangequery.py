@@ -558,10 +558,6 @@ class SamplingReport:
     ks_stat: float
     ks_pvalue: float
 
-    @property
-    def range_ok(self):
-        return self.out_of_range_neighbors == 0
-
     def to_json_dict(self):
         """The fields, with null for a non-finite statistic (strict JSON)."""
         return {

@@ -61,36 +61,6 @@ def csr_rows(starts, counts):
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
-def csv_triples(text, header):
-    """The integer rows of a three-column CSV as an (R, 3) array, without ``#`` lines."""
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    if lines and lines[0] == header:
-        lines = lines[1:]
-    rows = []
-    for ln in lines:
-        try:
-            a, b, c = (int(v) for v in ln.split(","))
-        except ValueError:
-            raise InputError(f"expected three integers per CSV row, got {ln!r}") from None
-        rows.append((a, b, c))
-    return np.array(rows, dtype=np.int64).reshape(-1, 3)
-
-
-def rank_matrix(keys, ranks, values):
-    """The (n, k) matrix M with ``M[key, rank - 1] = value`` for each entry.
-
-    Raises InputError unless the entries give each key 0..n-1 each rank 1..k
-    exactly once, so a missing or repeated CSV row is refused.
-    """
-    n, k = int(keys.max(initial=-1)) + 1, int(ranks.max(initial=0))
-    cells = keys * k + ranks - 1
-    distinct = unique_keys(cells)
-    # with every rank >= 1, n * k distinct cells none below 0 are exactly 0 .. n*k - 1
-    if not 0 < keys.size == n * k == distinct.size or ranks.min() < 1 or distinct[0] < 0:
-        raise InputError(f"incomplete table: each of {n} keys needs ranks 1..{k} exactly once")
-    return values[np.argsort(cells)].reshape(n, k)
-
-
 class RankTable:
     """Explicit per-item rankings over a ground set of n items.
 
@@ -134,12 +104,6 @@ class RankTable:
     def ranks(self):
         return self._ranks
 
-    def rank(self, x, y):
-        """1-based rank of y in x's preference order."""
-        if x == y:
-            raise InputError("rank is undefined for x == y")
-        return int(self._ranks[x, y])
-
     def prefers(self, x, y, z):
         """True iff x prefers y to z (pure, not work-metered)."""
         if x == y or x == z or y == z:
@@ -151,16 +115,6 @@ class RankTable:
 
     def __hash__(self):
         return hash(self._order.tobytes())
-
-    def to_csv(self):
-        lines = ["source,rank,target"]
-        for x in range(self.n):
-            lines.extend(f"{x},{r},{y}" for r, y in enumerate(self._order[x], start=1))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text):
-        return cls(rank_matrix(*csv_triples(text, "source,rank,target").T))
 
 
 class KnnGraph:
@@ -195,16 +149,6 @@ class KnnGraph:
 
     def __hash__(self):
         return hash((self.n, self.neighbors.tobytes()))
-
-    def to_csv(self):
-        lines = ["source,rank,target"]
-        for x in range(self.n):
-            lines.extend(f"{x},{r},{y}" for r, y in enumerate(self.neighbors[x], start=1))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text):
-        return cls(rank_matrix(*csv_triples(text, "source,rank,target").T))
 
 
 class RankingOracle:

@@ -131,16 +131,6 @@ class Crs:
             frontier = nxt
         return False
 
-    def certificate_json(self):
-        import json
-
-        self._ensure()
-        if self.is_concordant:
-            cert = {"type": "dag", "arcs": sorted([list(p), list(q)] for p, q in self._dag_arcs)}
-        else:
-            cert = {"type": "cycle", "pairs": [list(p) for p in self._cycle]}
-        return json.dumps(cert, sort_keys=True)
-
 
 def _linear_extension(crs, seed):
     """Seed-keyed topological order of the pairs under the order-type DAG."""

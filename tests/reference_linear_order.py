@@ -14,7 +14,7 @@ import numpy as np
 
 from nndlab.concordance import Crs, all_pairs, pair_index
 from nndlab.errors import InputError
-from nndlab.ranking import RankTable, csv_triples, rank_matrix
+from nndlab.ranking import RankTable
 
 
 class LinearOrder:
@@ -79,19 +79,6 @@ class LinearOrder:
 
     def __repr__(self):
         return f"LinearOrder(n={self.n}, pairs={self.pairs})"
-
-    def to_csv(self):
-        lines = ["position,i,j"]
-        lines.extend(f"{k},{i},{j}" for k, (i, j) in enumerate(self.pairs, start=1))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text):
-        pos, i, j = csv_triples(text, "position,i,j").T
-        # one ranked list of rows: each position 1..N must appear exactly once
-        at = rank_matrix(np.zeros_like(pos), pos, np.arange(pos.size))[0]
-        n = int(max(i.max(), j.max())) + 1
-        return cls(n, zip(i[at].tolist(), j[at].tolist()))
 
 
 def phi(order):

@@ -1,0 +1,42 @@
+"""Every exported name resolves.
+
+A stale ``__all__`` entry, or a package-level import of a name a module no
+longer defines, fails only when something star-imports or imports it.
+These tests star-import every module and import every name.  The package
+is imported inside each test, so a broken ``nndlab/__init__.py`` fails the
+tests rather than their collection.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+PACKAGE = importlib.util.find_spec("nndlab")
+MODULES = sorted(info.name for info in pkgutil.iter_modules(PACKAGE.submodule_search_locations))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"nndlab.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported)
+    missing = [attr for attr in exported if not hasattr(module, attr)]
+    assert not missing, f"nndlab.{name}.__all__ names undefined {missing}"
+    exec(f"from nndlab.{name} import *", {})
+
+
+def test_package_imports_resolve():
+    package = importlib.import_module("nndlab")
+    tree = ast.parse(Path(PACKAGE.origin).read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert imported
+    assert [attr for attr in imported if not hasattr(package, attr)] == []

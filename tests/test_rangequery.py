@@ -364,7 +364,7 @@ class TestSamplingProperty:
         m = space.n
         state = init_e0(space, 12, float(m), seed=15)
         report = verify_sampling_property(state, 1.0, 12.0 / m, 500, seed=16)
-        assert report.range_ok
+        assert report.out_of_range_neighbors == 0
         assert abs(report.rate_z) <= 3
         assert abs(report.deg_mean - 12) <= 3 * report.deg_se
 
@@ -407,7 +407,7 @@ class TestSamplingProperty:
         space = torus_poisson(2000, 2, seed=17)
         state = ideal_state(space, 0.5, 0.01, t=1, seed=18)
         report = verify_sampling_property(state, 0.5, 0.01, 400, seed=19)
-        assert report.range_ok and abs(report.rate_z) <= 3
+        assert report.out_of_range_neighbors == 0 and abs(report.rate_z) <= 3
 
 
 class TestRun2nrq:

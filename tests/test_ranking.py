@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nndlab import ranking
-from nndlab.concordance import LinearOrder, baranyai_order
 from nndlab.descent import random_kout
 from nndlab.errors import InputError
 from nndlab.ranking import (
@@ -65,12 +64,12 @@ class TestRankingFromDistances:
         etas = [1, 2, 3, 4, 5]
         table = ranking_from_distances(range(5), paris_dist(etas))
         # x_5 ranks x_1..x_4 in eta order
-        assert [table.rank(4, y) for y in range(4)] == [1, 2, 3, 4]
+        assert [table.ranks[4, y] for y in range(4)] == [1, 2, 3, 4]
 
     def test_two_points(self):
         table = ranking_from_distances(range(2), lambda i, j: 1.0)
-        assert table.rank(0, 1) == 1
-        assert table.rank(1, 0) == 1
+        assert table.ranks[0, 1] == 1
+        assert table.ranks[1, 0] == 1
 
     def test_powers_of_two_nearest_of_32(self):
         values = [2 ** i for i in range(6)]
@@ -131,10 +130,6 @@ class TestRankTable:
         with pytest.raises(InputError, match="rank-table cap of 2"):
             RankTable(order)
 
-    def test_csv_roundtrip(self):
-        table = random_ranking_table(7, seed=3)
-        assert RankTable.from_csv(table.to_csv()) == table
-
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_preference_is_exclusive(self, seed):
@@ -192,7 +187,7 @@ class TestOracle:
         oracle = RankingOracle(table)
         pool = np.array([3, 7, 11, 15, 19, 23])
         top = oracle.top_k(0, pool, 3)
-        expected = sorted(pool, key=lambda y: table.rank(0, y))[:3]
+        expected = sorted(pool, key=lambda y: table.ranks[0, y])[:3]
         assert list(top) == expected
         assert oracle.comparisons == 6 * math.ceil(math.log2(6))
 
@@ -210,7 +205,7 @@ class TestOracle:
         table = random_ranking_table(30, seed=2)
         oracle = RankingOracle(table)
         pool = np.array([19, 3, 11])
-        assert oracle.top_k(0, pool, 5).tolist() == sorted(pool, key=lambda y: table.rank(0, y))
+        assert oracle.top_k(0, pool, 5).tolist() == sorted(pool, key=lambda y: table.ranks[0, y])
         assert oracle.comparisons == 3 * math.ceil(math.log2(3))
 
     @pytest.mark.parametrize("pool", [[4, 1, 3, 5], [1, 3, 4, 5], [1, 3, 5, 4]],
@@ -329,10 +324,6 @@ class TestRecall:
 
 
 class TestKnnGraphSerialization:
-    def test_csv_roundtrip_exact(self):
-        graph = exact_knn(random_ranking_table(9, seed=5), 4)
-        assert KnnGraph.from_csv(graph.to_csv()) == graph
-
     def test_json_roundtrip_exact(self):
         graph = exact_knn(random_ranking_table(9, seed=6), 4)
         assert graph_from_json(graph_to_json(graph)) == graph
@@ -344,37 +335,6 @@ class TestKnnGraphSerialization:
     def test_rejects_duplicates(self):
         with pytest.raises(InputError):
             KnnGraph(np.array([[1, 1], [0, 2], [0, 1]]))
-
-
-@pytest.mark.parametrize(
-    "cls,value",
-    [
-        (RankTable, random_ranking_table(5, seed=1)),
-        (KnnGraph, exact_knn(random_ranking_table(6, seed=2), 2)),
-        (LinearOrder, baranyai_order(4)),
-    ],
-    ids=["RankTable", "KnnGraph", "LinearOrder"],
-)
-@pytest.mark.parametrize(
-    "row,match",
-    [
-        pytest.param(row, "three integers", id=row)
-        for row in ["0,1", "0,1,x", "0,1,2,3", "0;1;2"]
-    ]
-    + [
-        # an empty line is skipped, so the second data row goes missing
-        pytest.param("", "exactly once", id="missing"),
-        pytest.param("1,1,0", "exactly once", id="repeated"),
-        pytest.param("-1,2,0", "exactly once", id="negative-key"),
-        # rank 0 of item 1 would fill the cell of item 0's last rank
-        pytest.param("1,0,2", "exactly once", id="rank-zero"),
-    ],
-)
-def test_from_csv_rejects_malformed_row(cls, value, row, match):
-    lines = value.to_csv().splitlines()
-    lines[2] = row
-    with pytest.raises(InputError, match=match):
-        cls.from_csv("\n".join(lines))
 
 
 @settings(max_examples=100, deadline=None)
