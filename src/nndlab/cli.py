@@ -121,6 +121,8 @@ def cmd_nnd(args):
         "rounds": args.rounds,
         "stop": args.stop,
     }
+    if args.space == "lcs":
+        config["lcs_m"] = args.lcs_m
     _emit(_json_doc(config, descent.run_report(result)), args.out)
     return 0
 

@@ -66,7 +66,7 @@ class FriendState:
         return FriendState(self.friends.copy(), t=self.t, work=self.work)
 
     def to_graph(self):
-        return KnnGraph(self.friends.copy(), n=self.n)
+        return KnnGraph(self.friends.copy())
 
 
 def random_kout(n, K, seed_or_rng):

@@ -20,17 +20,8 @@ from .ranking import csr, csr_rows, unique_keys
 EXACT_DIAMETER_LIMIT = 20000
 
 
-def _out_matrix(graph):
-    if hasattr(graph, "neighbors"):
-        return np.asarray(graph.neighbors)
-    if hasattr(graph, "friends"):
-        return np.asarray(graph.friends)
-    return np.asarray(graph)
-
-
-def undirected_adjacency(out_neighbors):
-    """Deduplicated CSR adjacency of the underlying undirected graph."""
-    F = _out_matrix(out_neighbors)
+def undirected_adjacency(F):
+    """Deduplicated CSR adjacency of the undirected view of the (n, K) out-neighbour array F."""
     n, k = F.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = F.ravel().astype(np.int64)
@@ -81,26 +72,24 @@ def _bfs_eccentricity(indptr, nbrs, source, n):
     return ecc, dist
 
 
-def undirected_diameter(graph, exact_limit=EXACT_DIAMETER_LIMIT, seed=0):
-    """Diameter of the undirected view of a K-out graph.
+def undirected_diameter(F):
+    """Diameter of the undirected view of the (n, K) out-neighbour array F.
 
-    Exact (all-source BFS) up to ``exact_limit`` vertices; beyond it, a
-    certified (lower, upper) interval from a two-sweep lower bound and
-    eccentricity doubling.  Returns "disconnected" when the graph is not
-    connected.
+    Exact (all-source BFS) up to ``EXACT_DIAMETER_LIMIT`` vertices; beyond it,
+    a certified (lower, upper) interval from a two-sweep lower bound and
+    eccentricity doubling, the sweeps starting at a vertex drawn with seed 0.
+    Returns "disconnected" when the graph is not connected.
     """
-    F = _out_matrix(graph)
     n = F.shape[0]
     if n < 2:
         raise InputError("need at least two vertices")
     indptr, nbrs = undirected_adjacency(F)
     if (np.diff(indptr) == 0).any():
         return "disconnected"
-    if n <= exact_limit:
+    if n <= EXACT_DIAMETER_LIMIT:
         result = _bitset_diameter(indptr, nbrs, n)
         return "disconnected" if result is None else result
-    rng = np.random.default_rng(seed)
-    start = int(rng.integers(n))
+    start = int(np.random.default_rng(0).integers(n))
     ecc0, dist0 = _bfs_eccentricity(indptr, nbrs, start, n)
     if ecc0 is None:
         return "disconnected"
@@ -198,15 +187,14 @@ class ExpansionReport:
         return asdict(self)
 
 
-def expansion_check(graph, expansion_alpha, epsilon, sample_sets, seed):
+def expansion_check(F, expansion_alpha, epsilon, sample_sets, seed):
     """Count sampled sets X violating |N(X)| > (K - 1 - epsilon) |X|.
 
-    N(X) collects out-neighbors of X outside X.  Only sets smaller than
-    expansion_alpha * n / log(n) are eligible; the whole vertex set is never
-    tested.  ``min_margin`` is the smallest observed |N(X)| / |X| minus the
+    F is the (n, K) out-neighbour array; N(X) collects out-neighbors of X
+    outside X.  Only sets smaller than expansion_alpha * n / log(n) are
+    eligible; the whole vertex set is never tested.  ``min_margin`` is the smallest observed |N(X)| / |X| minus the
     threshold, an indicator of slack.
     """
-    F = _out_matrix(graph)
     n, K = F.shape
     max_size = int(min(expansion_alpha * n / math.log(n), n - 1))
     if max_size < 1:

@@ -50,6 +50,8 @@ _SCAN_ENTRIES = 1 << 16
 # (centre, point) pairs per run of a whole-row scan, whose temporaries are
 # bool: 8x the entries fills the same 512 KiB, in 8x fewer runs
 _ROW_ENTRIES = 8 * _SCAN_ENTRIES
+# largest KS population drawn per sampled ball
+_KS_CAP = 200
 
 
 @dataclass(frozen=True)
@@ -249,38 +251,24 @@ def work_bound(params, t_prime, n=None):
 # ---------------------------------------------------------------------------
 # The simulated graph process
 
-def _edge_keys(edges, m):
-    """One int64 key lo*m + hi per undirected edge; sorted keys order edges lexicographically."""
-    return np.minimum(edges[:, 0], edges[:, 1]) * m + np.maximum(edges[:, 0], edges[:, 1])
-
-
 class TwoNrqState:
     """Undirected edge set over a torus sample at some round, plus a work meter.
 
-    ``edges`` is an (E, 2) int64 array of distinct pairs with ``a < b``, in
-    lexicographic order, read-only because the adjacency built from it is kept.
+    ``keys`` are int64 edge keys lo*m + hi with 0 <= lo < hi < m, m the
+    point count; repeats collapse, and any other key is refused.  ``edges``
+    is the (E, 2) int64 array of the distinct pairs, in lexicographic order,
+    read-only because the adjacency built from it is kept.
     """
 
-    def __init__(self, space, edges, t=0, distance_evals=0):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        if edges.size and (
-            edges.min() < 0 or edges.max() >= space.n or (edges[:, 0] == edges[:, 1]).any()
-        ):
-            raise InputError("edges must join distinct in-range vertices")
-        self._set_keys(space, _edge_keys(edges, space.n), t, distance_evals)
-
-    @classmethod
-    def _from_keys(cls, space, keys, t, distance_evals=0):
-        """The state of the edges with keys lo*m + hi (0 <= lo < hi < m), repeats allowed."""
-        state = cls.__new__(cls)
-        state._set_keys(space, keys, t, distance_evals)
-        return state
-
-    def _set_keys(self, space, keys, t, distance_evals):
-        keys = unique_keys(keys)
+    def __init__(self, space, keys, t=0, distance_evals=0):
+        m = space.n
+        keys = unique_keys(np.asarray(keys, dtype=np.int64))
         self.space = space
         self.edges = np.empty((keys.size, 2), dtype=np.int64)
-        np.divmod(keys, space.n, out=(self.edges[:, 0], self.edges[:, 1]))
+        np.divmod(keys, m, out=(self.edges[:, 0], self.edges[:, 1]))
+        lo, hi = self.edges.T
+        if keys.size and (keys[0] < 0 or keys[-1] >= m * m or (lo >= hi).any()):
+            raise InputError("edge keys must be lo*m + hi with 0 <= lo < hi < m")
         self.edges.setflags(write=False)
         self.t = int(t)
         self.distance_evals = int(distance_evals)
@@ -304,10 +292,10 @@ class TwoNrqState:
         return self._adjacency
 
 
-def init_e0(space, K, n_mean, seed):
-    """Round-0 edges: rate-K/n_mean sample of the complete graph.
+def init_e0(space, K, seed):
+    """Round-0 edges: rate-K/m sample of the complete graph on the m = space.n points.
 
-    The count is Binomial(C(m, 2), K/n_mean) and the edges a uniform subset
+    The count is Binomial(C(m, 2), K/m) and the edges a uniform subset
     of that size, which matches independent per-pair coins in law without a
     quadratic pair scan.
     """
@@ -316,12 +304,12 @@ def init_e0(space, K, n_mean, seed):
         raise InputError("need at least two vertices")
     rng = np.random.default_rng(seed)
     total = m * (m - 1) // 2
-    rate = min(1.0, K / float(n_mean))
+    rate = min(1.0, K / m)
     count = int(rng.binomial(total, rate))
     if count > total // 4:
         iu = np.triu_indices(m, 1)
         keys = iu[0] * m + iu[1]
-        return TwoNrqState._from_keys(space, keys[rng.permutation(total)[:count]], t=0)
+        return TwoNrqState(space, keys[rng.permutation(total)[:count]])
     # draw i.i.d. pairs until enough distinct ones exist, then thin uniformly;
     # symmetric over pairs, so the final set is uniform of its size
     chosen = np.zeros(0, dtype=np.int64)
@@ -329,7 +317,7 @@ def init_e0(space, K, n_mean, seed):
         chosen = np.concatenate([chosen, _random_pair_keys(rng, m, max(4 * count, 1024))])
         chosen = unique_keys(chosen)
     pick = rng.choice(chosen.size, size=count, replace=False)
-    return TwoNrqState._from_keys(space, chosen[pick], t=0)
+    return TwoNrqState(space, chosen[pick])
 
 
 def _random_pair_keys(rng, m, size):
@@ -479,7 +467,7 @@ def ideal_state(space, r, theta, t, seed):
         owner, idx = owner[later], idx[later]
         keep = rng.random(owner.size) < theta
         rows.append(owner[keep] * m + idx[keep])
-    return TwoNrqState._from_keys(space, np.concatenate(rows), t=t)
+    return TwoNrqState(space, np.concatenate(rows), t=t)
 
 
 def range_query_round(state, r_t, r_prev, g_value, seed):
@@ -535,7 +523,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     # the round's largest rate, as one check over all proposals would quote it
     if f_max > 1.0 + 1e-9:
         raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
-    return TwoNrqState._from_keys(
+    return TwoNrqState(
         state.space, np.concatenate(accepted), t=state.t + 1,
         distance_evals=state.distance_evals + evals,
     )
@@ -566,7 +554,7 @@ class SamplingReport:
         }
 
 
-def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_per_vertex=200):
+def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     """Measure whether neighborhoods look like rate-theta_t ball samples.
 
     Checks, over sampled vertices: (a) no neighbor lies beyond r_t; (b) the
@@ -575,11 +563,12 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     between neighbor distances and non-neighbor in-ball distances.
 
     A ball of radius >= 1 is the whole torus and is not scanned.  The KS sample
-    is drawn by rank, and only the drawn members get a distance.  Each run of
-    ``ball_scan`` gives the positions of the centre and its neighbours, one
-    ``rng.choice`` per ball in ball order, and the keys of the picks; the ball
-    counts, rates and the picks' distances are computed once, after the last
-    run, so a run costs no more than its keys need.
+    of a ball is at most ``_KS_CAP`` of its members, drawn by rank, and only
+    the drawn members get a distance.  Each run of ``ball_scan`` gives the
+    positions of the centre and its neighbours, one ``rng.choice`` per ball in
+    ball order, and the keys of the picks; the ball counts, rates and the
+    picks' distances are computed once, after the last run, so a run costs no
+    more than its keys need.
     """
     from scipy import stats
 
@@ -597,7 +586,8 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     indptr, nbrs = state.adjacency()
     sample_deg = np.diff(indptr)[sample]
     nbr_owner = np.repeat(np.arange(len(sample)), sample_deg)
-    nbr_ptr, neigh = csr(nbr_owner, nbrs[csr_rows(indptr[sample], sample_deg)], len(sample))
+    nbr_ptr = np.concatenate([[0], np.cumsum(sample_deg)])
+    neigh = nbrs[csr_rows(indptr[sample], sample_deg)]
     nbr_dist = wrapped_distance(pts[sample[nbr_owner]], pts[neigh])
     out_of_range = int((nbr_dist > r_t).sum())
     nbr_radial = (nbr_dist / r_t) ** d
@@ -626,8 +616,7 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
         pop = (sizes[-1] - np.diff(cut)).tolist()
         first = (ptr[:-1] - cut[:-1]).tolist()
         ranks = np.concatenate([
-            f + (rng.choice(n, size=ks_cap_per_vertex, replace=False)
-                 if n > ks_cap_per_vertex else np.arange(n))
+            f + (rng.choice(n, size=_KS_CAP, replace=False) if n > _KS_CAP else np.arange(n))
             for f, n in zip(first, pop)
         ])
         pos = ranks + np.searchsorted(gone - np.arange(gone.size), ranks, side="right")
@@ -708,7 +697,7 @@ def run_2nrq(
         )
     params = derive_params(float(m), K, d, alpha)
     schedule = compute_schedule(params)
-    state = init_e0(space, K, float(m), e0_seed)
+    state = init_e0(space, K, e0_seed)
     round_seeds = [round_seed + t for t in range(schedule.tau + 1)]
     verify_seeds = [verify_seed + t for t in range(schedule.tau + 1)]
     ideal_seeds = [ideal_seed + t for t in range(schedule.tau + 1)]

@@ -118,18 +118,16 @@ class RankTable:
 
 
 class KnnGraph:
-    """A K-out digraph: each item's K out-neighbors, most preferred first."""
+    """A K-out digraph over n items: row x of the (n, K) ``neighbors`` lists
+    x's K out-neighbors, most preferred first."""
 
-    def __init__(self, neighbors, n=None):
+    def __init__(self, neighbors):
         neighbors = np.asarray(neighbors, dtype=np.int32)
         if neighbors.ndim != 2:
             raise InputError("neighbors must be a 2-D (n, K) array")
-        self.n = int(n) if n is not None else neighbors.shape[0]
-        self.k = neighbors.shape[1]
+        self.n, self.k = neighbors.shape
         if not 1 <= self.k < self.n:
             raise InputError(f"need 1 <= K < n, got K={self.k}, n={self.n}")
-        if neighbors.shape[0] != self.n:
-            raise InputError("neighbor matrix row count must equal n")
         srt = np.sort(neighbors, axis=1)
         if (np.diff(srt, axis=1) == 0).any():
             raise InputError("neighbor lists must not repeat items")
@@ -222,12 +220,11 @@ class RankingOracle:
         return self.table.order.ravel()[keys[take] - own[take] - 1]
 
 
-def ranking_from_distance_matrix(dist, tie_break=None):
+def ranking_from_distance_matrix(dist):
     """RankTable from a symmetric distance matrix with deterministic ties.
 
-    Equal distances are broken by ``tie_break`` (a permutation of item ids
-    giving precedence order; identity by default), so rebuilding a table
-    from the same inputs is bit-reproducible.
+    Equal distances are broken by item id, the smaller id first, so
+    rebuilding a table from the same inputs is bit-reproducible.
     """
     dist = np.asarray(dist, dtype=np.float64)
     n = dist.shape[0]
@@ -238,25 +235,18 @@ def ranking_from_distance_matrix(dist, tie_break=None):
         raise InputError("distances must be finite")
     if (dist[off] < 0).any():
         raise InputError("distances must be non-negative")
-    if tie_break is None:
-        priority = np.arange(n)
-    else:
-        priority = np.asarray(tie_break)
-        if not np.array_equal(np.sort(priority), np.arange(n)):
-            raise InputError("tie_break must be a permutation of the item ids")
     d = dist.copy()
     np.fill_diagonal(d, np.inf)  # self sorts last and is dropped
-    keys_pri = np.broadcast_to(priority, (n, n))
-    order = np.lexsort((keys_pri, d), axis=1)[:, : n - 1]
-    return RankTable(order)
+    # a stable sort keeps equal distances in item-id order
+    return RankTable(np.argsort(d, axis=1, kind="stable")[:, : n - 1])
 
 
-def ranking_from_distances(points, distance, tie_break=None):
+def ranking_from_distances(points, distance):
     """RankTable from a symmetric pair distance function.
 
     ``distance`` is called once per unordered pair of elements of ``points``
     and mirrored, so symmetry holds by construction; non-finite or negative
-    values are rejected.
+    values are rejected; ties break by item id.
     """
     pts = list(points)
     n = len(pts)
@@ -266,14 +256,14 @@ def ranking_from_distances(points, distance, tie_break=None):
     for i in range(n):
         for j in range(i + 1, n):
             dist[i, j] = dist[j, i] = distance(pts[i], pts[j])
-    return ranking_from_distance_matrix(dist, tie_break=tie_break)
+    return ranking_from_distance_matrix(dist)
 
 
 def exact_knn(table, K):
     """The exact K-NN graph of a ranking system; O(n^2) by construction."""
     if not 1 <= K < table.n:
         raise InputError(f"need 1 <= K < n, got K={K}, n={table.n}")
-    return KnnGraph(table.order[:, :K], n=table.n)
+    return KnnGraph(table.order[:, :K])
 
 
 def recall(approx, exact):

@@ -130,21 +130,15 @@ class LcsSpace:
         return float(sum(q * q for q in self.mu))
 
 
-def lcs_sample(n, m, alphabet="acgt", mu=None, seed=0):
-    """Sample n independent strings of length m, characters i.i.d. from mu."""
+def lcs_sample(n, m, seed):
+    """Sample n independent strings of length m, characters i.i.d. uniform over "acgt"."""
     if n < 2 or m < 1:
         raise InputError("need n >= 2 strings of length m >= 1")
-    if len(set(alphabet)) != len(alphabet) or len(alphabet) < 2:
-        raise InputError("alphabet must have at least two distinct characters")
-    if mu is None:
-        mu = [1.0 / len(alphabet)] * len(alphabet)
-    mu = [float(q) for q in mu]
-    if len(mu) != len(alphabet) or any(q <= 0 for q in mu) or abs(sum(mu) - 1.0) > 1e-9:
-        raise InputError("mu must be a positive distribution over the alphabet")
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(len(alphabet), size=(n, m), p=mu)
+    alphabet, mu = "acgt", (0.25,) * 4
+    # choice draws differently with p given, so p stays: the strings keep their bytes
+    idx = np.random.default_rng(seed).choice(len(alphabet), size=(n, m), p=mu)
     strings = tuple("".join(alphabet[i] for i in row) for row in idx)
-    return LcsSpace(int(m), alphabet, tuple(mu), strings)
+    return LcsSpace(int(m), alphabet, mu, strings)
 
 
 def longest_common_substring(a, b):

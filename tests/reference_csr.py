@@ -10,7 +10,6 @@ stood before every CSR layout went through ``ranking.csr``.
 
 import numpy as np
 
-from nndlab.diagnostics import _out_matrix
 from nndlab.ranking import unique_keys
 
 
@@ -27,7 +26,7 @@ def _cofriend_csr(F):
 
 def undirected_adjacency(out_neighbors):
     """Deduplicated CSR adjacency of the underlying undirected graph."""
-    F = _out_matrix(out_neighbors)
+    F = np.asarray(out_neighbors)
     n, k = F.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = F.ravel().astype(np.int64)

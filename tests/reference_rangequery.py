@@ -14,9 +14,15 @@ import math
 import numpy as np
 
 from nndlab.errors import InputError
-from nndlab.rangequery import SamplingReport, TwoNrqState, _edge_keys
+from nndlab.rangequery import SamplingReport, TwoNrqState
 from nndlab.ranking import csr_rows, unique_keys
 from nndlab.spaces import wrapped_deltas, wrapped_distance
+
+
+def _edge_keys(edges, m):
+    """One int64 key lo*m + hi per undirected edge, as ``TwoNrqState`` takes them."""
+    return np.minimum(edges[:, 0], edges[:, 1]) * m + np.maximum(edges[:, 0], edges[:, 1])
+
 
 _SCAN_ENTRIES = 1 << 20  # candidate pairs examined per chunk of ball centres
 
@@ -42,7 +48,7 @@ def ideal_state(space, r, theta, t, seed, chunk=256):
                 if keep.size:
                     rows.append(np.stack([np.full(keep.size, i, dtype=np.int64), keep], axis=1))
     edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
-    return TwoNrqState(space, edges, t=t)
+    return TwoNrqState(space, _edge_keys(edges, m), t=t)
 
 
 def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_per_vertex=200):
@@ -226,7 +232,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
         accepted = np.zeros((0, 2), dtype=np.int64)
     new_state = TwoNrqState(
         state.space,
-        accepted,
+        _edge_keys(accepted, state.space.n),
         t=state.t + 1,
         distance_evals=state.distance_evals + evals,
     )

@@ -364,6 +364,7 @@ def test_criterion_09_special_orders():
 # Criterion 10: diameter and expansion experiments
 
 
+@pytest.mark.slow
 def test_criterion_10_diameter_and_expansion():
     report = diameter_experiment(10_000, 3, trials=50, epsilon=0.5, seed=1)
     problems = []

@@ -123,8 +123,9 @@ class TestNnd:
              "32f1f0d00d84775c8cd579714cfae97931bcfa133fbb4ea487d9576964db6e30"),
             (["--space", "powers2", "--n", "40", "--k", "4"],
              "46b30e9e44ac32136f285ac7ce42b5661f43d58a02f2b3ab75c2b7a24f482ab8"),
+            # written with lcs_m in its config; the data are pinned in test_lcs_data_golden_sha256
             (["--space", "lcs", "--n", "60", "--k", "4", "--seed", "2", "--lcs-m", "12"],
-             "48b7e3883304e1f7cb51f25a5dc00f416fec065c8821a7a8d537bbcabe6988cc"),
+             "32e82b66858ffeef44feb31c1380ba2a685e4c63f294053eff19a276cd9afc26"),
         ],
         ids=["circle", "powers2", "lcs"],
     )
@@ -133,6 +134,16 @@ class TestNnd:
         out = tmp_path / "report.json"
         assert run(["nnd"] + argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_lcs_data_golden_sha256(self, tmp_path):
+        # the report's data as written while the config left lcs_m out
+        out = tmp_path / "report.json"
+        argv = ["--space", "lcs", "--n", "60", "--k", "4", "--seed", "2", "--lcs-m", "12"]
+        assert run(["nnd"] + argv + ["--out", str(out)]) == 0
+        data = json.dumps(json.loads(out.read_text())["data"], indent=2, sort_keys=True)
+        assert hashlib.sha256(data.encode()).hexdigest() == (
+            "1ae76970d32e6cf5c4ea4eb2cb1b05a37f8070abc67218d014d74f84466ef661"
+        )
 
     @pytest.mark.parametrize(
         "space", ["paris", "circle", "powers2", "lcs", "random-ranking", "generic-crs"])
@@ -442,6 +453,47 @@ class TestOutputDiscipline:
         run(args + ["--out", str(a)])
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["nnd", "--space", "lcs", "--n", "30", "--k", "4", "--seed", "2", "--lcs-m", "12"],
+            ["nnd", "--space", "paris", "--n", "64", "--k", "4", "--seed", "1"],
+            ["2nrq", "simulate", "--n", "300", "--k", "12", "--d", "2", "--seed", "3",
+             "--sample-vertices", "20", "--idealized-inputs"],
+            ["2nrq", "schedule", "--n", "1e5", "--k", "20", "--d", "3"],
+            ["2nrq", "schedule", "--n", "1e5", "--k", "20", "--d", "3", "--format", "json"],
+            ["crs", "enumerate", "--n", "3"],
+            ["crs", "embed", "--example", "concordant5", "--format", "json"],
+            ["crs", "embed", "--n", "6", "--seed", "2"],
+            ["crs", "special", "--kind", "baranyai", "--n", "6", "--check", "component"],
+            ["crs", "fraction", "--n", "5", "--samples", "1000", "--seed", "4"],
+            ["diag", "diameter", "--n", "200", "--k", "3", "--trials", "3", "--seed", "1"],
+            ["diag", "expansion", "--n", "200", "--k", "4", "--sets", "100", "--seed", "2"],
+        ],
+        ids=["nnd-lcs", "nnd-paris", "simulate", "schedule-csv", "schedule-json", "enumerate",
+             "embed-concordant5", "embed-generic", "special", "fraction", "diameter", "expansion"],
+    )
+    def test_config_header_reproduces_output(self, argv, tmp_path):
+        # the command is rebuilt from the header alone, plus --out and the file's --format
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run(argv + ["--out", str(first)]) == 0
+        text = first.read_text()
+        csv = text.startswith("# config: ")
+        config = json.loads(text.splitlines()[0][len("# config: "):] if csv else text)
+        if not csv:
+            config = config["config"]
+        rerun = config.pop("command").split()
+        for key, value in config.items():
+            flag = "--" + key.replace("_", "-")
+            if value is True:
+                rerun.append(flag)
+            elif value is not None and value is not False:
+                rerun += [flag, str(value)]
+        if rerun[:2] in (["2nrq", "schedule"], ["crs", "embed"]):
+            rerun += ["--format", "csv" if csv else "json"]
+        assert run(rerun + ["--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
 
     def test_outdir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NNDLAB_OUTDIR", str(tmp_path))

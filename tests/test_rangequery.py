@@ -234,17 +234,38 @@ class TestSchedule:
         assert lines[1].endswith("init")
 
 
+class TestTwoNrqState:
+    # three points: the edges 0-1, 0-2 and 1-2 have the keys lo*3 + hi = 1, 2 and 5
+    SPACE = TorusSpace(2, np.zeros((3, 2)))
+
+    def test_repeated_keys_collapse(self):
+        state = TwoNrqState(self.SPACE, [5, 1, 5, 2, 1, 1], t=4, distance_evals=7)
+        np.testing.assert_array_equal(state.edges, [[0, 1], [0, 2], [1, 2]])
+        assert state.edges.dtype == np.int64 and not state.edges.flags.writeable
+        assert (state.edge_count, state.t, state.distance_evals) == (3, 4, 7)
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[-1], [1, -4], [9], [2, 10], [0], [4], [8], [3], [1, 7]],
+        ids=["negative", "negative-among-valid", "m^2", "above-m^2", "loop-0", "loop-1",
+             "loop-2", "lo>hi", "lo>hi-among-valid"],
+    )
+    def test_refuses_keys_outside_lo_below_hi(self, keys):
+        with pytest.raises(InputError, match="edge keys"):
+            TwoNrqState(self.SPACE, keys)
+
+
 class TestInitE0:
     def test_mean_degree(self):
         space = torus_poisson(5000, 2, seed=3)
-        state = init_e0(space, 12, float(space.n), seed=4)
+        state = init_e0(space, 12, seed=4)
         mean_deg = 2 * state.edge_count / space.n
         assert abs(mean_deg - 12 * (space.n - 1) / space.n) < 0.3
 
     def test_rate_one_gives_complete_graph(self):
         space = torus_poisson(30, 2, seed=5)
         m = space.n
-        state = init_e0(space, K=m, n_mean=float(m), seed=0)
+        state = init_e0(space, K=m, seed=0)
         assert state.edge_count == m * (m - 1) // 2
 
     def test_degrees_are_binomial(self):
@@ -252,7 +273,7 @@ class TestInitE0:
 
         space = torus_poisson(10_000, 2, seed=6)
         m = space.n
-        state = init_e0(space, 12, float(m), seed=7)
+        state = init_e0(space, 12, seed=7)
         deg = state.degrees()
         dist = stats.binom(m - 1, 12 / m)
         hi = int(dist.ppf(0.99999)) + 1
@@ -272,8 +293,8 @@ class TestInitE0:
 
     def test_deterministic(self):
         space = torus_poisson(500, 2, seed=1)
-        a = init_e0(space, 8, float(space.n), seed=2)
-        b = init_e0(space, 8, float(space.n), seed=2)
+        a = init_e0(space, 8, seed=2)
+        b = init_e0(space, 8, seed=2)
         assert np.array_equal(a.edges, b.edges)
 
 
@@ -281,15 +302,14 @@ def _three_point_state(r_gap):
     pts = np.array([[0.0, 0.0], [r_gap / 2, 0.0], [-r_gap / 2, 0.0]])
     pts.setflags(write=False)
     space = TorusSpace(2, pts)
-    edges = np.array([[0, 1], [0, 2]])
-    return space, TwoNrqState(space, edges, t=0)
+    return space, TwoNrqState(space, [1, 2])  # keys lo*3 + hi of the edges 0-1 and 0-2
 
 
 class TestRangeQueryRound:
     def test_degree_one_graph_proposes_nothing(self):
         space = torus_poisson(100, 2, seed=8)
-        edges = np.array([[0, 1], [2, 3], [4, 5]])
-        state = TwoNrqState(space, edges, t=0)
+        m = space.n
+        state = TwoNrqState(space, [0 * m + 1, 2 * m + 3, 4 * m + 5])
         after = range_query_round(state, 0.3, 1.0, 1.0, seed=0)
         assert after.edge_count == 0
         assert after.distance_evals == 0
@@ -313,19 +333,19 @@ class TestRangeQueryRound:
         rng = np.random.default_rng(9)
         space = torus_poisson(2e4, 2, seed=10)
         m = space.n
-        state = init_e0(space, 12, float(m), seed=11)
+        state = init_e0(space, 12, seed=11)
         p = derive_params(float(m), 12, 2, 0.5)
         schedule = compute_schedule(p)
         r1 = schedule.radii[1]
         g = g_min_overlap(r1, 1.0, 2)
         raw = []
-        build = TwoNrqState._from_keys
+        build = TwoNrqState.__init__
 
-        def spy(space, keys, **kwargs):
+        def spy(self, space, keys, **kwargs):
             raw.append(keys)  # the accepted proposals as keys lo*m + hi, repeats kept
-            return build(space, keys, **kwargs)
+            build(self, space, keys, **kwargs)
 
-        with mock.patch.object(TwoNrqState, "_from_keys", spy):
+        with mock.patch.object(TwoNrqState, "__init__", spy):
             range_query_round(state, r1, 1.0, g, seed=12)
         keys, hits = np.unique(raw[0], return_counts=True)
         counts = dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), hits.tolist()))
@@ -353,7 +373,7 @@ class TestRangeQueryRound:
 
     def test_radius_ordering_validated(self):
         space = torus_poisson(50, 2, seed=0)
-        state = TwoNrqState(space, np.array([[0, 1]]), t=0)
+        state = TwoNrqState(space, [1])
         with pytest.raises(InputError):
             range_query_round(state, 0.9, 0.5, 1.0, seed=0)
 
@@ -362,7 +382,7 @@ class TestSamplingProperty:
     def test_round_zero_rate(self):
         space = torus_poisson(8000, 2, seed=14)
         m = space.n
-        state = init_e0(space, 12, float(m), seed=15)
+        state = init_e0(space, 12, seed=15)
         report = verify_sampling_property(state, 1.0, 12.0 / m, 500, seed=16)
         assert report.out_of_range_neighbors == 0
         assert abs(report.rate_z) <= 3
@@ -474,7 +494,7 @@ def test_round_memory_is_bounded_by_its_chunk():
     space = torus_poisson(4100, 2, seed=20)
     I, J = np.triu_indices(41, 1)
     base = 41 * np.arange(space.n // 41)[:, None]
-    state = TwoNrqState(space, np.stack([(base + I).ravel(), (base + J).ravel()], axis=1))
+    state = TwoNrqState(space, (base + I).ravel() * space.n + (base + J).ravel())
     state.adjacency()
     after, peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 1.0, 0)
     assert after.distance_evals == base.size * 41 * math.comb(40, 2)

@@ -158,8 +158,9 @@ def _mixed_state(d, r, seed):
     m = space.n
     theta = min(0.5, 12.0 / (m * r ** d))
     near = ideal_state(space, r, theta, t=2, seed=seed + 1)
-    far = init_e0(space, 2, float(m), seed=seed + 2)
-    return TwoNrqState(space, np.concatenate([near.edges, far.edges]), t=2), theta
+    far = init_e0(space, 2, seed=seed + 2)
+    edges = np.concatenate([near.edges, far.edges])
+    return TwoNrqState(space, ref._edge_keys(edges, m), t=2), theta
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -169,8 +170,9 @@ def test_verify_matches_reference(d, r, cap, entries):
     # cap 3 subsamples nearly every ball; cap 200 keeps the small-radius balls whole
     state, theta = _mixed_state(d, r, seed=40 + d)
     want = ref.verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=cap)
-    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries):
-        got = verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=cap)
+    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries), \
+            mock.patch.object(rangequery, "_KS_CAP", cap):
+        got = verify_sampling_property(state, r, theta, 150, seed=7)
     assert repr(got) == repr(want)
 
 
@@ -204,19 +206,20 @@ def _verify_cases(draw):
         near = ideal_state(space, r_t, draw(st.floats(0.1, 0.9)), t=0, seed=rng.integers(99))
         far = rng.integers(0, m, size=(draw(st.integers(0, 3)), 2))
         edges = np.concatenate([near.edges, far[far[:, 0] != far[:, 1]]])
-    state = TwoNrqState(space, edges, t=draw(st.integers(0, 5)))
-    kwargs = dict(sample_size=draw(st.integers(2, m + 3)), seed=draw(st.integers(0, 2 ** 32 - 1)),
-                  ks_cap_per_vertex=draw(st.integers(1, 5)))
-    return state, r_t, kwargs, draw(st.sampled_from([1, 7, 1 << 16]))
+    state = TwoNrqState(space, ref._edge_keys(edges, m), t=draw(st.integers(0, 5)))
+    kwargs = dict(sample_size=draw(st.integers(2, m + 3)), seed=draw(st.integers(0, 2 ** 32 - 1)))
+    cap = draw(st.integers(1, 5))
+    return state, r_t, kwargs, cap, draw(st.sampled_from([1, 7, 1 << 16]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_verify_cases())
 def test_verify_matches_reference_on_small_states(case):
     # small caps and balls put draws at each ball's first and last members
-    state, r_t, kwargs, entries = case
-    want = _reference_report(state, r_t, 0.3, **kwargs)
-    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries):
+    state, r_t, kwargs, cap, entries = case
+    want = _reference_report(state, r_t, 0.3, ks_cap_per_vertex=cap, **kwargs)
+    with mock.patch.object(rangequery, "_SCAN_ENTRIES", entries), \
+            mock.patch.object(rangequery, "_KS_CAP", cap):
         got = verify_sampling_property(state, r_t, 0.3, **kwargs)
     assert repr(got) == repr(want)
 
@@ -228,14 +231,15 @@ def test_verify_does_not_scan_whole_torus_balls(r):
 
     state, theta = _mixed_state(2, r, seed=42)
     want = ref.verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=3)
-    with mock.patch.object(rangequery, "ball_scan", no_scan):
-        got = verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=3)
+    with mock.patch.object(rangequery, "ball_scan", no_scan), \
+            mock.patch.object(rangequery, "_KS_CAP", 3):
+        got = verify_sampling_property(state, r, theta, 150, seed=7)
     assert repr(got) == repr(want)
 
 
 def test_verify_without_usable_rates_does_not_warn():
     # no sampled ball holds another vertex: the rate statistics are undefined
-    state = init_e0(torus_poisson(8, 2, 0), 2, 3.0, 0)
+    state = init_e0(torus_poisson(8, 2, 0), 2, 0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = verify_sampling_property(state, 0.07, 0.1, 7)
@@ -261,9 +265,10 @@ def test_edges_are_lexicographic_distinct_pairs():
     rng = np.random.default_rng(4)
     edges = rng.integers(0, space.n, size=(2000, 2))
     edges = edges[edges[:, 0] != edges[:, 1]]
-    state = TwoNrqState(space, np.concatenate([edges, edges[::-1, ::-1]]))
+    keys = ref._edge_keys(edges, space.n)
+    state = TwoNrqState(space, np.concatenate([keys, keys[::-1]]))
     np.testing.assert_array_equal(state.edges, np.unique(np.sort(edges, axis=1), axis=0))
-    assert TwoNrqState(space, np.zeros((0, 2))).edges.shape == (0, 2)
+    assert TwoNrqState(space, []).edges.shape == (0, 2)
 
 
 @pytest.mark.parametrize("size, r, message", [(0, 1.0, "at least 2"), (1, 1.0, "at least 2"),
@@ -271,7 +276,7 @@ def test_edges_are_lexicographic_distinct_pairs():
 def test_verify_rejects_degenerate_arguments(size, r, message):
     # one sampled vertex has no standard error; a radius of 0 has empty balls
     space = torus_poisson(500, 2, seed=5)
-    state = init_e0(space, 12, float(space.n), seed=6)
+    state = init_e0(space, 12, seed=6)
     with pytest.raises(InputError, match=message):
         verify_sampling_property(state, r, 12.0 / space.n, size, seed=0)
 
@@ -280,7 +285,7 @@ def test_acceptance_above_one_is_a_package_error():
     pts = np.array([[0.0, 0.0], [0.15, 0.0], [-0.15, 0.0]])
     pts.setflags(write=False)
     space = TorusSpace(2, pts)
-    state = TwoNrqState(space, np.array([[0, 1], [0, 2]]), t=0)
+    state = TwoNrqState(space, [1, 2])  # keys lo*3 + hi of the edges 0-1 and 0-2
     # the overlap volume never exceeds 2^d, so g = 2^d + 1 forces a rate above 1
     with pytest.raises(NndlabError, match="exceeds 1"):
         range_query_round(state, 0.5, 1.0, 2 ** 2 + 1, seed=0)
@@ -314,20 +319,21 @@ def _round_cases(draw):
     g = draw(st.just(g_min) | st.floats(0.0, 4.0).map(g_min.__mul__)
              | st.floats(0.0, 2.0 ** d + 1))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return TwoNrqState(space, edges, t=draw(st.integers(0, 5))), r_t, r_prev, g, seed
+    state = TwoNrqState(space, ref._edge_keys(edges, m), t=draw(st.integers(0, 5)))
+    return state, r_t, r_prev, g, seed
 
 
 def _counted_round(*args):
     """``range_query_round(*args)`` and its accepted proposals per vertex pair,
-    counted from the raw keys lo*m + hi that it hands to ``TwoNrqState._from_keys``."""
+    counted from the raw keys lo*m + hi that it hands to ``TwoNrqState``."""
     raw = []
-    build = TwoNrqState._from_keys
+    build = TwoNrqState.__init__
 
-    def spy(space, keys, **kwargs):
+    def spy(self, space, keys, **kwargs):
         raw.append(keys)
-        return build(space, keys, **kwargs)
+        build(self, space, keys, **kwargs)
 
-    with mock.patch.object(TwoNrqState, "_from_keys", spy):
+    with mock.patch.object(TwoNrqState, "__init__", spy):
         new = range_query_round(*args)
     keys, counts = np.unique(raw[0], return_counts=True)
     m = new.space.n
@@ -385,7 +391,7 @@ def test_range_query_round_matches_reference_at_scale(d, n, k):
     space = torus_poisson(n, d, seed=d)
     params = rangequery.derive_params(float(space.n), k, d, 0.5)
     radii = rangequery.compute_schedule(params).radii
-    state = init_e0(space, k, float(space.n), seed=d + 1)
+    state = init_e0(space, k, seed=d + 1)
     for t in range(1, min(4, len(radii))):
         g = rangequery.g_min_overlap(radii[t], radii[t - 1], d)
         got = range_query_round(state, radii[t], radii[t - 1], g, seed=t)

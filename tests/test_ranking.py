@@ -40,7 +40,7 @@ def exact_knn_via_oracle(oracle, K):
             return -1 if oracle.prefers(x, a, b) else 1
 
         rows[x] = sorted(others, key=functools.cmp_to_key(cmp))[:K]
-    return KnnGraph(rows, n=n)
+    return KnnGraph(rows)
 
 
 def graph_to_json(graph):
@@ -52,7 +52,7 @@ def graph_to_json(graph):
 
 def graph_from_json(text):
     obj = json.loads(text)
-    return KnnGraph(np.array(obj["neighbors"]), n=obj["n"])
+    return KnnGraph(np.array(obj["neighbors"]))
 
 
 def paris_dist(etas):
@@ -90,16 +90,6 @@ class TestRankingFromDistances:
         table = ranking_from_distances(range(5), lambda i, j: 1.0)
         for x in range(5):
             assert list(table.order[x]) == [y for y in range(5) if y != x]
-
-    def test_tie_break_override(self):
-        priority = [4, 3, 2, 1, 0]  # reversed precedence
-        table = ranking_from_distances(range(5), lambda i, j: 1.0, tie_break=priority)
-        for x in range(5):
-            assert list(table.order[x]) == [y for y in reversed(range(5)) if y != x]
-
-    def test_bad_tie_break_rejected(self):
-        with pytest.raises(InputError):
-            ranking_from_distances(range(3), lambda i, j: 1.0, tie_break=[0, 0, 1])
 
     def test_matches_bruteforce_sort(self):
         # random instances with deliberate ties, up to n = 200
