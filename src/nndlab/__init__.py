@@ -36,7 +36,6 @@ from .descent import (
     NndResult,
     batch_round,
     default_budget,
-    friend_barter,
     init_random_kout,
     pointwise_pass,
     random_kout,

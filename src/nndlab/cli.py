@@ -1,8 +1,10 @@
 """Experiment runner: every subsystem as a seeded subcommand with CSV/JSON output.
 
-Exit codes: 0 success, 2 usage error, 3 domain/precondition error,
-4 resource refusal.  Every output embeds its full config and seed, so
-re-running a file's header reproduces it byte for byte.
+Exit codes: 0 success, 2 usage error, 3 domain/precondition error or an
+output that cannot be written, 4 resource refusal.  Each ``cmd_*`` returns
+its document and ``main`` writes it.  Every document's header holds the
+command's parsed options (``_config``), so re-running a file's header
+reproduces it byte for byte.
 """
 
 import argparse
@@ -53,12 +55,28 @@ def _resolve_out(path):
 
 def _emit(text, out):
     out = _resolve_out(out)
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         os.makedirs(os.path.dirname(out) or ".", exist_ok=True)
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {out}: {exc.strerror}") from exc
+
+
+# parsed names that are not options of a command, or that choose where its
+# output goes or in which form
+_NOT_IN_CONFIG = ("version", "func", "command", "subcommand", "out", "format", "histogram")
+
+
+def _config(args, drop=()):
+    """A command's header: its parsed options, less ``drop``."""
+    config = {key: value for key, value in vars(args).items()
+              if key not in _NOT_IN_CONFIG and key not in drop}
+    config["command"] = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    return config
 
 
 def _json_doc(config, data):
@@ -111,48 +129,27 @@ def cmd_nnd(args):
     )
     if table.n <= RECALL_LIMIT:
         result.recall = recall(result.graph, exact_knn(table, args.k))
-    config = {
-        "command": "nnd",
-        "space": args.space,
-        "n": args.n,
-        "k": args.k,
-        "mode": args.mode,
-        "seed": args.seed,
-        "rounds": args.rounds,
-        "stop": args.stop,
-    }
-    if args.space == "lcs":
-        config["lcs_m"] = args.lcs_m
-    _emit(_json_doc(config, descent.run_report(result)), args.out)
-    return 0
+    config = _config(args, drop=() if args.space == "lcs" else ("lcs_m",))
+    return _json_doc(config, descent.run_report(result))
 
 
 def cmd_2nrq_schedule(args):
     params = rangequery.derive_params(args.n, args.k, args.d, args.alpha)
     schedule = rangequery.compute_schedule(params)
-    config = {
-        "command": "2nrq schedule",
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "alpha": args.alpha,
-    }
     if args.format == "csv":
-        _emit(_csv_doc(config, rangequery.schedule_csv(schedule)), args.out)
-    else:
-        data = {
-            "radii": list(schedule.radii),
-            "rates": list(schedule.rates),
-            "formulas": list(schedule.formulas),
-            "t_prime": schedule.t_prime,
-            "tau": schedule.tau,
-            "beta": params.beta,
-            "gamma": params.gamma,
-            "gamma_star": params.gamma_star,
-            "t_prime_bound": params.t_prime_bound,
-        }
-        _emit(_json_doc(config, data), args.out)
-    return 0
+        return _csv_doc(_config(args), rangequery.schedule_csv(schedule))
+    data = {
+        "radii": list(schedule.radii),
+        "rates": list(schedule.rates),
+        "formulas": list(schedule.formulas),
+        "t_prime": schedule.t_prime,
+        "tau": schedule.tau,
+        "beta": params.beta,
+        "gamma": params.gamma,
+        "gamma_star": params.gamma_star,
+        "t_prime_bound": params.t_prime_bound,
+    }
+    return _json_doc(_config(args), data)
 
 
 def cmd_2nrq_simulate(args):
@@ -166,25 +163,12 @@ def cmd_2nrq_simulate(args):
         sample_size=args.sample_vertices,
         idealized_inputs=args.idealized_inputs,
     )
-    config = {
-        "command": "2nrq simulate",
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "alpha": args.alpha,
-        "seed": args.seed,
-        "sample_vertices": args.sample_vertices,
-        "idealized_inputs": args.idealized_inputs,
-    }
-    _emit(_json_doc(config, result.report), args.out)
-    return 0
+    return _json_doc(_config(args), result.report)
 
 
 def cmd_crs_enumerate(args):
     census = concordance.enumerate_small(args.n)
-    config = {"command": "crs enumerate", "n": args.n}
-    _emit(_json_doc(config, census.to_json_dict()), args.out)
-    return 0
+    return _json_doc(_config(args), census.to_json_dict())
 
 
 def cmd_crs_embed(args):
@@ -192,21 +176,19 @@ def cmd_crs_embed(args):
         table, extension = concordance.concordant5_system()
         crs = concordance.concordancy_check(table)
         emb = concordance.linf_embed(crs, extension=extension)
-        config = {"command": "crs embed", "example": "concordant5"}
+        config = _config(args, drop=("n", "seed"))
     else:
         crs = concordance.generic_crs(args.n, args.seed)
         emb = concordance.linf_embed(crs, seed=args.seed)
-        config = {"command": "crs embed", "n": args.n, "seed": args.seed}
+        config = _config(args, drop=("example",))
     if args.format == "csv":
-        _emit(_csv_doc(config, emb.to_csv()), args.out)
-    else:
-        data = {
-            "columns": [list(p) for p in emb.column_pairs],
-            "coords": emb.coords.tolist(),
-            "verified": concordance.verify_embedding(crs, emb),
-        }
-        _emit(_json_doc(config, data), args.out)
-    return 0
+        return _csv_doc(config, emb.to_csv())
+    data = {
+        "columns": [list(p) for p in emb.column_pairs],
+        "coords": emb.coords.tolist(),
+        "verified": concordance.verify_embedding(crs, emb),
+    }
+    return _json_doc(config, data)
 
 
 def cmd_crs_special(args):
@@ -216,13 +198,6 @@ def cmd_crs_special(args):
         "eulerian": concordance.eulerian_order,
     }
     order = builders[args.kind](args.n)
-    config = {
-        "command": "crs special",
-        "kind": args.kind,
-        "n": args.n,
-        "check": args.check,
-        "cap": args.cap,
-    }
     data = {"pairs": [list(p) for p in order.pairs]}
     if args.check == "isolated":
         data["isolated"] = concordance.is_isolated(order)
@@ -230,60 +205,34 @@ def cmd_crs_special(args):
         component = concordance.white_component(order, cap=args.cap)
         data["component_size"] = len(component)
         data["complete"] = component.complete
-    _emit(_json_doc(config, data), args.out)
-    return 0
+    return _json_doc(_config(args), data)
 
 
 def cmd_crs_fraction(args):
     exact, empirical = concordance.white_edge_fraction(
         args.n, samples=args.samples, seed=args.seed
     )
-    config = {
-        "command": "crs fraction",
-        "n": args.n,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     data = {
         "exact": str(exact),
         "exact_float": float(exact),
         "empirical": empirical,
     }
-    _emit(_json_doc(config, data), args.out)
-    return 0
+    return _json_doc(_config(args), data)
 
 
 def cmd_diag_diameter(args):
     report = diagnostics.diameter_experiment(args.n, args.k, args.trials, args.eps, args.seed)
-    config = {
-        "command": "diag diameter",
-        "n": args.n,
-        "k": args.k,
-        "trials": args.trials,
-        "eps": args.eps,
-        "seed": args.seed,
-    }
-    _emit(_json_doc(config, report.to_json_dict()), args.out)
+    config = _config(args)
     if args.histogram:
         _emit(_csv_doc(config, report.histogram_csv()), args.histogram)
-    return 0
+    return _json_doc(config, report.to_json_dict())
 
 
 def cmd_diag_expansion(args):
     rng = np.random.default_rng(args.seed)
     F = descent.random_kout(args.n, args.k, rng)
     report = diagnostics.expansion_check(F, args.alpha, args.eps, args.sets, args.seed)
-    config = {
-        "command": "diag expansion",
-        "n": args.n,
-        "k": args.k,
-        "alpha": args.alpha,
-        "eps": args.eps,
-        "sets": args.sets,
-        "seed": args.seed,
-    }
-    _emit(_json_doc(config, report.to_json_dict()), args.out)
-    return 0
+    return _json_doc(_config(args), report.to_json_dict())
 
 
 def build_parser():
@@ -404,13 +353,14 @@ def main(argv=None):
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        _emit(args.func(args), args.out)
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
-    except (InputError, NndlabError) as exc:
+    except NndlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 def entry():

@@ -27,7 +27,6 @@ __all__ = [
     "FriendState",
     "random_kout",
     "init_random_kout",
-    "friend_barter",
     "batch_round",
     "pointwise_pass",
     "default_budget",
@@ -120,28 +119,6 @@ def _select(oracle, owners, cands, k):
 def _changed(new, old):
     """The number of rows whose friend sets differ."""
     return int((np.sort(new, axis=1) != np.sort(old, axis=1)).any(axis=1).sum())
-
-
-def friend_barter(state, x, y, oracle):
-    """Reciprocal friend-list exchange between x and y.
-
-    Both new sets are computed from the pre-barter lists, then installed.
-    Returns the two new friend arrays.
-    """
-    n, k = state.n, state.k
-    if not (0 <= x < n and 0 <= y < n):
-        raise InputError(f"point ids must lie in 0..{n - 1}, got {x} and {y}")
-    if x == y:
-        raise InputError("a point cannot barter with itself")
-    before = oracle.comparisons
-    pair = np.array([x, y])
-    pool = state.friends[pair].ravel()
-    new = _select(oracle, np.repeat(pair, 2 * k), np.tile(pool, 2), k)
-    if x > y:
-        new = new[::-1]
-    state.set_friends(pair, new)
-    state.work += oracle.comparisons - before
-    return new[0], new[1]
 
 
 def batch_round(state, oracle):

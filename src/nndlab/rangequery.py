@@ -236,15 +236,13 @@ def _log_rounds(params, n):
     return math.log(n * params.alpha / params.K) / (params.d * math.log(1.0 / params.gamma_star))
 
 
-def tau_bound(params, n=None):
+def tau_bound(params, n):
     """Round-count bound t' bound + log(n alpha / K) / (d log(1/gamma_star))."""
-    n = params.n if n is None else n
     return params.t_prime_bound + _log_rounds(params, n)
 
 
-def work_bound(params, t_prime, n=None):
+def work_bound(params, t_prime, n):
     """Distance-evaluation scale n K^2 (t' + log(n alpha/K)/(d log(1/gamma_star)))."""
-    n = params.n if n is None else n
     return n * params.K ** 2 * (t_prime + _log_rounds(params, n))
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descent import random_kout
 from .errors import InputError
 from .ranking import RankTable, ranking_from_distance_matrix
 
@@ -313,11 +314,7 @@ def random_ranking_table(n, seed):
     """Each item's ranking an independent uniform permutation of the rest."""
     if n < 2:
         raise InputError("need at least two items")
-    rng = np.random.default_rng(seed)
-    keys = rng.random((n, n))
-    np.fill_diagonal(keys, np.inf)
-    order = np.argsort(keys, axis=1)[:, : n - 1]
-    return RankTable(order)
+    return RankTable(random_kout(n, n - 1, seed))
 
 
 # ---------------------------------------------------------------------------

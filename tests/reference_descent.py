@@ -1,8 +1,8 @@
 """Reference copies of descent's selection as it stood before one sort of the pool's ranks.
 
 ``ReferenceOracle.top_k`` is the body of ``RankingOracle.top_k`` (from
-``nndlab.ranking``); ``_top_k``, ``friend_barter``, ``batch_round`` and
-``pointwise_pass`` are copied verbatim from ``nndlab.descent``.  Run them with
+``nndlab.ranking``); ``_top_k``, ``batch_round`` and ``pointwise_pass`` are
+copied verbatim from ``nndlab.descent``.  Run them with
 a ``ReferenceOracle`` so that the whole reference path selects the old way.
 ``tests/test_descent_reference.py`` requires equal friend matrices, work,
 changes, selections and charges.
@@ -40,25 +40,6 @@ def _top_k(state, oracle, x, parts):
     pool = unique_keys(np.concatenate(parts))
     pool = pool[pool != x]
     return oracle.top_k(x, pool, state.k)
-
-
-def friend_barter(state, x, y, oracle):
-    """Reciprocal friend-list exchange between x and y.
-
-    Both new sets are computed from the pre-barter lists, then installed.
-    Returns the two new friend arrays.
-    """
-    if x == y:
-        raise InputError("a point cannot barter with itself")
-    before = oracle.comparisons
-    F = state.friends
-    fx, fy = F[x].copy(), F[y].copy()
-    new_x = _top_k(state, oracle, x, [fx, fy])
-    new_y = _top_k(state, oracle, y, [fx, fy])
-    state.set_friends(x, new_x)
-    state.set_friends(y, new_y)
-    state.work += oracle.comparisons - before
-    return new_x, new_y
 
 
 def batch_round(state, oracle):

@@ -398,6 +398,14 @@ class TestDiag:
         assert len(doc["data"]["diameters"]) == 3
         assert hist.read_text().splitlines()[1] == "diameter,count"
 
+    def test_diameter_histogram_golden_sha256(self, tmp_path):
+        # the histogram as written while cmd_diag_diameter wrote both of its files
+        hist = tmp_path / "diam.csv"
+        assert run(["diag", "diameter", "--n", "200", "--k", "3", "--trials", "3", "--seed", "1",
+                    "--out", str(tmp_path / "diam.json"), "--histogram", str(hist)]) == 0
+        assert hashlib.sha256(hist.read_bytes()).hexdigest() == (
+            "dfe1c69a1991c21f071f2aefc300d6d3ab1dfeb4616a2014d65cf3df582cbd7b")
+
     def test_diameter_golden_sha256(self, tmp_path):
         # the report as written while ranking.csr sorted its rows by comparison
         out = tmp_path / "diam.json"
@@ -499,6 +507,24 @@ class TestOutputDiscipline:
         monkeypatch.setenv("NNDLAB_OUTDIR", str(tmp_path))
         run(["crs", "fraction", "--n", "4", "--samples", "100", "--out", "frac.json"])
         assert (tmp_path / "frac.json").exists()
+
+    @pytest.mark.parametrize("under", ["file", "dir"])
+    def test_unwritable_out_exits_3(self, under, tmp_path, capsys):
+        # a path under a regular file, or a directory, was a traceback (exit 1)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "x.json") if under == "file" else str(tmp_path) + "/"
+        assert run(["crs", "enumerate", "--n", "3", "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}") and captured.out == ""
+
+    def test_unwritable_histogram_exits_3(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        hist = str(blocker / "h.csv")
+        assert run(["diag", "diameter", "--n", "200", "--k", "3", "--trials", "2",
+                    "--out", str(tmp_path / "d.json"), "--histogram", hist]) == 3
+        assert capsys.readouterr().err.startswith(f"error: cannot write {hist}")
 
     def test_scientific_notation_counts(self):
         assert cli._count("1e3") == 1000

@@ -8,7 +8,6 @@ from nndlab.descent import (
     FriendState,
     batch_round,
     default_budget,
-    friend_barter,
     init_random_kout,
     pointwise_pass,
     random_kout,
@@ -81,53 +80,6 @@ class TestInit:
         F = random_kout(500, 12, 3)
         assert all(len(set(row)) == 12 for row in F)
         assert not (F == np.arange(500)[:, None]).any()
-
-
-class TestFriendBarter:
-    def test_no_new_candidates_means_no_change(self):
-        oracle = paris_oracle(8)
-        friends = np.array([[1, 2], [0, 2], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1], [0, 1]])
-        state = FriendState(friends.copy())
-        new_x, _ = friend_barter(state, 3, 4, oracle)
-        assert set(new_x) == {0, 1}
-
-    def test_paris_example(self):
-        # x knows the two worst leaves, y knows two good ones; x adopts y's
-        oracle = paris_oracle(8)
-        friends = np.array(
-            [[6, 7], [6, 7], [6, 7], [6, 7], [6, 7], [0, 4], [0, 1], [0, 1]]
-        )
-        state = FriendState(friends.copy())
-        new_x, _ = friend_barter(state, 2, 5, oracle)
-        assert list(new_x) == [0, 4]
-
-    def test_idempotent(self):
-        oracle = paris_oracle(10)
-        state = FriendState(random_kout(10, 3, 5))
-        friend_barter(state, 1, 7, oracle)
-        snapshot = state.friends.copy()
-        friend_barter(state, 1, 7, oracle)
-        assert np.array_equal(np.sort(state.friends, axis=1), np.sort(snapshot, axis=1))
-
-    def test_self_barter_rejected(self):
-        state = FriendState(random_kout(6, 2, 0))
-        with pytest.raises(InputError):
-            friend_barter(state, 2, 2, paris_oracle(6))
-
-    @pytest.mark.parametrize("x,y", [(9, 12), (12, 3), (-1, 3), (3, -1)])
-    def test_ids_out_of_range_rejected(self, x, y):
-        oracle = paris_oracle(10)
-        state = FriendState(random_kout(10, 3, 2))
-        before = state.friends.copy()
-        with pytest.raises(InputError, match="must lie in 0..9"):
-            friend_barter(state, x, y, oracle)
-        assert np.array_equal(state.friends, before)
-        assert oracle.comparisons == state.work == 0
-
-    def test_keeps_transpose_in_sync(self):
-        state = FriendState(random_kout(12, 3, 1))
-        friend_barter(state, 0, 5, paris_oracle(12))
-        assert_csr_transpose(state.friends)
 
 
 class TestBatchRound:

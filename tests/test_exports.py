@@ -2,9 +2,10 @@
 
 A stale ``__all__`` entry, or a package-level import of a name a module no
 longer defines, fails only when something star-imports or imports it.
-These tests star-import every module and import every name.  The package
-is imported inside each test, so a broken ``nndlab/__init__.py`` fails the
-tests rather than their collection.
+These tests star-import every module and import every name, and check that
+every module uses each name it imports.  The package is imported inside
+each test, so a broken ``nndlab/__init__.py`` fails the tests rather than
+their collection.
 """
 
 import ast
@@ -40,3 +41,18 @@ def test_package_imports_resolve():
     ]
     assert imported
     assert [attr for attr in imported if not hasattr(package, attr)] == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_uses_its_imports(name):
+    # no linter runs on the package; an import left behind by a deletion fails here
+    path = Path(PACKAGE.submodule_search_locations[0]) / f"{name}.py"
+    tree = ast.parse(path.read_text())
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == [], f"nndlab.{name} imports names it never uses"
