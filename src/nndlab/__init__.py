@@ -70,7 +70,6 @@ from .rangequery import (
     derive_params,
     g_min_overlap,
     init_e0,
-    nu_overlap,
     range_query_round,
     run_2nrq,
     solve_next_radius,

@@ -1,10 +1,11 @@
 """Experiment runner: every subsystem as a seeded subcommand with CSV/JSON output.
 
 Exit codes: 0 success, 2 usage error, 3 domain/precondition error or an
-output that cannot be written, 4 resource refusal.  Each ``cmd_*`` returns
-its document and ``main`` writes it.  Every document's header holds the
-command's parsed options (``_config``), so re-running a file's header
-reproduces it byte for byte.
+output that cannot be written, 4 resource refusal.  ``main`` refuses a run
+whose arrays would not fit in memory (``dense_bytes``) before any is built.
+Each ``cmd_*`` returns its document and ``main`` writes it.  Every
+document's header holds the command's parsed options (``_config``), so
+re-running a file's header reproduces it byte for byte.
 """
 
 import argparse
@@ -22,6 +23,14 @@ from .errors import InputError, NndlabError, ResourceLimitError
 from .ranking import RankingOracle, check_table_size, exact_knn, recall
 
 RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
+
+# a run is refused when its arrays would pass this share of physical memory
+MEMORY_FRACTION = 0.5
+
+# bytes per embedding coordinate: the float64 array and its text, which for
+# JSON goes through a Python float and a repr string each (measured at n=200,
+# CPython 3.11)
+_EMBED_BYTES = {"csv": 24, "json": 160}
 
 
 def _finite(text):
@@ -235,6 +244,46 @@ def cmd_diag_expansion(args):
     return _json_doc(_config(args), report.to_json_dict())
 
 
+def _kout_bytes(n, K):
+    """``random_kout``'s draw: float64 keys and their int64 argsort, n x n when
+    K > (n - 1) / 2, else int64 rows and their sort, n x K."""
+    if not 1 <= K < n:
+        return 0  # the command refuses these arguments itself
+    return 16 * n * (n if K > (n - 1) // 2 else K)
+
+
+def dense_bytes(args):
+    """The bytes of a command's largest arrays, estimated from its options alone."""
+    if args.func is cmd_crs_fraction:
+        # float64 sort keys and their int64 argsort, samples x N
+        return 16 * args.samples * concordance.n_pairs(args.n)
+    if args.func is cmd_crs_embed and args.example is None:
+        return args.n * concordance.n_pairs(args.n) * _EMBED_BYTES[args.format]
+    if args.func is cmd_diag_expansion:
+        return _kout_bytes(args.n, args.k)
+    if args.func is cmd_diag_diameter and args.k >= 3:  # below, the command refuses K itself
+        # the undirected adjacency's int64 keys, and below the exact-diameter
+        # limit the BFS gather of one reach bitset row per arc
+        per_arc = 64
+        if args.n <= diagnostics.EXACT_DIAMETER_LIMIT:
+            per_arc += 8 * -(-args.n // 64)
+        return _kout_bytes(args.n, args.k) + per_arc * 2 * args.n * args.k
+    return 0
+
+
+def _refuse_unaffordable(args):
+    """Refuse a run above the rank-table cap or the memory budget, before anything is built."""
+    if args.func is cmd_crs_embed and args.example is None:
+        check_table_size(args.n)  # as nnd: generic_crs builds n x n arrays before RankTable checks
+    need = dense_bytes(args)
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > MEMORY_FRACTION * total:
+        raise ResourceLimitError(
+            f"{_config(args)['command']} needs about {need / 2 ** 30:.1f} GiB, more than "
+            f"{MEMORY_FRACTION:.0%} of the {total / 2 ** 30:.1f} GiB of physical memory"
+        )
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nndlab",
@@ -353,6 +402,7 @@ def main(argv=None):
         parser.print_help()
         return 2
     try:
+        _refuse_unaffordable(args)
         _emit(args.func(args), args.out)
     except ResourceLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)

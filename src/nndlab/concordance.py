@@ -41,7 +41,6 @@ __all__ = [
     "WhiteComponent",
     "white_component",
     "powers_of_two_order",
-    "powers_of_two_blocks",
     "baranyai_order",
     "eulerian_order",
     "white_edge_fraction",
@@ -488,20 +487,6 @@ def powers_of_two_order(n):
         raise InputError("need n >= 3")
     pairs = sorted(all_pairs(n), key=lambda p: 2 ** p[1] - 2 ** p[0])
     return LinearOrder(n, pairs)
-
-
-def powers_of_two_blocks(n):
-    """0-based half-open column ranges freely permutable without losing isolation.
-
-    Group j (pairs whose larger exponent is j) occupies positions
-    [j(j-1)/2, j(j+1)/2); the block drops the group's first pair.  Block
-    sizes are 1, 2, ..., n-2.
-    """
-    blocks = []
-    for j in range(2, n):
-        start = j * (j - 1) // 2
-        blocks.append((start + 1, start + j))
-    return blocks
 
 
 def baranyai_order(n):

@@ -17,13 +17,12 @@ import numpy as np
 
 from .errors import InputError, ScheduleExhausted
 from .ranking import csr, csr_rows, unique_keys
-from .spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
+from .spaces import torus_poisson, wrapped_distance
 
 __all__ = [
     "TwoNrqParams",
     "derive_params",
     "g_min_overlap",
-    "nu_overlap",
     "solve_next_radius",
     "Schedule",
     "compute_schedule",
@@ -111,24 +110,14 @@ def g_min_overlap(s, r, d):
     return min(1.0, span ** d)
 
 
-def nu_overlap(space, v, vp, r):
-    """Exact intersection volume of the radius-r balls around v and vp.
-
-    Per coordinate, two wrapped intervals of length 2r at offset t overlap
-    in min(2, max(0, 2r - t) + max(0, 2r + t - 2)); the volume is the
-    product.
-    """
-    if not isinstance(space, TorusSpace):
-        raise InputError("nu_overlap is defined on a torus space")
-    v = np.asarray(v, dtype=np.float64)
-    vp = np.asarray(vp, dtype=np.float64)
-    if v.shape != (space.d,) or vp.shape != (space.d,):
-        raise InputError("points must have the space's dimension")
-    return float(_nu_many(wrapped_deltas(v - vp), r))
-
-
 def _nu_many(deltas, r):
-    """``nu_overlap`` for many pairs, or one, from their wrapped deltas, one entry per axis."""
+    """Exact intersection volume of the radius-r balls around each pair of points.
+
+    ``deltas`` holds the pairs' wrapped coordinate distances, one entry per
+    axis.  Per coordinate, two wrapped intervals of length 2r at offset t
+    overlap in min(2, max(0, 2r - t) + max(0, 2r + t - 2)); the volume is
+    the product.
+    """
     nu = 1.0
     for t in deltas:
         nu = nu * np.minimum(2.0, np.maximum(0.0, 2 * r - t) + np.maximum(0.0, 2 * r + t - 2.0))

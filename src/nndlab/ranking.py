@@ -104,12 +104,6 @@ class RankTable:
     def ranks(self):
         return self._ranks
 
-    def prefers(self, x, y, z):
-        """True iff x prefers y to z (pure, not work-metered)."""
-        if x == y or x == z or y == z:
-            raise InputError("prefers requires three distinct items")
-        return bool(self._ranks[x, y] < self._ranks[x, z])
-
     def __eq__(self, other):
         return isinstance(other, RankTable) and np.array_equal(self._order, other._order)
 
@@ -150,16 +144,15 @@ class KnnGraph:
 
 
 class RankingOracle:
-    """Answers "does x prefer y to z" over a RankTable, metering work.
+    """Selects each item's most-preferred candidates over a RankTable, metering work.
 
-    ``prefers`` charges exactly one comparison per query.  ``top_k`` is the
-    one selection: it takes a batch of candidate pools, each candidate with
-    its owner beside it, sorts the keys ``owner * n + rank`` once and reads
-    each owner's best k from the table's ``order``.  It charges
-    ``c * ceil(log2 c)`` per pool of c candidates, the comparison cost of the
-    sort it stands in for, so desk-scale descent runs stay fast while the
-    meter stays an honest upper-bound accounting of comparison-based
-    selection.  A scalar owner is the batch of one.
+    ``top_k`` is the one selection: it takes a batch of candidate pools,
+    each candidate with its owner beside it, sorts the keys
+    ``owner * n + rank`` once and reads each owner's best k from the table's
+    ``order``.  It charges ``c * ceil(log2 c)`` per pool of c candidates, the
+    comparison cost of the sort it stands in for, so desk-scale descent runs
+    stay fast while ``comparisons`` stays an honest upper-bound accounting of
+    comparison-based selection.  A scalar owner is the batch of one.
     The meter is guarded by a lock so concurrent readers may share one
     oracle.
     """
@@ -180,12 +173,6 @@ class RankingOracle:
     def _charge(self, amount):
         with self._lock:
             self._comparisons += amount
-
-    def prefers(self, x, y, z):
-        """True iff x prefers y to z; one comparison of work."""
-        result = self.table.prefers(x, y, z)
-        self._charge(1)
-        return result
 
     def top_k(self, x, candidates, k):
         """The k most-preferred candidates of each owner, best first.
@@ -227,9 +214,9 @@ def ranking_from_distance_matrix(dist):
     rebuilding a table from the same inputs is bit-reproducible.
     """
     dist = np.asarray(dist, dtype=np.float64)
-    n = dist.shape[0]
-    if dist.ndim != 2 or dist.shape[1] != n:
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise InputError("distance matrix must be square")
+    n = dist.shape[0]
     off = ~np.eye(n, dtype=bool)
     if not np.isfinite(dist[off]).all():
         raise InputError("distances must be finite")

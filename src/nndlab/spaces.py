@@ -3,9 +3,10 @@
 Generators for the star-path ("Paris") points, uniform circle samples,
 powers of two on the line, random strings under the longest-common-substring
 distance, the flat torus with the sup-norm metric, and uniformly random
-ranking systems.  Every space is immutable once sampled and can be turned
-into an exact rank table.  Each metric space defines its distance once, as
-the whole matrix its rank table sorts.
+ranking systems.  Every space is immutable once sampled.  Each space but the
+torus can be turned into an exact rank table, and each metric space among
+them defines its distance once, as the whole matrix its rank table sorts;
+the torus is searched by range query instead.
 """
 
 import math
@@ -112,9 +113,7 @@ def powers_of_two_distance_matrix(space):
 class LcsSpace:
     """Random length-m strings ranked by longest common substring.
 
-    ``mu`` is the character distribution over ``alphabet``; ``p`` is the sum
-    of its squared probabilities, the collision rate driving how long shared
-    substrings typically get.
+    ``mu`` is the character distribution over ``alphabet``.
     """
 
     m: int
@@ -125,10 +124,6 @@ class LcsSpace:
     @property
     def n(self):
         return len(self.strings)
-
-    @property
-    def p(self):
-        return float(sum(q * q for q in self.mu))
 
 
 def lcs_sample(n, m, seed):
@@ -302,11 +297,6 @@ def wrapped_distance(u, v):
     return dist
 
 
-def torus_distance_matrix(space):
-    p = space.points
-    return wrapped_distance(p[:, None, :], p[None, :, :])
-
-
 # ---------------------------------------------------------------------------
 # Uniformly random ranking systems (no metric at all)
 
@@ -321,15 +311,13 @@ def random_ranking_table(n, seed):
 # Rank tables
 
 def rank_table(space):
-    """Exact rank table for any metric space defined above."""
+    """Exact rank table for the Paris, circle, powers-of-two and LCS spaces."""
     if isinstance(space, ParisSpace):
         return ranking_from_distance_matrix(paris_distance_matrix(space))
     if isinstance(space, CircleSpace):
         return ranking_from_distance_matrix(circle_distance_matrix(space))
     if isinstance(space, PowersOfTwoSpace):
         return ranking_from_distance_matrix(powers_of_two_distance_matrix(space))
-    if isinstance(space, TorusSpace):
-        return ranking_from_distance_matrix(torus_distance_matrix(space))
     if isinstance(space, LcsSpace):
         return lcs_rank_table(space)
     raise InputError(f"no rank table builder for {type(space).__name__}")

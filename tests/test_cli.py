@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from nndlab import cli, concordance, ranking, spaces
+from nndlab import cli, concordance, descent, diagnostics, ranking, spaces
 from nndlab.concordance import concordancy_check, concordant5_system, linf_embed
 
 
@@ -385,6 +385,14 @@ class TestCrs:
         doc = json.loads(out.read_text())
         assert doc["data"]["exact"] == "1/5"
 
+    def test_fraction_golden_sha256(self, tmp_path):
+        # the report as written before cli estimated a command's memory
+        out = tmp_path / "fraction.json"
+        assert run(["crs", "fraction", "--n", "5", "--samples", "1000", "--seed", "4",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4bb448c054f1aebb0a2a5f2de817167e590c0fa7170bb9793ed81dd0bc2885e7")
+
 
 class TestDiag:
     def test_diameter_report(self, tmp_path):
@@ -426,6 +434,15 @@ class TestDiag:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "fa88ee34a0e5c661c6ed349176c20bcced872eb3d7bf88252113ce3780fe6f7e")
 
+    def test_expansion_dense_draw_golden_sha256(self, tmp_path):
+        # K > (n - 1) / 2 takes random_kout's dense path; written before cli
+        # estimated a command's memory
+        out = tmp_path / "exp.json"
+        assert run(["diag", "expansion", "--n", "40", "--k", "30", "--alpha", "0.5",
+                    "--sets", "50", "--seed", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "a4c23f1bc07be7debb7a1821f2b482520b0025a636df888dc363c48650c07ffc")
+
     @pytest.mark.parametrize("alpha", ["3.9", "1e308"])
     def test_expansion_sets_stay_below_n(self, alpha, tmp_path):
         # alpha n / ln n at or past n once reached rng.choice, or int() as infinity
@@ -440,6 +457,72 @@ class TestDiag:
              "--seed", "2", "--out", str(out)])
         doc = json.loads(out.read_text())
         assert doc["data"]["violations"] == 0
+
+
+class TestMemoryRefusal:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # samples x N float64 keys and their int64 argsort: 3.69 GiB each
+            (["crs", "fraction", "--n", "100"], 16 * 100_000 * 4950),
+            (["crs", "embed", "--n", "2000"], 24 * 2000 * 1_999_000),
+            (["crs", "embed", "--n", "2000", "--format", "json"], 160 * 2000 * 1_999_000),
+            (["crs", "embed", "--example", "concordant5", "--n", "2000"], 0),
+            # K > (n - 1) / 2 draws dense n x n keys
+            (["diag", "expansion", "--n", "100000", "--k", "99999"], 16 * 100_000 ** 2),
+            (["diag", "expansion", "--n", "100000", "--k", "8"], 16 * 100_000 * 8),
+            (["diag", "expansion", "--n", "10", "--k", "10"], 0),
+            # below the exact-diameter limit the BFS gathers 157 words per arc
+            (["diag", "diameter", "--n", "10000", "--k", "3"],
+             16 * 30_000 + (64 + 8 * 157) * 60_000),
+            (["diag", "diameter", "--n", "30000", "--k", "3"], 16 * 90_000 + 64 * 180_000),
+            (["diag", "diameter", "--n", "100", "--k", "60"], 16 * 100 ** 2 + (64 + 16) * 12_000),
+            (["diag", "diameter", "--n", "1e10", "--k", "2"], 0),
+            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 0),
+        ],
+        ids=["fraction", "embed-csv", "embed-json", "embed-example", "expansion-dense",
+             "expansion-sparse", "expansion-bad-k", "diameter-bitset", "diameter-interval",
+             "diameter-dense", "diameter-k2", "nnd"],
+    )
+    def test_dense_bytes(self, argv, expected):
+        assert cli.dense_bytes(cli.build_parser().parse_args(argv)) == expected
+
+    @pytest.mark.parametrize(
+        "argv,builder",
+        [
+            (["crs", "fraction", "--n", "100000"], (concordance, "white_edge_fraction")),
+            (["crs", "embed", "--n", "30000"], (concordance, "generic_crs")),
+            (["diag", "expansion", "--n", "1e8", "--k", "99999999", "--sets", "1"],
+             (descent, "random_kout")),
+            (["diag", "diameter", "--n", "1e8", "--k", "99999999", "--trials", "1"],
+             (diagnostics, "diameter_experiment")),
+        ],
+        ids=["fraction", "embed", "expansion", "diameter"],
+    )
+    def test_refused_before_building(self, argv, builder, monkeypatch, capsys):
+        # each of these once ended in a MemoryError traceback
+        def refuse(*args, **kwargs):
+            raise AssertionError("an array was built before the memory estimate")
+
+        monkeypatch.setattr(*builder, refuse)
+        assert run(argv) == 4
+        assert capsys.readouterr().err.startswith(f"refused: {argv[0]} {argv[1]} needs about")
+
+    def test_budget_is_a_share_of_physical_memory(self, monkeypatch, capsys):
+        argv = ["crs", "fraction", "--n", "5", "--samples", "1000"]
+        monkeypatch.setattr(cli, "MEMORY_FRACTION", 1e-12)
+        assert run(argv) == 4
+        assert capsys.readouterr().err.startswith("refused: crs fraction needs about")
+        monkeypatch.setattr(cli, "MEMORY_FRACTION", 0.5)
+        assert run(argv) == 0
+
+    def test_embed_above_table_cap_exits_3(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a system was built before the table cap was checked")
+
+        monkeypatch.setattr(concordance, "generic_crs", refuse)
+        assert run(["crs", "embed", "--n", str(ranking.MAX_TABLE_ITEMS + 1)]) == 3
+        assert "exceeds the rank-table cap" in capsys.readouterr().err
 
 
 class TestOutputDiscipline:

@@ -22,7 +22,6 @@ from nndlab.concordance import (
     pair_index,
     pair_unrank,
     phi,
-    powers_of_two_blocks,
     powers_of_two_order,
     verify_embedding,
     white_component,
@@ -322,10 +321,12 @@ class TestSpecialOrders:
             assert is_isolated(powers_of_two_order(n))
 
     def test_powers_blocks_keep_isolation(self):
-        # any permutation inside the dashed blocks leaves the order isolated
+        # any permutation inside the dashed blocks leaves the order isolated:
+        # group j (pairs whose larger exponent is j) occupies positions
+        # [j(j-1)/2, j(j+1)/2), and its block drops the group's first pair
         n = 5
         order = list(powers_of_two_order(n).pairs)
-        blocks = powers_of_two_blocks(n)
+        blocks = [(j * (j - 1) // 2 + 1, j * (j + 1) // 2) for j in range(2, n)]
         assert [b - a for a, b in blocks] == [1, 2, 3]
         options = [list(itertools.permutations(order[a:b])) for a, b in blocks]
         count = 0

@@ -56,3 +56,25 @@ def test_module_uses_its_imports(name):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == [], f"nndlab.{name} imports names it never uses"
+
+
+def test_private_definitions_are_used():
+    # a private helper is reachable only from inside the package, so one that
+    # no package code names is dead; a deletion can leave such a helper behind
+    trees = [ast.parse(path.read_text())
+             for path in sorted(Path(PACKAGE.submodule_search_locations[0]).glob("*.py"))]
+    defined = {
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert defined
+    assert sorted(defined - used) == [], "private definitions that no package code uses"

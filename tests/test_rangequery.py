@@ -18,7 +18,6 @@ from nndlab.rangequery import (
     g_min_overlap,
     ideal_state,
     init_e0,
-    nu_overlap,
     range_query_round,
     run_2nrq,
     schedule_csv,
@@ -89,22 +88,20 @@ class TestOverlapVolumes:
         assert g_min_overlap(0.9, 0.4, 2) == 0.0
 
     def test_nu_full_ball(self):
-        space = torus_poisson(10, 3, seed=0)
         v = np.array([0.1, -0.2, 0.5])
-        assert nu_overlap(space, v, v, 0.3) == pytest.approx(0.6 ** 3)
+        assert rangequery._nu_many(wrapped_deltas(v - v), 0.3) == pytest.approx(0.6 ** 3)
 
     def test_nu_line_segment(self):
-        space = torus_poisson(10, 1, seed=0)
-        assert nu_overlap(space, (0.0,), (0.3,), 0.4) == pytest.approx(0.5)
+        delta = wrapped_deltas(np.array([0.0]) - np.array([0.3]))
+        assert rangequery._nu_many(delta, 0.4) == pytest.approx(0.5)
 
     def test_nu_matches_monte_carlo(self):
-        space = torus_poisson(10, 3, seed=0)
         rng = np.random.default_rng(8)
         for _ in range(3):
             v = rng.uniform(-1, 1, size=3)
             vp = v + rng.uniform(-0.25, 0.25, size=3)
             r = rng.uniform(0.3, 0.6)
-            exact = nu_overlap(space, v, vp, r)
+            exact = rangequery._nu_many(wrapped_deltas(v - vp), r)
             samples = rng.uniform(-1, 1, size=(1_000_000, 3))
             inside = (
                 (wrapped_deltas(samples - v).max(axis=1) <= r)

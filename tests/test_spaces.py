@@ -195,9 +195,6 @@ class TestTorus:
 
     def test_wraparound(self):
         assert wrapped_distance(np.array([0.9]), np.array([-0.9])) == pytest.approx(0.2)
-        # the matrix the rank table sorts wraps the same way
-        space = spaces.TorusSpace(1, np.array([[0.9], [-0.9], [0.0]]))
-        assert spaces.torus_distance_matrix(space)[0, 1] == pytest.approx(0.2)
 
     def test_symmetry_and_triangle(self):
         space = torus_poisson(10, 3, seed=0)
@@ -232,9 +229,13 @@ class TestRankTables:
         rank_table(paris_space(range(1, 21)))
         rank_table(circle_sample(40, seed=1))
         rank_table(powers_of_two_space(10))
-        rank_table(torus_poisson(60, 2, seed=2))
         rank_table(lcs_sample(12, 16, seed=3))
         random_ranking_table(25, seed=4)
+
+    def test_torus_has_no_rank_table(self):
+        # the torus is searched by range query, never ranked whole
+        with pytest.raises(InputError, match="no rank table builder for TorusSpace"):
+            rank_table(torus_poisson(60, 2, seed=2))
 
     def test_random_ranking_tables_differ_across_seeds(self):
         a = random_ranking_table(12, seed=0)
