@@ -28,7 +28,6 @@ from .ranking import (
     RankingOracle,
     exact_knn,
     ranking_from_distance_matrix,
-    ranking_from_distances,
     recall,
 )
 from .descent import (

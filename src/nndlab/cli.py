@@ -32,6 +32,10 @@ MEMORY_FRACTION = 0.5
 # CPython 3.11)
 _EMBED_BYTES = {"csv": 24, "json": 160}
 
+# peak bytes per n^2 items of an nnd run, which builds its rank table at the
+# peak: getrusage measured 29 (random-ranking) to 49 (lcs) at n=2048
+_NND_BYTES = 50
+
 
 def _finite(text):
     value = float(text)
@@ -103,7 +107,6 @@ def golden_schedule_checksum():
 
 
 def _build_space_table(args):
-    check_table_size(args.n)  # before any space builds an n x n array
     name = args.space
     if name == "paris":
         space = spaces.paris_space(range(1, args.n + 1))
@@ -254,9 +257,11 @@ def _kout_bytes(n, K):
 
 def dense_bytes(args):
     """The bytes of a command's largest arrays, estimated from its options alone."""
+    if args.func is cmd_nnd:
+        return _NND_BYTES * args.n ** 2
     if args.func is cmd_crs_fraction:
-        # float64 sort keys and their int64 argsort, samples x N
-        return 16 * args.samples * concordance.n_pairs(args.n)
+        # float64 sort keys and their int64 argsort, samples x N, a block of samples at a time
+        return 16 * min(args.samples, concordance.FRACTION_ROWS) * concordance.n_pairs(args.n)
     if args.func is cmd_crs_embed and args.example is None:
         return args.n * concordance.n_pairs(args.n) * _EMBED_BYTES[args.format]
     if args.func is cmd_diag_expansion:
@@ -273,8 +278,8 @@ def dense_bytes(args):
 
 def _refuse_unaffordable(args):
     """Refuse a run above the rank-table cap or the memory budget, before anything is built."""
-    if args.func is cmd_crs_embed and args.example is None:
-        check_table_size(args.n)  # as nnd: generic_crs builds n x n arrays before RankTable checks
+    if args.func is cmd_nnd or args.func is cmd_crs_embed and args.example is None:
+        check_table_size(args.n)  # the spaces build n x n arrays before RankTable checks
     need = dense_bytes(args)
     total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > MEMORY_FRACTION * total:

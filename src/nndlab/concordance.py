@@ -542,6 +542,10 @@ def eulerian_order(n):
 # ---------------------------------------------------------------------------
 # Counting
 
+# sampled orders white_edge_fraction draws and sorts at a time
+FRACTION_ROWS = 4096
+
+
 def white_edge_fraction(n, samples=100_000, seed=0):
     """(exact, empirical) probability that a uniform white-graph edge is white.
 
@@ -553,11 +557,16 @@ def white_edge_fraction(n, samples=100_000, seed=0):
     exact = Fraction(comb(n - 2, 2), comb(n, 2) - 1)
     rng = np.random.default_rng(seed)
     N = n_pairs(n)
-    orders = rng.random((samples, N)).argsort(axis=1)
-    pos = rng.integers(0, N - 1, size=samples)
-    rows = np.arange(samples)
-    disjoint = _disjoint(orders[rows, pos], orders[rows, pos + 1], n)
-    return exact, float(disjoint.mean())
+    # the positions are drawn after the samples x N keys; PCG64's random()
+    # takes one 64-bit step per float, so a twin advanced past the keys draws them
+    ahead = np.random.default_rng(seed)
+    ahead.bit_generator.advance(samples * N)
+    pos = ahead.integers(0, N - 1, size=samples)[:, None] + np.arange(2)
+    pairs = np.empty((samples, 2), dtype=np.int64)
+    for s in range(0, samples, FRACTION_ROWS):
+        orders = rng.random((min(FRACTION_ROWS, samples - s), N)).argsort(axis=1)
+        pairs[s : s + len(orders)] = np.take_along_axis(orders, pos[s : s + len(orders)], axis=1)
+    return exact, float(_disjoint(*pairs.T, n).mean())
 
 
 @dataclass

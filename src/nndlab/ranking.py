@@ -149,12 +149,12 @@ class RankingOracle:
     ``top_k`` is the one selection: it takes a batch of candidate pools,
     each candidate with its owner beside it, sorts the keys
     ``owner * n + rank`` once and reads each owner's best k from the table's
-    ``order``.  It charges ``c * ceil(log2 c)`` per pool of c candidates, the
-    comparison cost of the sort it stands in for, so desk-scale descent runs
-    stay fast while ``comparisons`` stays an honest upper-bound accounting of
-    comparison-based selection.  A scalar owner is the batch of one.
-    The meter is guarded by a lock so concurrent readers may share one
-    oracle.
+    ``order``.  It charges ``c * ceil(log2 c)`` per pool of c distinct
+    candidates, the comparison cost of the sort it stands in for, so
+    desk-scale descent runs stay fast while ``comparisons`` stays an honest
+    upper-bound accounting of comparison-based selection.  A scalar owner
+    is the batch of one.  The meter is guarded by a lock so concurrent
+    readers may share one oracle.
     """
 
     def __init__(self, table):
@@ -177,22 +177,26 @@ class RankingOracle:
     def top_k(self, x, candidates, k):
         """The k most-preferred candidates of each owner, best first.
 
-        Each owner's candidates must be distinct and must not contain the
-        owner.  With a scalar ``x`` the result is x's best k, or all of its
-        candidates (ordered) when there are fewer.  With an array ``x``, the
-        owner of each candidate, every pool must hold at least k candidates,
-        and the result has one row of k per distinct owner, in increasing
-        owner order.  A pool that breaks these rules refuses the whole call
-        before anything is charged.
+        Candidates must be item ids in [0, n).  A pool must not contain its
+        owner; a candidate repeated in its owner's pool counts once, in the
+        selection and in the charge.  With a scalar ``x`` the result is x's
+        best k, or all of its candidates (ordered) when there are fewer.
+        With an array ``x``, the owner of each candidate, every pool must
+        hold at least k distinct candidates, and the result has one row of k
+        per distinct owner, in increasing owner order.  A pool that breaks
+        these rules refuses the whole call before anything is charged.
         """
         n = self.n
         cand = np.asarray(candidates)
-        owners = np.broadcast_to(np.asarray(x, dtype=np.int64), cand.shape)
-        ranks = self.table.ranks[owners, cand]
+        if cand.size and not 0 <= cand.min() <= cand.max() < n:
+            raise InputError("candidate ids must lie in [0, n)")
+        base = np.broadcast_to(np.asarray(x, dtype=np.int64), cand.shape) * n
+        ranks = self.table.ranks.ravel()[base + cand]  # a flat gather: 2-D indexing is slower
         # rank 0 is the diagonal's alone, so it occurs exactly when a pool holds its owner
         if not ranks.all():
             raise InputError("candidate pool must not contain its owner")
-        keys = np.sort(owners * n + ranks)
+        # equal keys are one candidate of one owner: the sort keeps one of each
+        keys = unique_keys(base + ranks)
         own = keys // n
         first = np.ones(keys.size, dtype=bool)
         first[1:] = own[1:] != own[:-1]
@@ -226,24 +230,6 @@ def ranking_from_distance_matrix(dist):
     np.fill_diagonal(d, np.inf)  # self sorts last and is dropped
     # a stable sort keeps equal distances in item-id order
     return RankTable(np.argsort(d, axis=1, kind="stable")[:, : n - 1])
-
-
-def ranking_from_distances(points, distance):
-    """RankTable from a symmetric pair distance function.
-
-    ``distance`` is called once per unordered pair of elements of ``points``
-    and mirrored, so symmetry holds by construction; non-finite or negative
-    values are rejected; ties break by item id.
-    """
-    pts = list(points)
-    n = len(pts)
-    if n < 2:
-        raise InputError("need at least two points")
-    dist = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[i, j] = dist[j, i] = distance(pts[i], pts[j])
-    return ranking_from_distance_matrix(dist)
 
 
 def exact_knn(table, K):

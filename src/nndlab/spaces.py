@@ -3,12 +3,13 @@
 Generators for the star-path ("Paris") points, uniform circle samples,
 powers of two on the line, random strings under the longest-common-substring
 distance, the flat torus with the sup-norm metric, and uniformly random
-ranking systems.  Every space is immutable once sampled.  Each space but the
-torus can be turned into an exact rank table, and each metric space among
-them defines its distance once, as the whole matrix its rank table sorts;
-the torus is searched by range query instead.
+ranking systems.  Every space is immutable once sampled.  Each metric space
+but the torus defines its distance once, as ``space.distance(a, b)`` over
+arrays of item ids that broadcast, and ``rank_table`` sorts each item's row
+of those distances; the torus is searched by range query instead.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import RankTable, ranking_from_distance_matrix
+from .ranking import RankTable
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +33,11 @@ class ParisSpace:
     def n(self):
         return len(self.etas)
 
+    def distance(self, a, b):
+        """eta_a + eta_b, and 0 where a == b."""
+        e = np.asarray(self.etas)
+        return np.where(a == b, 0.0, e[a] + e[b])
+
 
 def paris_space(etas):
     etas = tuple(float(e) for e in etas)
@@ -40,13 +46,6 @@ def paris_space(etas):
     if etas[0] <= 0 or any(a >= b for a, b in zip(etas, etas[1:])):
         raise InputError("etas must be strictly increasing and positive")
     return ParisSpace(etas)
-
-
-def paris_distance_matrix(space):
-    e = np.asarray(space.etas)
-    d = e[:, None] + e[None, :]
-    np.fill_diagonal(d, 0.0)
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +61,12 @@ class CircleSpace:
     def n(self):
         return len(self.angles)
 
+    def distance(self, a, b):
+        """min(delta, 2 pi - delta), with delta = |theta_a - theta_b|."""
+        theta = np.asarray(self.angles)
+        delta = np.abs(theta[a] - theta[b])
+        return np.minimum(delta, 2 * np.pi - delta)
+
 
 def circle_sample(n, seed):
     """Sample round(n) points i.i.d. uniform on [0, 2*pi)."""
@@ -70,12 +75,6 @@ def circle_sample(n, seed):
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2 * np.pi, size=int(round(n)))
     return CircleSpace(tuple(angles.tolist()))
-
-
-def circle_distance_matrix(space):
-    a = np.asarray(space.angles)
-    delta = np.abs(a[:, None] - a[None, :])
-    return np.minimum(delta, 2 * np.pi - delta)
 
 
 # ---------------------------------------------------------------------------
@@ -91,23 +90,27 @@ class PowersOfTwoSpace:
     def values(self):
         return [2 ** i for i in range(self.n)]
 
+    def distance(self, a, b):
+        """|v_a - v_b|."""
+        v = np.array(self.values, dtype=np.float64)
+        return np.abs(v[a] - v[b])
+
 
 def powers_of_two_space(n):
     if n < 2:
         raise InputError("need at least two points")
     if n > 52:
-        # beyond 2**52 the float distance matrix loses exactness
+        # beyond 2**52 the float distances lose exactness
         raise InputError("powers-of-two space is capped at n = 52")
     return PowersOfTwoSpace(int(n))
 
 
-def powers_of_two_distance_matrix(space):
-    v = np.array(space.values, dtype=np.float64)
-    return np.abs(v[:, None] - v[None, :])
-
-
 # ---------------------------------------------------------------------------
 # Longest common substring over random strings
+
+# dynamic-program cells per block of string pairs; a block holds at least one pair
+_LCS_CELLS = 1 << 20
+
 
 @dataclass(frozen=True)
 class LcsSpace:
@@ -125,6 +128,37 @@ class LcsSpace:
     def n(self):
         return len(self.strings)
 
+    @functools.cached_property
+    def _codes(self):
+        """The strings as an (n, m) matrix of alphabet indices."""
+        return np.array([[self.alphabet.index(c) for c in s] for s in self.strings], dtype=np.uint8)
+
+    def distance(self, a, b):
+        """(rho, a's tie key) for the strings a and b.
+
+        rho = 1 - M/m for M the longest-common-substring length.  The tie key
+        is the negated log probability of the longest shared substring at its
+        earliest start in a (0.0 when none is shared), so that sorting
+        ascending by (rho, tie key) ranks higher-probability matches nearer.
+        Residual ties are the rank table's job (broken by item id there).
+        """
+        a, b = np.broadcast_arrays(a, b)
+        shape, a, b = a.shape, a.ravel(), b.ravel()
+        codes = self._codes
+        logmu = np.array([math.log(q) for q in self.mu])
+        cols = np.arange(codes.shape[1])
+        rho, key = np.empty(a.size), np.empty(a.size)
+        step = max(1, _LCS_CELLS // (codes.shape[1] + 1) ** 2)
+        for s in range(0, a.size, step):
+            A = codes[a[s : s + step]]
+            length, start, _ = _lcs(A, codes[b[s : s + step]])
+            # summed left to right, as the per-character sum is: cumsum, where np.sum pairs terms
+            inside = (cols >= start[:, None]) & (cols < (start + length)[:, None])
+            total = np.where(inside, logmu[A], 0.0).cumsum(axis=1)[:, -1]
+            rho[s : s + step] = 1.0 - length / self.m
+            key[s : s + step] = np.where(length > 0, -total, 0.0)
+        return rho.reshape(shape), key.reshape(shape)
+
 
 def lcs_sample(n, m, seed):
     """Sample n independent strings of length m, characters i.i.d. uniform over "acgt"."""
@@ -137,6 +171,25 @@ def lcs_sample(n, m, seed):
     return LcsSpace(int(m), alphabet, mu, strings)
 
 
+def _lcs(A, B):
+    """The longest common substring of each row of A (P, ma) with the same row of B (P, mb).
+
+    Returns (length, start in A, start in B), one entry per row.  It runs
+    L[i+1, j+1] = [A_i = B_j] * (L[i, j] + 1) over i for the whole block; a
+    longest substring ends at a cell holding the maximum, so the first row
+    and the first column that hold it give the smallest start in each
+    string, found independently.  Zero length starts at 0.
+    """
+    dtype = np.min_scalar_type(min(A.shape[1], B.shape[1]))  # holds every length
+    L = np.zeros((A.shape[0], A.shape[1] + 1, B.shape[1] + 1), dtype=dtype)
+    eq = A[:, :, None] == B[:, None, :]
+    for i in range(A.shape[1]):
+        L[:, i + 1, 1:] = eq[:, i] * (L[:, i, :-1] + 1)
+    length = L.max(axis=(1, 2))
+    at = L == length[:, None, None]
+    return length, at.any(axis=2).argmax(axis=1) - length, at.any(axis=1).argmax(axis=1) - length
+
+
 def longest_common_substring(a, b):
     """(length, start_a, start_b) of the longest common substring.
 
@@ -145,65 +198,19 @@ def longest_common_substring(a, b):
     index of one in ``b`` (tracked independently).  Zero length reports
     starts of -1.
     """
-    if len(a) == 0 or len(b) == 0:
-        return 0, -1, -1
-    B = np.array(list(b))
-    prev = np.zeros(len(b) + 1, dtype=np.int32)
-    cur = np.zeros(len(b) + 1, dtype=np.int32)
-    best = 0
-    best_end_a = -1
-    best_end_b = -1
-    for i, ch in enumerate(a):
-        cur[:] = 0
-        eq = B == ch
-        cur[1:][eq] = prev[:-1][eq] + 1
-        row_max = int(cur.max())
-        if row_max > best:
-            best = row_max
-            best_end_a = i
-            best_end_b = int(np.flatnonzero(cur[1:] == best)[0])
-        elif best and row_max == best:
-            j = int(np.flatnonzero(cur[1:] == best)[0])
-            if j < best_end_b:
-                best_end_b = j
-        prev, cur = cur, prev
-    if best == 0:
-        return 0, -1, -1
-    return best, best_end_a - best + 1, best_end_b - best + 1
+    A, B = (np.array([[ord(c) for c in s]], dtype=np.int64) for s in (a, b))
+    length, start_a, start_b = (int(v[0]) for v in _lcs(A, B))
+    return (length, start_a, start_b) if length else (0, -1, -1)
 
 
 def lcs_distance(space, a, b):
-    """(rho, tiekey) between strings a and b of the space (item indices).
-
-    rho = 1 - M/m for M the longest-common-substring length.  The tie key is
-    the negated log probability of the canonical longest shared substring
-    (smallest start in the first argument), so that rarer shared substrings
-    sort farther: sorting ascending by (rho, tiekey) ranks
-    higher-probability-product matches nearer.  Residual ties are the
-    ranking layer's job (broken by item id there).
-    """
+    """(rho, tiekey) between strings a and b of the space (item indices): ``space.distance``."""
     if a == b:
         raise InputError("distance is undefined for a == b")
     if len(space.strings[a]) != len(space.strings[b]):
         raise InputError("strings must have equal length")
-    rho, tiekey, _ = _lcs_keys(space, a, b)
-    return rho, tiekey
-
-
-def _lcs_keys(space, a, b):
-    """(rho, a's tie key, b's tie key) for strings a and b of the space.
-
-    Each tie key is the negated log probability of the longest shared
-    substring at its earliest start in that string (0.0 when none is shared).
-    """
-    sa, sb = space.strings[a], space.strings[b]
-    length, start_a, start_b = longest_common_substring(sa, sb)
-    logp = {c: math.log(q) for c, q in zip(space.alphabet, space.mu)}
-
-    def tiekey(s, start):
-        return -sum(logp[c] for c in s[start : start + length]) if length else 0.0
-
-    return 1.0 - length / space.m, tiekey(sa, start_a), tiekey(sb, start_b)
+    rho, tiekey = space.distance(a, b)
+    return float(rho), float(tiekey)
 
 
 def lcs_qk(m, n, K, p):
@@ -225,21 +232,6 @@ def lcs_qk(m, n, K, p):
     q_K = (2 * math.log(m) + math.log((1 - p) * n / K)) / denom
     q_1 = (2 * math.log(m) + math.log((1 - p) * n)) / denom
     return q_K, q_1
-
-
-def lcs_rank_table(space):
-    """Exact rank table under (rho, tiekey, item id) lexicographic keys."""
-    n = space.n
-    rho = np.zeros((n, n))
-    tiekey = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            rho[i, j], tiekey[i, j], tiekey[j, i] = _lcs_keys(space, i, j)
-            rho[j, i] = rho[i, j]
-    np.fill_diagonal(rho, np.inf)
-    ids = np.broadcast_to(np.arange(n), (n, n))
-    order = np.lexsort((ids, tiekey, rho), axis=1)[:, : n - 1]
-    return RankTable(order)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +303,13 @@ def random_ranking_table(n, seed):
 # Rank tables
 
 def rank_table(space):
-    """Exact rank table for the Paris, circle, powers-of-two and LCS spaces."""
-    if isinstance(space, ParisSpace):
-        return ranking_from_distance_matrix(paris_distance_matrix(space))
-    if isinstance(space, CircleSpace):
-        return ranking_from_distance_matrix(circle_distance_matrix(space))
-    if isinstance(space, PowersOfTwoSpace):
-        return ranking_from_distance_matrix(powers_of_two_distance_matrix(space))
-    if isinstance(space, LcsSpace):
-        return lcs_rank_table(space)
-    raise InputError(f"no rank table builder for {type(space).__name__}")
+    """Exact rank table: each row sorted by the key, or tuple of keys, of
+    ``space.distance``, equal keys broken by item id."""
+    if not hasattr(space, "distance"):
+        raise InputError(f"no rank table builder for {type(space).__name__}")
+    n = space.n
+    ids = np.arange(n)
+    keys = np.reshape(space.distance(ids[:, None], ids[None, :]), (-1, n, n))
+    np.fill_diagonal(keys[0], np.inf)  # self sorts last and is dropped
+    # lexsort is stable, so equal keys keep item-id order
+    return RankTable(np.lexsort(keys[::-1])[:, : n - 1])

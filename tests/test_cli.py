@@ -463,8 +463,9 @@ class TestMemoryRefusal:
     @pytest.mark.parametrize(
         "argv,expected",
         [
-            # samples x N float64 keys and their int64 argsort: 3.69 GiB each
-            (["crs", "fraction", "--n", "100"], 16 * 100_000 * 4950),
+            # float64 keys and their int64 argsort, N wide, for 4096 samples at a time
+            (["crs", "fraction", "--n", "100"], 16 * 4096 * 4950),
+            (["crs", "fraction", "--n", "100", "--samples", "10"], 16 * 10 * 4950),
             (["crs", "embed", "--n", "2000"], 24 * 2000 * 1_999_000),
             (["crs", "embed", "--n", "2000", "--format", "json"], 160 * 2000 * 1_999_000),
             (["crs", "embed", "--example", "concordant5", "--n", "2000"], 0),
@@ -478,11 +479,12 @@ class TestMemoryRefusal:
             (["diag", "diameter", "--n", "30000", "--k", "3"], 16 * 90_000 + 64 * 180_000),
             (["diag", "diameter", "--n", "100", "--k", "60"], 16 * 100 ** 2 + (64 + 16) * 12_000),
             (["diag", "diameter", "--n", "1e10", "--k", "2"], 0),
-            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 0),
+            # the rank table's build peaks near 50 bytes per pair of items
+            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 50 * 2048 ** 2),
         ],
-        ids=["fraction", "embed-csv", "embed-json", "embed-example", "expansion-dense",
-             "expansion-sparse", "expansion-bad-k", "diameter-bitset", "diameter-interval",
-             "diameter-dense", "diameter-k2", "nnd"],
+        ids=["fraction", "fraction-few", "embed-csv", "embed-json", "embed-example",
+             "expansion-dense", "expansion-sparse", "expansion-bad-k", "diameter-bitset",
+             "diameter-interval", "diameter-dense", "diameter-k2", "nnd"],
     )
     def test_dense_bytes(self, argv, expected):
         assert cli.dense_bytes(cli.build_parser().parse_args(argv)) == expected
@@ -515,6 +517,16 @@ class TestMemoryRefusal:
         assert capsys.readouterr().err.startswith("refused: crs fraction needs about")
         monkeypatch.setattr(cli, "MEMORY_FRACTION", 0.5)
         assert run(argv) == 0
+
+    def test_nnd_refused_before_building(self, monkeypatch, capsys):
+        # n is capped at 2^15, where the estimate fits a large host, so the budget shrinks
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rank table was built before the memory estimate")
+
+        monkeypatch.setattr(spaces, "rank_table", refuse)
+        monkeypatch.setattr(cli, "MEMORY_FRACTION", 1e-12)
+        assert run(["nnd", "--space", "paris", "--n", "64", "--k", "4"]) == 4
+        assert capsys.readouterr().err.startswith("refused: nnd needs about")
 
     def test_embed_above_table_cap_exits_3(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):

@@ -15,7 +15,6 @@ from nndlab.ranking import (
     RankingOracle,
     exact_knn,
     ranking_from_distance_matrix,
-    ranking_from_distances,
     recall,
     unique_keys,
 )
@@ -35,34 +34,34 @@ def graph_from_json(text):
 
 
 def paris_dist(etas):
-    return lambda i, j: etas[i] + etas[j]
+    return np.add.outer(etas, etas)
 
 
 class TestRankingFromDistances:
     def test_paris_five_points(self):
         etas = [1, 2, 3, 4, 5]
-        table = ranking_from_distances(range(5), paris_dist(etas))
+        table = ranking_from_distance_matrix(paris_dist(etas))
         # x_5 ranks x_1..x_4 in eta order
         assert [table.ranks[4, y] for y in range(4)] == [1, 2, 3, 4]
 
     def test_two_points(self):
-        table = ranking_from_distances(range(2), lambda i, j: 1.0)
+        table = ranking_from_distance_matrix(np.ones((2, 2)))
         assert table.ranks[0, 1] == 1
         assert table.ranks[1, 0] == 1
 
     def test_powers_of_two_nearest_of_32(self):
         values = [2 ** i for i in range(6)]
-        table = ranking_from_distances(range(6), lambda i, j: abs(values[i] - values[j]))
+        table = ranking_from_distance_matrix(np.abs(np.subtract.outer(values, values)))
         # nearest two of 32 are 16 then 8
         assert list(table.order[5][:2]) == [4, 3]
 
     def test_non_finite_distance_rejected(self):
         with pytest.raises(InputError):
-            ranking_from_distances(range(3), lambda i, j: math.inf)
+            ranking_from_distance_matrix(np.full((3, 3), math.inf))
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InputError):
-            ranking_from_distances(range(3), lambda i, j: -1.0)
+            ranking_from_distance_matrix(np.full((3, 3), -1.0))
 
     @pytest.mark.parametrize("dist", [np.float64(1.0), np.ones(3), np.ones((2, 3))],
                              ids=["0-d", "1-d", "2x3"])
@@ -72,7 +71,7 @@ class TestRankingFromDistances:
 
     def test_tie_break_is_index_order_by_default(self):
         # all distances equal: ranking must follow item ids
-        table = ranking_from_distances(range(5), lambda i, j: 1.0)
+        table = ranking_from_distance_matrix(np.ones((5, 5)))
         for x in range(5):
             assert list(table.order[x]) == [y for y in range(5) if y != x]
 
@@ -108,7 +107,7 @@ class TestRankTable:
 
 class TestExactKnn:
     def test_paris_shared_neighbor_sets(self):
-        table = ranking_from_distances(range(12), paris_dist(list(range(1, 13))))
+        table = ranking_from_distance_matrix(paris_dist(list(range(1, 13))))
         graph = exact_knn(table, 4)
         for j in range(4, 12):
             assert set(graph.neighbors[j]) == {0, 1, 2, 3}
@@ -127,7 +126,7 @@ class TestExactKnn:
             delta = abs(angles[i] - angles[j])
             return min(delta, 2 * np.pi - delta)
 
-        table = ranking_from_distances(range(20), dist)
+        table = ranking_from_distance_matrix([[dist(i, j) for j in range(20)] for i in range(20)])
         graph = exact_knn(table, 3)
         for x in range(20):
             expected = sorted((y for y in range(20) if y != x), key=lambda y: (dist(x, y), y))[:3]
@@ -191,7 +190,8 @@ class TestOracle:
         ]
         scalar = RankingOracle(table)
         want = {x: scalar.top_k(x, np.array(pool), k).tolist() for x, pool in zip(owners, pools)}
-        # the pools interleaved, as descent lists them
+        # each pool with repeats, which count once, interleaved as descent lists them
+        pools = [pool + data.draw(st.lists(st.sampled_from(pool), max_size=8)) for pool in pools]
         cand = np.concatenate([np.array(pool) for pool in pools])
         own = np.repeat(owners, [len(pool) for pool in pools])
         mix = np.random.default_rng(seed).permutation(cand.size)
@@ -208,6 +208,14 @@ class TestOracle:
         cand[where] = own[where]
         with pytest.raises(InputError):
             oracle.top_k(own, cand, 2)
+        assert oracle.comparisons == 0
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_top_k_refuses_out_of_range_candidates_without_charge(self, bad):
+        # the table is read through flat indices, where an id past a row would read the next
+        oracle = RankingOracle(random_ranking_table(8, seed=3))
+        with pytest.raises(InputError, match=r"must lie in \[0, n\)"):
+            oracle.top_k(np.array([0, 0, 1, 1]), np.array([1, bad, 0, 2]), 1)
         assert oracle.comparisons == 0
 
     def test_batched_top_k_refuses_a_short_pool_without_charge(self):

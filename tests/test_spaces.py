@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_spaces
 from nndlab import cli, spaces
 from nndlab.errors import InputError
 from nndlab.spaces import (
     LcsSpace,
-    circle_distance_matrix,
     circle_sample,
     lcs_distance,
     lcs_qk,
     lcs_sample,
     longest_common_substring,
-    paris_distance_matrix,
     paris_space,
     powers_of_two_space,
     random_ranking_table,
@@ -23,9 +24,14 @@ from nndlab.spaces import (
 )
 
 
+def distance_grid(space):
+    ids = np.arange(space.n)
+    return space.distance(ids[:, None], ids[None, :])
+
+
 class TestParis:
     def test_distance_formula(self):
-        d = paris_distance_matrix(paris_space([1, 2, 3]))
+        d = distance_grid(paris_space([1, 2, 3]))
         assert d[0, 2] == d[2, 0] == 4.0
         assert (np.diag(d) == 0).all()
 
@@ -36,7 +42,7 @@ class TestParis:
             assert table.order[j][0] == 0
 
     def test_triangle_inequality_all_triples(self):
-        d = paris_distance_matrix(paris_space([1, 2, 4, 8]))
+        d = distance_grid(paris_space([1, 2, 4, 8]))
         # d[a, c] <= d[a, b] + d[b, c] for every a, b, c at once
         assert (d[:, None, :] <= d[:, :, None] + d[None, :, :] + 1e-12).all()
 
@@ -69,7 +75,7 @@ class TestCircle:
         assert abs(d.mean() - np.pi / 2) < 0.02
 
     def test_distance_in_range(self):
-        d = circle_distance_matrix(circle_sample(40, seed=0))
+        d = distance_grid(circle_sample(40, seed=0))
         assert (d >= 0).all() and (d <= np.pi + 1e-12).all()
         assert (d == d.T).all() and (np.diag(d) == 0).all()
 
@@ -163,6 +169,71 @@ class TestLcs:
         for _ in range(1000):
             i, j, k = rng.choice(40, size=3, replace=False)
             assert get(i, k) <= get(i, j) + get(j, k) + 1e-12
+
+
+def float_bits(x):
+    # bytes tell 0.0 from -0.0, which == does not
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@st.composite
+def lcs_spaces(draw):
+    """Directly built spaces: any alphabet and mu, with repeated and identical strings."""
+    alphabet = "".join(draw(st.lists(st.characters(), min_size=1, max_size=5, unique=True)))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(alphabet), max_size=len(alphabet)))
+    m = draw(st.integers(1, 12))
+    word = st.text(st.sampled_from(alphabet), min_size=m, max_size=m)
+    distinct = draw(st.lists(word, min_size=1, max_size=4))
+    strings = draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=7))
+    mu = tuple(w / sum(weights) for w in weights)
+    return LcsSpace(m=m, alphabet=alphabet, mu=mu, strings=tuple(strings))
+
+
+class TestLcsKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(lcs_spaces(), st.sampled_from([1, 100, spaces._LCS_CELLS]))
+    def test_distance_matches_reference_bit_for_bit(self, space, cells):
+        # a small cell budget splits the pairs into many blocks, down to one pair each
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "_LCS_CELLS", cells)
+            rho, key = distance_grid(space)
+        for a in range(space.n):
+            for b in range(space.n):
+                want_rho, want_a, want_b = reference_spaces.lcs_keys(space, a, b)
+                assert float_bits(rho[a, b]) == float_bits(want_rho)
+                assert float_bits(key[a, b]) == float_bits(want_a)
+                assert float_bits(key[b, a]) == float_bits(want_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text("ab\u00e9\U0001f600", max_size=10), st.text("ab\u00e9\U0001f600z", max_size=14))
+    def test_longest_common_substring_matches_reference(self, a, b):
+        # unequal lengths and characters of no alphabet
+        assert longest_common_substring(a, b) == reference_spaces.longest_common_substring(a, b)
+
+    def test_rank_table_of_sampled_strings_matches_reference(self):
+        space = lcs_sample(30, 12, seed=2)
+        keys = [[reference_spaces.lcs_keys(space, x, y)[:2] if x != y else (math.inf,)
+                 for y in range(30)] for x in range(30)]
+        order = [sorted(range(30), key=lambda y: (*keys[x][y], y))[:-1] for x in range(30)]
+        assert rank_table(space).order.tolist() == order
+
+
+@pytest.mark.parametrize("n", [2, 40, 300])
+def test_distance_grid_equals_matrix_expression(n):
+    # the distance matrices each space was ranked by, written out
+    rng = np.random.default_rng(n)
+    paris = paris_space(np.cumsum(rng.uniform(0.1, 2.0, size=n)))
+    e = np.asarray(paris.etas)
+    d = e[:, None] + e[None, :]
+    np.fill_diagonal(d, 0.0)
+    assert float_bits(distance_grid(paris)) == float_bits(d)
+    circle = circle_sample(n, seed=n)
+    a = np.asarray(circle.angles)
+    delta = np.abs(a[:, None] - a[None, :])
+    assert float_bits(distance_grid(circle)) == float_bits(np.minimum(delta, 2 * np.pi - delta))
+    powers = powers_of_two_space(min(n, 52))  # the space is capped at 52 points
+    v = np.array(powers.values, dtype=np.float64)
+    assert float_bits(distance_grid(powers)) == float_bits(np.abs(v[:, None] - v[None, :]))
 
 
 class TestLcsQk:
