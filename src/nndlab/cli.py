@@ -33,8 +33,8 @@ MEMORY_FRACTION = 0.5
 _EMBED_BYTES = {"csv": 24, "json": 160}
 
 # peak bytes per n^2 items of an nnd run, which builds its rank table at the
-# peak: getrusage measured 29 (random-ranking) to 49 (lcs) at n=2048
-_NND_BYTES = 50
+# peak: getrusage measured 21 (random-ranking) to 38 (lcs) at n=2048
+_NND_BYTES = 40
 
 
 def _finite(text):

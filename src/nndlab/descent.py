@@ -8,9 +8,9 @@ simultaneous batch rounds, a pure function of the previous state, and
 scheduled pointwise passes where updates are visible immediately.
 
 Every step works on whole arrays, as the local join of NN-descent does over
-fixed-width rows: it lists (owner, candidate) pairs, drops the owner itself
-and hands all the pools to one batched ``RankingOracle.top_k``, whose one
-sort also drops repeats.  A pointwise pass is defined by its visit order and
+fixed-width rows: it lists (owner, candidate) pairs, drops repeats and the
+owner itself with one sort, and hands all the pools to one batched
+``RankingOracle.top_k``.  A pointwise pass is defined by its visit order and
 computed by dependency level: all points whose earlier-visited friends are
 done are updated in one batch.
 """
@@ -106,13 +106,14 @@ _CHUNK_KEYS = 1 << 20
 
 
 def _select(oracle, owners, cands, k):
-    """Each owner's top k among its candidates other than itself.
+    """Each owner's top k among its distinct candidates other than itself.
 
-    One row per distinct owner, in increasing owner order; ``top_k`` counts
-    a repeated candidate once.
+    One row per distinct owner, in increasing owner order.
     """
-    mine = cands == owners
-    return oracle.top_k(owners[~mine], cands[~mine], k)
+    n = oracle.n
+    keys = unique_keys((owners.astype(np.int64) * n + cands)[cands != owners])
+    own = keys // n
+    return oracle.top_k(own, keys - own * n, k)
 
 
 def _changed(new, old):

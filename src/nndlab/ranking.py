@@ -85,8 +85,8 @@ class RankTable:
         if not np.array_equal(np.sort(order, axis=1), expected):
             raise InputError("row x of order must be a permutation of all items except x")
         ranks = np.zeros((n, n), dtype=np.int32)
-        rows = np.repeat(np.arange(n), n - 1)
-        ranks[rows, order.ravel()] = np.tile(np.arange(1, n, dtype=np.int32), n)
+        # ranks[x, order[x, i]] = i + 1, with no n^2 array of row indices
+        np.put_along_axis(ranks, order, np.arange(1, n, dtype=np.int32)[None, :], axis=1)
         self._order = order
         self._ranks = ranks
         self._order.setflags(write=False)
@@ -149,12 +149,12 @@ class RankingOracle:
     ``top_k`` is the one selection: it takes a batch of candidate pools,
     each candidate with its owner beside it, sorts the keys
     ``owner * n + rank`` once and reads each owner's best k from the table's
-    ``order``.  It charges ``c * ceil(log2 c)`` per pool of c distinct
-    candidates, the comparison cost of the sort it stands in for, so
-    desk-scale descent runs stay fast while ``comparisons`` stays an honest
-    upper-bound accounting of comparison-based selection.  A scalar owner
-    is the batch of one.  The meter is guarded by a lock so concurrent
-    readers may share one oracle.
+    ``order``.  It charges ``c * ceil(log2 c)`` per pool of c candidates, the
+    comparison cost of the sort it stands in for, so desk-scale descent runs
+    stay fast while ``comparisons`` stays an honest upper-bound accounting of
+    comparison-based selection.  A scalar owner is the batch of one.
+    The meter is guarded by a lock so concurrent readers may share one
+    oracle.
     """
 
     def __init__(self, table):
@@ -177,26 +177,22 @@ class RankingOracle:
     def top_k(self, x, candidates, k):
         """The k most-preferred candidates of each owner, best first.
 
-        Candidates must be item ids in [0, n).  A pool must not contain its
-        owner; a candidate repeated in its owner's pool counts once, in the
-        selection and in the charge.  With a scalar ``x`` the result is x's
-        best k, or all of its candidates (ordered) when there are fewer.
-        With an array ``x``, the owner of each candidate, every pool must
-        hold at least k distinct candidates, and the result has one row of k
-        per distinct owner, in increasing owner order.  A pool that breaks
-        these rules refuses the whole call before anything is charged.
+        Each owner's candidates must be distinct and must not contain the
+        owner.  With a scalar ``x`` the result is x's best k, or all of its
+        candidates (ordered) when there are fewer.  With an array ``x``, the
+        owner of each candidate, every pool must hold at least k candidates,
+        and the result has one row of k per distinct owner, in increasing
+        owner order.  A pool that breaks these rules refuses the whole call
+        before anything is charged.
         """
         n = self.n
         cand = np.asarray(candidates)
-        if cand.size and not 0 <= cand.min() <= cand.max() < n:
-            raise InputError("candidate ids must lie in [0, n)")
-        base = np.broadcast_to(np.asarray(x, dtype=np.int64), cand.shape) * n
-        ranks = self.table.ranks.ravel()[base + cand]  # a flat gather: 2-D indexing is slower
+        owners = np.broadcast_to(np.asarray(x, dtype=np.int64), cand.shape)
+        ranks = self.table.ranks[owners, cand]
         # rank 0 is the diagonal's alone, so it occurs exactly when a pool holds its owner
         if not ranks.all():
             raise InputError("candidate pool must not contain its owner")
-        # equal keys are one candidate of one owner: the sort keeps one of each
-        keys = unique_keys(base + ranks)
+        keys = np.sort(owners * n + ranks)
         own = keys // n
         first = np.ones(keys.size, dtype=bool)
         first[1:] = own[1:] != own[:-1]
@@ -212,24 +208,30 @@ class RankingOracle:
 
 
 def ranking_from_distance_matrix(dist):
-    """RankTable from a symmetric distance matrix with deterministic ties.
+    """RankTable from a square distance matrix, or a tuple of them compared in turn.
 
-    Equal distances are broken by item id, the smaller id first, so
+    Row x ranks the other items by ``dist[x, y]``; with a tuple, by the first
+    matrix, equal entries by the next, and so on.  Every entry off the
+    diagonal must be finite and non-negative; the diagonal is ignored.
+    Remaining ties are broken by item id, the smaller id first, so
     rebuilding a table from the same inputs is bit-reproducible.
     """
-    dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
+    keys = [np.asarray(d, dtype=np.float64) for d in (dist if isinstance(dist, tuple) else (dist,))]
+    if any(d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape != keys[0].shape for d in keys):
         raise InputError("distance matrix must be square")
-    n = dist.shape[0]
-    off = ~np.eye(n, dtype=bool)
-    if not np.isfinite(dist[off]).all():
+    n = keys[0].shape[0]
+    # the n^2 - 1 entries after [0, 0] are rows of n off-diagonal ones, each ended by a diagonal one
+    off = [d.ravel()[1:].reshape(n - 1, n + 1)[:, :n] for d in keys]
+    if not all(np.isfinite(d).all() for d in off):
         raise InputError("distances must be finite")
-    if (dist[off] < 0).any():
+    if not all((d >= 0).all() for d in off):
         raise InputError("distances must be non-negative")
-    d = dist.copy()
-    np.fill_diagonal(d, np.inf)  # self sorts last and is dropped
-    # a stable sort keeps equal distances in item-id order
-    return RankTable(np.argsort(d, axis=1, kind="stable")[:, : n - 1])
+    keys[0] = keys[0].copy()
+    np.fill_diagonal(keys[0], np.inf)  # self sorts last and is dropped
+    # lexsort is stable, so equal keys keep item-id order
+    order = np.lexsort(keys[::-1])[:, : n - 1]
+    del keys  # the inf copy is not kept while the table is built
+    return RankTable(order)
 
 
 def exact_knn(table, K):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import RankTable
+from .ranking import RankTable, ranking_from_distance_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +131,8 @@ class LcsSpace:
     @functools.cached_property
     def _codes(self):
         """The strings as an (n, m) matrix of alphabet indices."""
+        if any(len(s) != self.m or not set(s) <= set(self.alphabet) for s in self.strings):
+            raise InputError(f"every string must be {self.m} characters of {self.alphabet!r}")
         return np.array([[self.alphabet.index(c) for c in s] for s in self.strings], dtype=np.uint8)
 
     def distance(self, a, b):
@@ -142,16 +144,17 @@ class LcsSpace:
         ascending by (rho, tie key) ranks higher-probability matches nearer.
         Residual ties are the rank table's job (broken by item id there).
         """
-        a, b = np.broadcast_arrays(a, b)
-        shape, a, b = a.shape, a.ravel(), b.ravel()
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))  # views: no pair is copied
         codes = self._codes
         logmu = np.array([math.log(q) for q in self.mu])
         cols = np.arange(codes.shape[1])
         rho, key = np.empty(a.size), np.empty(a.size)
         step = max(1, _LCS_CELLS // (codes.shape[1] + 1) ** 2)
         for s in range(0, a.size, step):
-            A = codes[a[s : s + step]]
-            length, start, _ = _lcs(A, codes[b[s : s + step]])
+            at = np.unravel_index(np.arange(s, min(s + step, a.size)), a.shape)
+            A = codes[a[at]]
+            length, start, _ = _lcs(A, codes[b[at]])
             # summed left to right, as the per-character sum is: cumsum, where np.sum pairs terms
             inside = (cols >= start[:, None]) & (cols < (start + length)[:, None])
             total = np.where(inside, logmu[A], 0.0).cumsum(axis=1)[:, -1]
@@ -303,13 +306,9 @@ def random_ranking_table(n, seed):
 # Rank tables
 
 def rank_table(space):
-    """Exact rank table: each row sorted by the key, or tuple of keys, of
-    ``space.distance``, equal keys broken by item id."""
+    """Exact rank table: ``ranking_from_distance_matrix`` of ``space.distance``
+    over every pair of items."""
     if not hasattr(space, "distance"):
         raise InputError(f"no rank table builder for {type(space).__name__}")
-    n = space.n
-    ids = np.arange(n)
-    keys = np.reshape(space.distance(ids[:, None], ids[None, :]), (-1, n, n))
-    np.fill_diagonal(keys[0], np.inf)  # self sorts last and is dropped
-    # lexsort is stable, so equal keys keep item-id order
-    return RankTable(np.lexsort(keys[::-1])[:, : n - 1])
+    ids = np.arange(space.n)
+    return ranking_from_distance_matrix(space.distance(ids[:, None], ids[None, :]))

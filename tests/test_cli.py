@@ -479,8 +479,8 @@ class TestMemoryRefusal:
             (["diag", "diameter", "--n", "30000", "--k", "3"], 16 * 90_000 + 64 * 180_000),
             (["diag", "diameter", "--n", "100", "--k", "60"], 16 * 100 ** 2 + (64 + 16) * 12_000),
             (["diag", "diameter", "--n", "1e10", "--k", "2"], 0),
-            # the rank table's build peaks near 50 bytes per pair of items
-            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 50 * 2048 ** 2),
+            # the rank table's build peaks near 40 bytes per pair of items
+            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 40 * 2048 ** 2),
         ],
         ids=["fraction", "fraction-few", "embed-csv", "embed-json", "embed-example",
              "expansion-dense", "expansion-sparse", "expansion-bad-k", "diameter-bitset",

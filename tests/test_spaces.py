@@ -148,6 +148,16 @@ class TestLcs:
         with pytest.raises(InputError):
             lcs_distance(space, 0, 1)
 
+    @pytest.mark.parametrize("strings", [("abc", "abd", "abcd"), ("abc", "abd", "abz")],
+                             ids=["length", "character"])
+    def test_malformed_space_rejected(self, strings):
+        # every string is held in one code matrix, so one bad string refuses every pair
+        space = LcsSpace(m=3, alphabet="abcd", mu=(0.25,) * 4, strings=strings)
+        with pytest.raises(InputError, match="every string must be 3 characters"):
+            lcs_distance(space, 0, 1)
+        with pytest.raises(InputError, match="every string must be 3 characters"):
+            rank_table(space)
+
     def test_canonical_substring_is_earliest(self):
         # two longest substrings; the first argument's earliest wins
         length, start_a, start_b = longest_common_substring("xxabyyycd", "abzzcdzzz")
@@ -302,6 +312,11 @@ class TestRankTables:
         rank_table(powers_of_two_space(10))
         rank_table(lcs_sample(12, 16, seed=3))
         random_ranking_table(25, seed=4)
+
+    def test_non_finite_distances_refused(self):
+        # a directly built space is checked where the distances are ranked
+        with pytest.raises(InputError, match="finite"):
+            rank_table(spaces.ParisSpace((1.0, math.nan, 3.0)))
 
     def test_torus_has_no_rank_table(self):
         # the torus is searched by range query, never ranked whole
