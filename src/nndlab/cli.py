@@ -27,10 +27,10 @@ RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
 # a run is refused when its arrays would pass this share of physical memory
 MEMORY_FRACTION = 0.5
 
-# bytes per embedding coordinate: the float64 array and its text, which for
-# JSON goes through a Python float and a repr string each (measured at n=200,
-# CPython 3.11)
-_EMBED_BYTES = {"csv": 24, "json": 160}
+# peak bytes per embedding coordinate: the float64 array and its text, which
+# for JSON is padded to its nesting; getrusage measured about 21 (csv) and 35
+# (json) at n=200 and n=300, CPython 3.11
+_EMBED_BYTES = {"csv": 24, "json": 40}
 
 # peak bytes per n^2 items of an nnd run, which builds its rank table at the
 # peak: getrusage measured 21 (random-ranking) to 38 (lcs) at n=2048
@@ -94,6 +94,21 @@ def _config(args, drop=()):
 
 def _json_doc(config, data):
     return json.dumps({"config": config, "data": data}, indent=2, sort_keys=True) + "\n"
+
+
+def _json_rows(matrix, level):
+    """Pieces that join to a non-empty float matrix as ``json.dumps(indent=2)``
+    writes its list of rows at nesting ``level``.  They are made a row at a
+    time: a Python float per entry of the whole matrix costs about 17 times
+    the array."""
+    row_pad, item_pad = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    pieces = []
+    for row in matrix:
+        body = ("," + item_pad).join(map(repr, row.tolist()))
+        pieces += [",", row_pad, "[", item_pad, body, row_pad, "]"]
+    pieces[0] = "["
+    pieces.append("\n" + "  " * level + "]")
+    return pieces
 
 
 def _csv_doc(config, body):
@@ -197,10 +212,12 @@ def cmd_crs_embed(args):
         return _csv_doc(config, emb.to_csv())
     data = {
         "columns": [list(p) for p in emb.column_pairs],
-        "coords": emb.coords.tolist(),
+        "coords": None,
         "verified": concordance.verify_embedding(crs, emb),
     }
-    return _json_doc(config, data)
+    head, _, tail = _json_doc(config, data).partition('"coords": null')
+    # one join, so the document's text is never copied whole
+    return "".join([head, '"coords": ', *_json_rows(emb.coords, 2), tail])
 
 
 def cmd_crs_special(args):

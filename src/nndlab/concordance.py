@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable, unique_keys
+from .ranking import RankTable
 
 __all__ = [
     "n_pairs",
@@ -153,23 +153,29 @@ class LinearOrder:
 # The induced ranking system and its concordancy certificate
 
 def _consecutive_arcs(orders):
-    """Distinct arcs p -> q, for pair p immediately below pair q in some item's
-    order, over a (B, n, n-1) stack of rank tables, as sorted keys p * BN + q;
-    table b's pair nodes are its lexicographic pair indices plus b * N."""
+    """Arcs p -> q, for pair p immediately below pair q in some item's order,
+    over a (B, n, n-1) stack of rank tables, as sorted keys p * BN + q; table
+    b's pair nodes are its lexicographic pair indices plus b * N.  The keys
+    are distinct: p and q share exactly one item, whose row is a permutation,
+    so that row alone holds the arc, once."""
     B, n = orders.shape[:2]
     N = n_pairs(n)
     P = pair_index(np.arange(n, dtype=np.int64)[:, None], orders.astype(np.int64), n)
     P += N * np.arange(B)[:, None, None]
-    return unique_keys((P[..., :-1] * (B * N) + P[..., 1:]).ravel())
+    keys = (P[..., :-1] * (B * N) + P[..., 1:]).ravel()
+    keys.sort()
+    return keys
 
 
 def _arc_graph(keys, N):
-    """CSR adjacency of N pair nodes with the arcs of the sorted keys p * N + q."""
+    """CSR adjacency of N pair nodes with the arcs of the sorted keys p * N + q,
+    in the float64 data and int32 indices that ``csgraph`` works on."""
     from scipy.sparse import csr_matrix
 
     src, dst = np.divmod(keys, N)
-    indptr = np.searchsorted(src, np.arange(N + 1))
-    return csr_matrix((np.ones(keys.size, dtype=np.int8), dst, indptr), shape=(N, N))
+    indptr = np.zeros(N + 1, dtype=np.int32)
+    np.cumsum(np.bincount(src, minlength=N), out=indptr[1:])
+    return csr_matrix((np.ones(keys.size), dst.astype(np.int32), indptr), shape=(N, N))
 
 
 def _arc_pairs(keys, n):
@@ -274,14 +280,26 @@ class Crs:
 
 def _phi_orders(perms, n):
     """The (B, n, n-1) rank rows of phi for a (B, N) stack of pair-index
-    permutations: item x ranks y by the position of {x, y}."""
+    permutations: item x ranks y by the position of {x, y}.
+
+    Row x of table b is filled with the keys pos({x, y}) * n + y, pos being
+    0-based, and the diagonal with N * n, and sorted in place.  A row's
+    positions are distinct, so the keys sort exactly as the positions do,
+    the diagonal sorts last, and each partner y is its key mod n.  The keys
+    are int32 while N * n < 2^31, that is for n <= 1625, and int64 above.
+    """
     B, N = perms.shape
-    pos = np.empty_like(perms)
-    np.put_along_axis(pos, perms, np.arange(N), axis=1)
-    P = np.full((B, n, n), N)  # the diagonal sorts last
-    lo, hi = np.triu_indices(n, 1)
-    P[:, lo, hi] = P[:, hi, lo] = pos
-    return np.argsort(P, axis=2)[..., : n - 1]
+    dtype = np.int32 if N * n < 2 ** 31 else np.int64
+    scaled = np.empty(perms.shape, dtype)  # pos * n, by lexicographic pair index
+    np.put_along_axis(scaled, perms, np.arange(0, N * n, n, dtype=dtype), axis=1)
+    keys = np.zeros((B, n, n), dtype)
+    # the upper triangle in row-major order is the pairs in lexicographic order
+    keys[:, np.triu(np.ones((n, n), dtype=bool), 1)] = scaled
+    keys += keys.transpose(0, 2, 1)
+    keys += np.arange(n, dtype=dtype)
+    keys.reshape(B, n * n)[:, :: n + 1] = N * n
+    keys.sort(axis=2)
+    return keys[..., : n - 1] % n
 
 
 def phi(order):

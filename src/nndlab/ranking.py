@@ -78,15 +78,17 @@ class RankTable:
         if n < 2:
             raise InputError("a ranking system needs at least two items")
         check_table_size(n)
+        bad = "row x of order must be a permutation of all items except x"
+        if order.min() < 0 or order.max() >= n:
+            raise InputError(bad)
         order = order.astype(np.int32)
-        # each row must be a permutation of the complement of its index
-        expected = np.arange(n - 1, dtype=np.int32)[None, :]
-        expected = expected + (expected >= np.arange(n, dtype=np.int32)[:, None])
-        if not np.array_equal(np.sort(order, axis=1), expected):
-            raise InputError("row x of order must be a permutation of all items except x")
         ranks = np.zeros((n, n), dtype=np.int32)
         # ranks[x, order[x, i]] = i + 1, with no n^2 array of row indices
         np.put_along_axis(ranks, order, np.arange(1, n, dtype=np.int32)[None, :], axis=1)
+        # row x is a permutation of the others iff it writes n - 1 ranks, none on
+        # the diagonal: a repeated item leaves a rank of its row unwritten
+        if np.count_nonzero(ranks) != n * (n - 1) or ranks.ravel()[:: n + 1].any():
+            raise InputError(bad)
         self._order = order
         self._ranks = ranks
         self._order.setflags(write=False)

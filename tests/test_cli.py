@@ -467,7 +467,7 @@ class TestMemoryRefusal:
             (["crs", "fraction", "--n", "100"], 16 * 4096 * 4950),
             (["crs", "fraction", "--n", "100", "--samples", "10"], 16 * 10 * 4950),
             (["crs", "embed", "--n", "2000"], 24 * 2000 * 1_999_000),
-            (["crs", "embed", "--n", "2000", "--format", "json"], 160 * 2000 * 1_999_000),
+            (["crs", "embed", "--n", "2000", "--format", "json"], 40 * 2000 * 1_999_000),
             (["crs", "embed", "--example", "concordant5", "--n", "2000"], 0),
             # K > (n - 1) / 2 draws dense n x n keys
             (["diag", "expansion", "--n", "100000", "--k", "99999"], 16 * 100_000 ** 2),

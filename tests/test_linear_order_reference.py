@@ -34,6 +34,17 @@ def test_generic_crs_table_matches_reference(n, seed):
     assert generic_crs(n, seed).table == ref.generic_crs(n, seed).table
 
 
+@pytest.mark.parametrize("n,dtype", [(1625, np.int32), (1626, np.int64)])
+def test_generic_crs_table_matches_reference_across_key_width(n, dtype):
+    # phi sorts (position, partner) keys in int32 while N * n < 2^31, in int64 above
+    N = n_pairs(n)
+    assert concordance._phi_orders(np.empty((0, N), dtype=np.int64), n).dtype == dtype
+    # the reference generic_crs spends seconds in tuples of pairs at this n,
+    # so its phi gets the same seeded order directly
+    order = LinearOrder.from_perm(n, np.random.default_rng(n).permutation(N))
+    assert generic_crs(n, n).table == ref.phi(order).table
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
 @pytest.mark.parametrize("seed", range(3))
 def test_linear_extension_matches_reference(n, seed):

@@ -114,13 +114,24 @@ class TestRankingFromDistances:
 
 
 class TestRankTable:
-    def test_rejects_non_permutation_rows(self):
-        with pytest.raises(InputError):
-            RankTable(np.array([[1, 1], [0, 2], [0, 1]]))
+    @pytest.mark.parametrize(
+        "row,col,entry",
+        # -1 in place of item 3 indexes column 3 all the same, and n indexes past the row
+        [(1, 2, -1), (1, 0, 4), (2, 0, 1), (3, 0, 3)],
+        ids=["negative", "n", "repeated", "owner"],
+    )
+    def test_rejects_bad_rows(self, row, col, entry):
+        order = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+        order[row, col] = entry
+        with pytest.raises(InputError, match="row x of order must be a permutation of all "
+                                             "items except x"):
+            RankTable(order)
 
-    def test_rejects_self_in_row(self):
-        with pytest.raises(InputError):
-            RankTable(np.array([[0, 1], [0, 2], [0, 1]]))
+    def test_int64_order_is_accepted_with_its_ranks(self):
+        order = np.array([[2, 1], [0, 2], [1, 0]], dtype=np.int64)
+        table = RankTable(order)
+        assert table.order.dtype == np.int32 and np.array_equal(table.order, order)
+        assert table.ranks.tolist() == [[0, 2, 1], [1, 0, 2], [2, 1, 0]]
 
     def test_size_cap(self, monkeypatch):
         # the cap is read when a table is built, so patching it takes effect
