@@ -11,7 +11,6 @@ import numpy as np
 from nndlab.ranking import exact_knn
 from nndlab.spaces import (
     circle_sample,
-    lcs_distance,
     lcs_qk,
     lcs_sample,
     paris_space,
@@ -44,9 +43,9 @@ print("the two nearest neighbors of 32 are", [p2.values[i] for i in pt.order[5][
 print()
 print("=== Longest common substring ===")
 lcs = lcs_sample(6, 40, seed=7)
-for i in (1, 2, 3):
-    rho, tiekey = lcs_distance(lcs, 0, i)
-    print(f"rho(s0, s{i}) = {rho:.3f}   tie key (rarity of shared substring) = {tiekey:.2f}")
+rho = lcs.distance(0, np.array([1, 2, 3]))
+for i, r in zip((1, 2, 3), rho):
+    print(f"rho(s0, s{i}) = {r:.3f}   shared length m(1 - rho) = {round(lcs.m * (1 - r))}")
 
 print()
 print("At realistic scales the shared substrings are tiny relative to m,")

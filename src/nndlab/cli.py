@@ -32,9 +32,17 @@ MEMORY_FRACTION = 0.5
 # (json) at n=200 and n=300, CPython 3.11
 _EMBED_BYTES = {"csv": 24, "json": 40}
 
+# peak bytes per pair of items of a special order, document included, and
+# per pair of each order its white component holds: getrusage measured
+# 446-465 for every kind at n=1000 and n=1400, and 10.5-12.4 per order on
+# baranyai at n=20 and n=40, CPython 3.11
+_SPECIAL_BYTES = 480
+_COMPONENT_BYTES = 13
+
 # peak bytes per n^2 items of an nnd run, which builds its rank table at the
-# peak: getrusage measured 21 (random-ranking) to 38 (lcs) at n=2048
-_NND_BYTES = 40
+# peak: getrusage measured 20.6 (random-ranking) to 27.7 (generic-crs) at
+# n=2048, CPython 3.11; powers2 is capped at n=52
+_NND_BYTES = 28
 
 
 def _finite(text):
@@ -281,6 +289,12 @@ def dense_bytes(args):
         return 16 * min(args.samples, concordance.FRACTION_ROWS) * concordance.n_pairs(args.n)
     if args.func is cmd_crs_embed and args.example is None:
         return args.n * concordance.n_pairs(args.n) * _EMBED_BYTES[args.format]
+    if args.func is cmd_crs_special:
+        orders = 0
+        if args.check == "component":
+            # powers-of-two and Eulerian orders are isolated: their component is the order alone
+            orders = args.cap if args.kind == "baranyai" else 1
+        return (_SPECIAL_BYTES + _COMPONENT_BYTES * orders) * concordance.n_pairs(args.n)
     if args.func is cmd_diag_expansion:
         return _kout_bytes(args.n, args.k)
     if args.func is cmd_diag_diameter and args.k >= 3:  # below, the command refuses K itself

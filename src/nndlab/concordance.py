@@ -322,8 +322,8 @@ def generic_crs(n, seed):
     """phi of a uniformly random linear order on the pairs of [n]."""
     if n < 2:
         raise InputError("need at least two items")
-    rng = np.random.default_rng(seed)
-    return phi(LinearOrder.from_perm(n, rng.permutation(n_pairs(n))))
+    perm = np.random.default_rng(seed).permutation(n_pairs(n))
+    return Crs(RankTable(_phi_orders(perm[None], n)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,8 @@ def diameter_experiment(n, K, trials, epsilon, seed):
     if trials < 1 or n < K + 1:
         raise InputError("need trials >= 1 and n > K")
     bound = (1 + epsilon) * math.log(n) / math.log(K - 1)
+    if not math.isfinite(bound):
+        raise InputError("epsilon out of range: the bound (1 + epsilon) log_{K-1}(n) is not finite")
     rng = np.random.default_rng(seed)
     diameters = []
     disconnected = 0
@@ -196,9 +198,10 @@ def expansion_check(F, expansion_alpha, epsilon, sample_sets, seed):
     threshold, an indicator of slack.
     """
     n, K = F.shape
-    max_size = int(min(expansion_alpha * n / math.log(n), n - 1))
-    if max_size < 1:
+    max_size = min(expansion_alpha * n / math.log(n), n - 1)
+    if max_size < 1:  # tested before int(), which cannot take -inf
         raise InputError("expansion_alpha too small: no admissible set size")
+    max_size = int(max_size)
     rng = np.random.default_rng(seed)
     threshold = K - 1 - epsilon
     violations = 0

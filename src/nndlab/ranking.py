@@ -210,29 +210,27 @@ class RankingOracle:
 
 
 def ranking_from_distance_matrix(dist):
-    """RankTable from a square distance matrix, or a tuple of them compared in turn.
+    """RankTable from a square distance matrix: row x ranks the others by ``dist[x, y]``.
 
-    Row x ranks the other items by ``dist[x, y]``; with a tuple, by the first
-    matrix, equal entries by the next, and so on.  Every entry off the
-    diagonal must be finite and non-negative; the diagonal is ignored.
-    Remaining ties are broken by item id, the smaller id first, so
-    rebuilding a table from the same inputs is bit-reproducible.
+    Every entry off the diagonal must be finite and non-negative; the
+    diagonal is ignored.  Ties are broken by item id, the smaller id first,
+    so rebuilding a table from the same inputs is bit-reproducible.
     """
-    keys = [np.asarray(d, dtype=np.float64) for d in (dist if isinstance(dist, tuple) else (dist,))]
-    if any(d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape != keys[0].shape for d in keys):
+    dist = np.asarray(dist, dtype=np.float64)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
         raise InputError("distance matrix must be square")
-    n = keys[0].shape[0]
+    n = dist.shape[0]
     # the n^2 - 1 entries after [0, 0] are rows of n off-diagonal ones, each ended by a diagonal one
-    off = [d.ravel()[1:].reshape(n - 1, n + 1)[:, :n] for d in keys]
-    if not all(np.isfinite(d).all() for d in off):
+    off = dist.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+    if not np.isfinite(off).all():
         raise InputError("distances must be finite")
-    if not all((d >= 0).all() for d in off):
+    if not (off >= 0).all():
         raise InputError("distances must be non-negative")
-    keys[0] = keys[0].copy()
-    np.fill_diagonal(keys[0], np.inf)  # self sorts last and is dropped
-    # lexsort is stable, so equal keys keep item-id order
-    order = np.lexsort(keys[::-1])[:, : n - 1]
-    del keys  # the inf copy is not kept while the table is built
+    dist = dist.copy()
+    np.fill_diagonal(dist, np.inf)  # self sorts last and is dropped
+    # a stable sort keeps equal distances in item-id order
+    order = dist.argsort(axis=1, kind="stable")[:, : n - 1]
+    del dist  # the inf copy is not kept while the table is built
     return RankTable(order)
 
 

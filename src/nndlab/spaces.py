@@ -114,14 +114,10 @@ _LCS_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class LcsSpace:
-    """Random length-m strings ranked by longest common substring.
-
-    ``mu`` is the character distribution over ``alphabet``.
-    """
+    """Length-m strings over ``alphabet`` ranked by longest common substring."""
 
     m: int
     alphabet: str
-    mu: tuple
     strings: tuple
 
     @property
@@ -136,84 +132,41 @@ class LcsSpace:
         return np.array([[self.alphabet.index(c) for c in s] for s in self.strings], dtype=np.uint8)
 
     def distance(self, a, b):
-        """(rho, a's tie key) for the strings a and b.
-
-        rho = 1 - M/m for M the longest-common-substring length.  The tie key
-        is the negated log probability of the longest shared substring at its
-        earliest start in a (0.0 when none is shared), so that sorting
-        ascending by (rho, tie key) ranks higher-probability matches nearer.
-        Residual ties are the rank table's job (broken by item id there).
-        """
+        """rho = 1 - M/m for M the length of the longest common substring of a and b."""
         shape = np.broadcast_shapes(np.shape(a), np.shape(b))
         a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))  # views: no pair is copied
         codes = self._codes
-        logmu = np.array([math.log(q) for q in self.mu])
-        cols = np.arange(codes.shape[1])
-        rho, key = np.empty(a.size), np.empty(a.size)
+        rho = np.empty(a.size)
         step = max(1, _LCS_CELLS // (codes.shape[1] + 1) ** 2)
         for s in range(0, a.size, step):
             at = np.unravel_index(np.arange(s, min(s + step, a.size)), a.shape)
-            A = codes[a[at]]
-            length, start, _ = _lcs(A, codes[b[at]])
-            # summed left to right, as the per-character sum is: cumsum, where np.sum pairs terms
-            inside = (cols >= start[:, None]) & (cols < (start + length)[:, None])
-            total = np.where(inside, logmu[A], 0.0).cumsum(axis=1)[:, -1]
-            rho[s : s + step] = 1.0 - length / self.m
-            key[s : s + step] = np.where(length > 0, -total, 0.0)
-        return rho.reshape(shape), key.reshape(shape)
+            rho[s : s + step] = 1.0 - _lcs_length(codes[a[at]], codes[b[at]]) / self.m
+        return rho.reshape(shape)
 
 
 def lcs_sample(n, m, seed):
     """Sample n independent strings of length m, characters i.i.d. uniform over "acgt"."""
     if n < 2 or m < 1:
         raise InputError("need n >= 2 strings of length m >= 1")
-    alphabet, mu = "acgt", (0.25,) * 4
+    alphabet = "acgt"
     # choice draws differently with p given, so p stays: the strings keep their bytes
-    idx = np.random.default_rng(seed).choice(len(alphabet), size=(n, m), p=mu)
+    idx = np.random.default_rng(seed).choice(len(alphabet), size=(n, m), p=(0.25,) * 4)
     strings = tuple("".join(alphabet[i] for i in row) for row in idx)
-    return LcsSpace(int(m), alphabet, mu, strings)
+    return LcsSpace(int(m), alphabet, strings)
 
 
-def _lcs(A, B):
-    """The longest common substring of each row of A (P, ma) with the same row of B (P, mb).
+def _lcs_length(A, B):
+    """The longest-common-substring length of each row of A (P, ma) with the same row of B (P, mb).
 
-    Returns (length, start in A, start in B), one entry per row.  It runs
-    L[i+1, j+1] = [A_i = B_j] * (L[i, j] + 1) over i for the whole block; a
-    longest substring ends at a cell holding the maximum, so the first row
-    and the first column that hold it give the smallest start in each
-    string, found independently.  Zero length starts at 0.
+    It runs L[i+1, j+1] = [A_i = B_j] * (L[i, j] + 1) over i for the whole
+    block, and a longest substring ends at a cell holding the maximum.
     """
     dtype = np.min_scalar_type(min(A.shape[1], B.shape[1]))  # holds every length
     L = np.zeros((A.shape[0], A.shape[1] + 1, B.shape[1] + 1), dtype=dtype)
     eq = A[:, :, None] == B[:, None, :]
     for i in range(A.shape[1]):
         L[:, i + 1, 1:] = eq[:, i] * (L[:, i, :-1] + 1)
-    length = L.max(axis=(1, 2))
-    at = L == length[:, None, None]
-    return length, at.any(axis=2).argmax(axis=1) - length, at.any(axis=1).argmax(axis=1) - length
-
-
-def longest_common_substring(a, b):
-    """(length, start_a, start_b) of the longest common substring.
-
-    When several substrings tie for the maximum length, ``start_a`` is the
-    smallest start index of one in ``a`` and ``start_b`` the smallest start
-    index of one in ``b`` (tracked independently).  Zero length reports
-    starts of -1.
-    """
-    A, B = (np.array([[ord(c) for c in s]], dtype=np.int64) for s in (a, b))
-    length, start_a, start_b = (int(v[0]) for v in _lcs(A, B))
-    return (length, start_a, start_b) if length else (0, -1, -1)
-
-
-def lcs_distance(space, a, b):
-    """(rho, tiekey) between strings a and b of the space (item indices): ``space.distance``."""
-    if a == b:
-        raise InputError("distance is undefined for a == b")
-    if len(space.strings[a]) != len(space.strings[b]):
-        raise InputError("strings must have equal length")
-    rho, tiekey = space.distance(a, b)
-    return float(rho), float(tiekey)
+    return L.max(axis=(1, 2))
 
 
 def lcs_qk(m, n, K, p):

@@ -57,7 +57,7 @@ from nndlab.descent import random_kout, run_nnd
 from nndlab.diagnostics import diameter_experiment, expansion_check
 from nndlab.ranking import RankingOracle, exact_knn, recall
 from nndlab.rangequery import derive_params, run_2nrq
-from nndlab.spaces import lcs_distance, lcs_qk, lcs_sample, paris_space, rank_table
+from nndlab.spaces import lcs_qk, lcs_sample, paris_space, rank_table
 
 from test_rangequery import _update_residual
 
@@ -401,7 +401,7 @@ def test_criterion_11_lcs_analytics():
     def rho(i, j):
         key = (min(i, j), max(i, j))
         if key not in cache:
-            cache[key] = lcs_distance(space, key[0], key[1])[0]
+            cache[key] = space.distance(*key)
         return cache[key]
 
     for _ in range(1000):

@@ -68,6 +68,33 @@ class TestUsageErrors:
         else:
             assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["1e308", "-1e308", "1e-308", "0"])
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["2nrq", "schedule", "--n", "1000", "--k", "8", "--d", "2", "--format", "json"],
+             "--alpha"),
+            (["2nrq", "simulate", "--n", "1000", "--k", "8", "--d", "2", "--sample-vertices", "2"],
+             "--alpha"),
+            (["diag", "diameter", "--n", "10", "--k", "3", "--trials", "1"], "--eps"),
+            (["diag", "expansion", "--n", "200", "--k", "3", "--sets", "3"], "--alpha"),
+            (["diag", "expansion", "--n", "200", "--k", "3", "--sets", "3"], "--eps"),
+        ],
+        ids=["schedule-alpha", "simulate-alpha", "diameter-eps", "expansion-alpha",
+             "expansion-eps"],
+    )
+    def test_extreme_finite_floats_exit_0_or_3_with_strict_json(self, argv, option, value,
+                                                                 tmp_path):
+        # an eps of +-1e308 wrote an infinite diameter bound, and an alpha of
+        # -1e308 an OverflowError traceback, from the set-size bound
+        out = tmp_path / "out.json"
+        got = run(argv + [f"{option}={value}", "--out", str(out)])
+        assert got in (0, 3)
+        if got == 0:
+            strict_json(out.read_text())
+        else:
+            assert not out.exists()
+
 
 class TestNnd:
     def test_paris_run_report(self, tmp_path):
@@ -469,6 +496,12 @@ class TestMemoryRefusal:
             (["crs", "embed", "--n", "2000"], 24 * 2000 * 1_999_000),
             (["crs", "embed", "--n", "2000", "--format", "json"], 40 * 2000 * 1_999_000),
             (["crs", "embed", "--example", "concordant5", "--n", "2000"], 0),
+            # near 480 bytes per pair, and 13 more per pair of each order of a component
+            (["crs", "special", "--kind", "baranyai", "--n", "1000"], 480 * 499_500),
+            (["crs", "special", "--kind", "baranyai", "--n", "40", "--check", "component"],
+             (480 + 13 * 20_000) * 780),
+            (["crs", "special", "--kind", "eulerian", "--n", "41", "--check", "component"],
+             (480 + 13) * 820),
             # K > (n - 1) / 2 draws dense n x n keys
             (["diag", "expansion", "--n", "100000", "--k", "99999"], 16 * 100_000 ** 2),
             (["diag", "expansion", "--n", "100000", "--k", "8"], 16 * 100_000 * 8),
@@ -479,12 +512,13 @@ class TestMemoryRefusal:
             (["diag", "diameter", "--n", "30000", "--k", "3"], 16 * 90_000 + 64 * 180_000),
             (["diag", "diameter", "--n", "100", "--k", "60"], 16 * 100 ** 2 + (64 + 16) * 12_000),
             (["diag", "diameter", "--n", "1e10", "--k", "2"], 0),
-            # the rank table's build peaks near 40 bytes per pair of items
-            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 40 * 2048 ** 2),
+            # the rank table's build peaks near 28 bytes per pair of items
+            (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 28 * 2048 ** 2),
         ],
-        ids=["fraction", "fraction-few", "embed-csv", "embed-json", "embed-example",
-             "expansion-dense", "expansion-sparse", "expansion-bad-k", "diameter-bitset",
-             "diameter-interval", "diameter-dense", "diameter-k2", "nnd"],
+        ids=["fraction", "fraction-few", "embed-csv", "embed-json", "embed-example", "special",
+             "special-component", "special-isolated", "expansion-dense", "expansion-sparse",
+             "expansion-bad-k", "diameter-bitset", "diameter-interval", "diameter-dense",
+             "diameter-k2", "nnd"],
     )
     def test_dense_bytes(self, argv, expected):
         assert cli.dense_bytes(cli.build_parser().parse_args(argv)) == expected
@@ -494,12 +528,14 @@ class TestMemoryRefusal:
         [
             (["crs", "fraction", "--n", "100000"], (concordance, "white_edge_fraction")),
             (["crs", "embed", "--n", "30000"], (concordance, "generic_crs")),
+            (["crs", "special", "--kind", "baranyai", "--n", "1e6"],
+             (concordance, "baranyai_order")),
             (["diag", "expansion", "--n", "1e8", "--k", "99999999", "--sets", "1"],
              (descent, "random_kout")),
             (["diag", "diameter", "--n", "1e8", "--k", "99999999", "--trials", "1"],
              (diagnostics, "diameter_experiment")),
         ],
-        ids=["fraction", "embed", "expansion", "diameter"],
+        ids=["fraction", "embed", "special", "expansion", "diameter"],
     )
     def test_refused_before_building(self, argv, builder, monkeypatch, capsys):
         # each of these once ended in a MemoryError traceback

@@ -58,6 +58,10 @@ class TestRankingFromDistances:
     def test_non_finite_distance_rejected(self):
         with pytest.raises(InputError):
             ranking_from_distance_matrix(np.full((3, 3), math.inf))
+        one_nan = np.ones((3, 3))
+        one_nan[0, 2] = math.nan
+        with pytest.raises(InputError, match="finite"):
+            ranking_from_distance_matrix(one_nan)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(InputError):
@@ -79,26 +83,6 @@ class TestRankingFromDistances:
         d = np.ones((4, 4))
         np.fill_diagonal(d, [math.nan, -1.0, math.inf, 0.0])
         assert ranking_from_distance_matrix(d) == ranking_from_distance_matrix(np.ones((4, 4)))
-
-    def test_tuple_breaks_ties_by_the_next_matrix_then_by_id(self):
-        rng = np.random.default_rng(5)
-        first, second = (rng.integers(0, 3, size=(30, 30)).astype(float) for _ in range(2))
-        table = ranking_from_distance_matrix((first, second))
-        for x in range(30):
-            expected = sorted((y for y in range(30) if y != x),
-                              key=lambda y: (first[x, y], second[x, y], y))
-            assert list(table.order[x]) == expected
-
-    @pytest.mark.parametrize("bad,match", [(math.nan, "finite"), (-1.0, "non-negative")])
-    def test_any_matrix_of_a_tuple_is_checked(self, bad, match):
-        second = np.ones((3, 3))
-        second[0, 2] = bad
-        with pytest.raises(InputError, match=match):
-            ranking_from_distance_matrix((np.ones((3, 3)), second))
-
-    def test_tuple_of_unequal_sizes_rejected(self):
-        with pytest.raises(InputError, match="must be square"):
-            ranking_from_distance_matrix((np.ones((3, 3)), np.ones((4, 4))))
 
     def test_matches_bruteforce_sort(self):
         # random instances with deliberate ties, up to n = 200

@@ -11,10 +11,8 @@ from nndlab.errors import InputError
 from nndlab.spaces import (
     LcsSpace,
     circle_sample,
-    lcs_distance,
     lcs_qk,
     lcs_sample,
-    longest_common_substring,
     paris_space,
     powers_of_two_space,
     random_ranking_table,
@@ -105,22 +103,19 @@ def brute_lcs_length(a, b):
     return best
 
 
-def make_space(strings, alphabet="abcdez", mu=None):
-    m = len(strings[0])
-    if mu is None:
-        mu = tuple(1.0 / len(alphabet) for _ in alphabet)
-    return LcsSpace(m=m, alphabet=alphabet, mu=tuple(mu), strings=tuple(strings))
+def make_space(strings, alphabet="abcdez"):
+    return LcsSpace(m=len(strings[0]), alphabet=alphabet, strings=tuple(strings))
 
 
 class TestLcs:
     def test_full_prefix_match(self):
         space = make_space(["abcdea", "abcdez"])
-        rho, _ = lcs_distance(space, 0, 1)
+        rho = space.distance(0, 1)
         assert rho == pytest.approx(1 / 6)
 
     def test_known_example(self):
         space = make_space(["abcde", "zbcdz"])
-        rho, _ = lcs_distance(space, 0, 1)
+        rho = space.distance(0, 1)
         assert brute_lcs_length("abcde", "zbcdz") == 3
         assert rho == pytest.approx(0.4)
 
@@ -128,42 +123,30 @@ class TestLcs:
         space = lcs_sample(24, 20, seed=3)
         for i in range(0, 24, 5):
             for j in range(i + 1, 24, 7):
-                length, _, _ = longest_common_substring(space.strings[i], space.strings[j])
-                assert length == brute_lcs_length(space.strings[i], space.strings[j])
+                length = brute_lcs_length(space.strings[i], space.strings[j])
+                assert space.distance(i, j) == 1.0 - length / 20
 
     def test_rho_symmetric(self):
         space = lcs_sample(30, 16, seed=1)
         rng = np.random.default_rng(0)
         for _ in range(100):
             i, j = rng.choice(30, size=2, replace=False)
-            assert lcs_distance(space, i, j)[0] == lcs_distance(space, j, i)[0]
-
-    def test_same_string_rejected(self):
-        space = lcs_sample(5, 8, seed=0)
-        with pytest.raises(InputError):
-            lcs_distance(space, 2, 2)
+            assert space.distance(i, j) == space.distance(j, i)
 
     def test_unequal_lengths_rejected(self):
-        space = LcsSpace(m=3, alphabet="abc", mu=(1 / 3,) * 3, strings=("abc", "abcd"))
+        space = LcsSpace(m=3, alphabet="abc", strings=("abc", "abcd"))
         with pytest.raises(InputError):
-            lcs_distance(space, 0, 1)
+            space.distance(0, 1)
 
     @pytest.mark.parametrize("strings", [("abc", "abd", "abcd"), ("abc", "abd", "abz")],
                              ids=["length", "character"])
     def test_malformed_space_rejected(self, strings):
         # every string is held in one code matrix, so one bad string refuses every pair
-        space = LcsSpace(m=3, alphabet="abcd", mu=(0.25,) * 4, strings=strings)
+        space = LcsSpace(m=3, alphabet="abcd", strings=strings)
         with pytest.raises(InputError, match="every string must be 3 characters"):
-            lcs_distance(space, 0, 1)
+            space.distance(0, 1)
         with pytest.raises(InputError, match="every string must be 3 characters"):
             rank_table(space)
-
-    def test_canonical_substring_is_earliest(self):
-        # two longest substrings; the first argument's earliest wins
-        length, start_a, start_b = longest_common_substring("xxabyyycd", "abzzcdzzz")
-        assert length == 2
-        assert start_a == 2  # "ab" before "cd" in the first string
-        assert start_b == 0
 
     def test_triangle_inequality_sampled(self):
         space = lcs_sample(40, 48, seed=9)
@@ -173,7 +156,7 @@ class TestLcs:
         def get(i, j):
             key = (min(i, j), max(i, j))
             if key not in rho:
-                rho[key] = lcs_distance(space, key[0], key[1])[0]
+                rho[key] = space.distance(*key)
             return rho[key]
 
         for _ in range(1000):
@@ -188,15 +171,13 @@ def float_bits(x):
 
 @st.composite
 def lcs_spaces(draw):
-    """Directly built spaces: any alphabet and mu, with repeated and identical strings."""
+    """Directly built spaces: any alphabet, with repeated and identical strings."""
     alphabet = "".join(draw(st.lists(st.characters(), min_size=1, max_size=5, unique=True)))
-    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=len(alphabet), max_size=len(alphabet)))
     m = draw(st.integers(1, 12))
     word = st.text(st.sampled_from(alphabet), min_size=m, max_size=m)
     distinct = draw(st.lists(word, min_size=1, max_size=4))
     strings = draw(st.lists(st.sampled_from(distinct), min_size=2, max_size=7))
-    mu = tuple(w / sum(weights) for w in weights)
-    return LcsSpace(m=m, alphabet=alphabet, mu=mu, strings=tuple(strings))
+    return LcsSpace(m=m, alphabet=alphabet, strings=tuple(strings))
 
 
 class TestLcsKernel:
@@ -206,25 +187,23 @@ class TestLcsKernel:
         # a small cell budget splits the pairs into many blocks, down to one pair each
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spaces, "_LCS_CELLS", cells)
-            rho, key = distance_grid(space)
+            rho = distance_grid(space)
         for a in range(space.n):
             for b in range(space.n):
-                want_rho, want_a, want_b = reference_spaces.lcs_keys(space, a, b)
-                assert float_bits(rho[a, b]) == float_bits(want_rho)
-                assert float_bits(key[a, b]) == float_bits(want_a)
-                assert float_bits(key[b, a]) == float_bits(want_b)
+                assert float_bits(rho[a, b]) == float_bits(reference_spaces.lcs_rho(space, a, b))
 
     @settings(max_examples=200, deadline=None)
     @given(st.text("ab\u00e9\U0001f600", max_size=10), st.text("ab\u00e9\U0001f600z", max_size=14))
     def test_longest_common_substring_matches_reference(self, a, b):
-        # unequal lengths and characters of no alphabet
-        assert longest_common_substring(a, b) == reference_spaces.longest_common_substring(a, b)
+        # unequal lengths and characters of no alphabet, straight through the kernel
+        A, B = (np.array([[ord(c) for c in s]], dtype=np.int64) for s in (a, b))
+        assert spaces._lcs_length(A, B).tolist() == [reference_spaces.lcs_length(a, b)]
 
     def test_rank_table_of_sampled_strings_matches_reference(self):
         space = lcs_sample(30, 12, seed=2)
-        keys = [[reference_spaces.lcs_keys(space, x, y)[:2] if x != y else (math.inf,)
-                 for y in range(30)] for x in range(30)]
-        order = [sorted(range(30), key=lambda y: (*keys[x][y], y))[:-1] for x in range(30)]
+        rho = [[reference_spaces.lcs_rho(space, x, y) if x != y else math.inf
+                for y in range(30)] for x in range(30)]
+        order = [sorted(range(30), key=lambda y: (rho[x][y], y))[:-1] for x in range(30)]
         assert rank_table(space).order.tolist() == order
 
 
