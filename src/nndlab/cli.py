@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 
 import numpy as np
@@ -24,7 +25,7 @@ from .ranking import RankingOracle, check_table_size, exact_knn, recall
 
 RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
 
-# a run is refused when its arrays would pass this share of physical memory
+# a run is refused when its arrays would pass this share of physical memory or RLIMIT_AS
 MEMORY_FRACTION = 0.5
 
 # peak bytes per embedding coordinate: the float64 array and its text, which
@@ -312,11 +313,14 @@ def _refuse_unaffordable(args):
     if args.func is cmd_nnd or args.func is cmd_crs_embed and args.example is None:
         check_table_size(args.n)  # the spaces build n x n arrays before RankTable checks
     need = dense_bytes(args)
-    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    total, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "of physical memory"
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and soft < total:
+        total, limit = soft, "address-space limit (RLIMIT_AS)"
     if need > MEMORY_FRACTION * total:
         raise ResourceLimitError(
             f"{_config(args)['command']} needs about {need / 2 ** 30:.1f} GiB, more than "
-            f"{MEMORY_FRACTION:.0%} of the {total / 2 ** 30:.1f} GiB of physical memory"
+            f"{MEMORY_FRACTION:.0%} of the {total / 2 ** 30:.1f} GiB {limit}"
         )
 
 

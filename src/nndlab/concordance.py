@@ -65,6 +65,15 @@ def pair_index(i, j, n):
     return lo * (2 * n - lo - 1) // 2 + (hi - lo - 1)
 
 
+def _checked_pair_index(pairs, n):
+    """pair_index of each row of an (m, 2) array-like of two distinct items of [0, n)."""
+    ij = np.asarray(pairs)
+    if not (ij.ndim == 2 and ij.shape[1] == 2 and ij.dtype.kind in "iu"
+            and ((0 <= ij) & (ij < n)).all()):
+        raise InputError(f"each pair must be two integer items of [0, {n})")
+    return pair_index(*ij.astype(np.int64).T, n)
+
+
 def pair_unrank(idx, n):
     """The pair (i, j), i < j, of lexicographic index idx; elementwise on
     arrays, Python ints for a scalar index."""
@@ -90,11 +99,7 @@ class LinearOrder:
     __slots__ = ("n", "perm")
 
     def __init__(self, n, pairs):
-        ij = np.asarray(list(pairs) or np.empty((0, 2), dtype=np.int64))
-        if not (ij.ndim == 2 and ij.shape[1] == 2 and ij.dtype.kind in "iu"
-                and ((0 <= ij) & (ij < n)).all()):
-            raise InputError(f"each pair must be two integer items of [0, {n})")
-        self._set(int(n), pair_index(*ij.astype(np.int64).T, n))
+        self._set(int(n), _checked_pair_index(list(pairs) or np.empty((0, 2), dtype=np.int64), n))
 
     @classmethod
     def from_perm(cls, n, perm):
@@ -152,66 +157,49 @@ class LinearOrder:
 # ---------------------------------------------------------------------------
 # The induced ranking system and its concordancy certificate
 
-def _consecutive_arcs(orders):
-    """Arcs p -> q, for pair p immediately below pair q in some item's order,
-    over a (B, n, n-1) stack of rank tables, as sorted keys p * BN + q; table
-    b's pair nodes are its lexicographic pair indices plus b * N.  The keys
-    are distinct: p and q share exactly one item, whose row is a permutation,
-    so that row alone holds the arc, once."""
+def _successors(orders):
+    """The consecutive-relation digraph of a (B, n, n-1) stack of rank tables as
+    an int32 (B*N, 2) successor table, table b's pair nodes being its pair
+    indices plus b * N: row p = {a < b} holds the pair just above p in a's
+    order, then in b's, or p itself where p tops that order (a loop, in no
+    strong component).  Exact while (n-1) * n and 2 * B * N are below 2^31."""
     B, n = orders.shape[:2]
     N = n_pairs(n)
-    P = pair_index(np.arange(n, dtype=np.int64)[:, None], orders.astype(np.int64), n)
-    P += N * np.arange(B)[:, None, None]
-    keys = (P[..., :-1] * (B * N) + P[..., 1:]).ravel()
-    keys.sort()
-    return keys
-
-
-def _arc_graph(keys, N):
-    """CSR adjacency of N pair nodes with the arcs of the sorted keys p * N + q,
-    in the float64 data and int32 indices that ``csgraph`` works on."""
-    from scipy.sparse import csr_matrix
-
-    src, dst = np.divmod(keys, N)
-    indptr = np.zeros(N + 1, dtype=np.int32)
-    np.cumsum(np.bincount(src, minlength=N), out=indptr[1:])
-    return csr_matrix((np.ones(keys.size), dst.astype(np.int32), indptr), shape=(N, N))
-
-
-def _arc_pairs(keys, n):
-    """The arcs of the sorted keys p * N + q as pair tuples, in key order."""
-    pairs = all_pairs(n)
-    src, dst = np.divmod(keys, len(pairs))
-    return [(pairs[p], pairs[q]) for p, q in zip(src.tolist(), dst.tolist())]
+    x, y = np.arange(n, dtype=np.int32)[:, None], orders.astype(np.int32)
+    lo, hi = np.minimum(x, y), np.maximum(x, y)  # a rank row never holds its owner
+    P = lo * (2 * n - 1 - lo) // 2 + hi - lo - 1
+    P += N * np.arange(B, dtype=np.int32)[:, None, None]
+    succ = np.repeat(np.arange(B * N, dtype=np.int32), 2)
+    succ[2 * P[..., :-1] + (x > y)[..., :-1]] = P[..., 1:]
+    return succ.reshape(B * N, 2)
 
 
 def _strong_components(orders):
-    """Arc keys of a (B, n, n-1) stack of rank tables, and the count and labels
-    of the strong components of its B*N pair nodes: all B tables are
+    """Successor table of a (B, n, n-1) stack of rank tables, and the count and
+    labels of the strong components of its B*N pair nodes: all B tables are
     concordant iff every node is a component of its own, i.e. count == B*N."""
-    from scipy.sparse import csgraph
+    from scipy.sparse import csgraph, csr_matrix
 
-    keys = _consecutive_arcs(orders)
-    size = len(orders) * n_pairs(orders.shape[1])
-    count, labels = csgraph.connected_components(
-        _arc_graph(keys, size), directed=True, connection="strong"
-    )
-    return keys, count, labels
+    succ = _successors(orders)
+    M = len(succ)
+    graph = csr_matrix((np.ones(2 * M), succ.ravel(), np.arange(0, 2 * M + 1, 2, dtype=np.int32)),
+                       shape=(M, M))
+    count, labels = csgraph.connected_components(graph, directed=True, connection="strong")
+    return succ, count, labels
 
 
 def _check_table(table):
-    """(arc keys, None) when the consecutive-relation digraph is acyclic,
-    else (None, explicit cycle of pairs)."""
-    n = table.n
-    N = n_pairs(n)
-    keys, count, labels = _strong_components(table.order[None])
+    """(successor table, None) when the consecutive-relation digraph is
+    acyclic, else (None, explicit cycle of pairs)."""
+    succ, count, labels = _strong_components(table.order[None])
+    N = len(succ)
     if count == N:
-        return keys, None
+        return succ, None
     # every node of a strong component with two or more nodes has a
     # predecessor inside it, so walking predecessors must revisit a node
     start = int(np.flatnonzero(np.bincount(labels)[labels] > 1)[0])
-    src, dst = np.divmod(keys, N)
-    inside = (labels[src] == labels[start]) & (labels[dst] == labels[start])
+    src, dst = np.repeat(np.arange(N), 2), succ.ravel()
+    inside = (src != dst) & (labels[src] == labels[start]) & (labels[dst] == labels[start])
     pred = np.full(N, -1)
     pred[dst[inside]] = src[inside]
     seen = {}
@@ -221,7 +209,7 @@ def _check_table(table):
         seen[p] = len(walk)
         walk.append(p)
         p = int(pred[p])
-    pairs = all_pairs(n)
+    pairs = all_pairs(table.n)
     return None, [pairs[q] for q in reversed(walk[seen[p] :])]
 
 
@@ -232,8 +220,8 @@ class Crs:
     digraph on pairs, whose reachability is the minimal partial order
     extending every per-item order) or an explicit directed cycle of pairs
     witnessing that no such partial order exists.  Evidence is computed
-    lazily on first access; the DAG is held as sorted arc keys p * N + q
-    over lexicographic pair indices.
+    lazily on first access; the DAG is held as ``_successors``' table, and
+    ``_graph`` compacts it into a CSR over lexicographic pair indices.
     """
 
     def __init__(self, table):
@@ -245,7 +233,13 @@ class Crs:
 
     @functools.cached_property
     def _graph(self):
-        return _arc_graph(self._evidence[0], n_pairs(self.n))
+        from scipy.sparse import csr_matrix
+
+        rows = np.sort(self._evidence[0], axis=1)
+        N = len(rows)
+        keep = rows != np.arange(N)[:, None]  # a loop marks an order's top
+        indptr = np.append(0, keep.sum(axis=1).cumsum(dtype=np.int32))
+        return csr_matrix((np.ones(indptr[-1]), rows[keep], indptr), shape=(N, N))
 
     @property
     def n(self):
@@ -255,11 +249,13 @@ class Crs:
     def is_concordant(self):
         return self._evidence[1] is None
 
-    # kept for perfbench's NndGeneric counters, extras and fingerprint; goes with _arc_pairs
+    # kept for perfbench's NndGeneric counters, extras and fingerprint; goes once it counts _graph
     @functools.cached_property
     def dag_arcs(self):
-        keys = self._evidence[0]
-        return None if keys is None else set(_arc_pairs(keys, self.n))
+        if not self.is_concordant:
+            return None
+        pairs, (src, dst) = all_pairs(self.n), self._graph.nonzero()
+        return {(pairs[p], pairs[q]) for p, q in zip(src.tolist(), dst.tolist())}
 
     @property
     def cycle(self):
@@ -271,7 +267,7 @@ class Crs:
 
         if not self.is_concordant:
             raise NotConcordantError("order type undefined for a cyclic system", self.cycle)
-        a, b = pair_index(*p, self.n), pair_index(*q, self.n)
+        a, b = _checked_pair_index([p, q], self.n).tolist()
         if a == b:
             return True
         reach = csgraph.breadth_first_order(self._graph, a, return_predecessors=False)
@@ -399,7 +395,7 @@ def linf_embed(crs, seed=0, extension=None):
     else:
         if extension.n != n:
             raise InputError("extension is over the wrong ground set")
-        src, dst = np.divmod(crs._evidence[0], extension.N)
+        src, dst = crs._graph.nonzero()
         pos = extension.positions_array()
         bad = np.flatnonzero(pos[src] > pos[dst])
         if bad.size:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import resource
 
 import numpy as np
 import pytest
@@ -553,6 +554,28 @@ class TestMemoryRefusal:
         assert capsys.readouterr().err.startswith("refused: crs fraction needs about")
         monkeypatch.setattr(cli, "MEMORY_FRACTION", 0.5)
         assert run(argv) == 0
+
+    def test_budget_is_a_share_of_the_address_space_limit(self, monkeypatch, capsys):
+        # under ulimit -v 1500000 this once ended in a MemoryError traceback
+        def refuse(*args, **kwargs):
+            raise AssertionError("an order was built before the memory estimate")
+
+        monkeypatch.setattr(concordance, "baranyai_order", refuse)
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (1_500_000 * 1024, resource.RLIM_INFINITY))
+        assert run(["crs", "special", "--kind", "baranyai", "--n", "3000"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("refused: crs special needs about 2.0 GiB")
+        assert err.rstrip().endswith("of the 1.4 GiB address-space limit (RLIMIT_AS)")
+
+    def test_unlimited_address_space_keeps_the_physical_budget(self, monkeypatch, capsys):
+        argv = ["crs", "fraction", "--n", "5", "--samples", "1000"]
+        monkeypatch.setattr(resource, "getrlimit",
+                            lambda which: (resource.RLIM_INFINITY, resource.RLIM_INFINITY))
+        assert run(argv) == 0
+        monkeypatch.setattr(cli, "MEMORY_FRACTION", 1e-12)
+        assert run(argv) == 4
+        assert capsys.readouterr().err.rstrip().endswith("GiB of physical memory")
 
     def test_nnd_refused_before_building(self, monkeypatch, capsys):
         # n is capped at 2^15, where the estimate fits a large host, so the budget shrinks

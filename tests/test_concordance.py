@@ -123,17 +123,14 @@ class TestConcordancyCheck:
         expect = [concordancy_check(t).is_concordant for t in tables]
         assert any(expect) and not all(expect)
         N = n_pairs(n)
-        keys, count, labels = concordance._strong_components(np.stack([t.order for t in tables]))
+        succ, count, labels = concordance._strong_components(np.stack([t.order for t in tables]))
         on_cycle = (np.bincount(labels)[labels] > 1).reshape(len(tables), N).any(axis=1)
         assert (~on_cycle).tolist() == expect
         assert count < len(tables) * N
-        # table b's arcs are its own, shifted to the nodes b*N .. b*N + N-1
-        src, dst = np.divmod(keys, len(tables) * N)
+        # table b's rows are its own successors, shifted to the nodes b*N .. b*N + N-1
         for b, table in enumerate(tables):
-            mine = src // N == b
-            assert (dst[mine] // N == b).all()
-            alone = concordance._consecutive_arcs(table.order[None])
-            assert np.array_equal((src[mine] - b * N) * N + dst[mine] - b * N, alone)
+            alone = concordance._successors(table.order[None])
+            assert np.array_equal(succ[b * N : (b + 1) * N], alone + b * N)
         concordant = np.stack([t.order for t, ok in zip(tables, expect) if ok])
         assert concordance._strong_components(concordant)[1] == len(concordant) * N
 
@@ -166,6 +163,16 @@ class TestConcordancyCheck:
         cycle = crs.cycle
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert (a, b) in arcs
+
+    @pytest.mark.parametrize("p", [(0, 7), (-1, 3), (5, 9)], ids=["0-7", "neg1-3", "5-9"])
+    def test_order_leq_refuses_pairs_outside_the_items(self, p):
+        # (0, 7) once answered for the pair (1, 3), (-1, 3) overflowed and
+        # (5, 9) reached the BFS as a node past the last
+        crs = generic_crs(6, 0)
+        with pytest.raises(InputError):
+            crs.order_leq(p, (2, 3))
+        with pytest.raises(InputError):
+            crs.order_leq((2, 3), p)
 
     def test_random_systems_rarely_concordant(self):
         concordant = sum(
