@@ -25,7 +25,7 @@ for t, (r, th, f) in enumerate(zip(schedule.radii, schedule.rates, schedule.form
 
 print()
 print("=== Desk-scale simulation: n = 2*10^4, K = 12, d = 2 ===")
-result = run_2nrq(2e4, 12, 2, 0.5, seed=1, verify_rounds=True)
+result = run_2nrq(2e4, 12, 2, 0.5, seed=1)
 report = result.report
 print(f"realized points: {report['realized_points']}, tau = {report['tau']}")
 print(f"distance evaluations: {report['distance_evals']:,} "
@@ -39,7 +39,7 @@ print("realized rates run ahead of the idealized schedule")
 
 print()
 print("=== Conditioned diagnostic: each round fed an exact rate sample ===")
-ideal = run_2nrq(1e4, 12, 2, 0.5, seed=1, verify_rounds=True, idealized_inputs=True)
+ideal = run_2nrq(1e4, 12, 2, 0.5, seed=1, idealized_inputs=True)
 print("  t   theta_t    measured rate   rate z")
 for rep in ideal.report["sampling_reports"]:
     print(f"  {rep['t']}   {rep['theta_t']:.6f}   {rep['rate_mean']:.6f}     "

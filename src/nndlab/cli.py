@@ -40,6 +40,12 @@ _EMBED_BYTES = {"csv": 24, "json": 40}
 _SPECIAL_BYTES = 480
 _COMPONENT_BYTES = 13
 
+# peak bytes per point and unit of K of a 2nrq simulation, verification
+# included: getrusage measured 153-184 at d=2, K=12 (n=1e5 to 4e5; it grows
+# with the degree, which grows with n) and 170-172 at d=4, K=28 (n=1e5 and
+# 2e5), above start-up with numpy and scipy loaded, CPython 3.11
+_2NRQ_BYTES = 220
+
 # peak bytes per n^2 items of an nnd run, which builds its rank table at the
 # peak: getrusage measured 20.6 (random-ranking) to 27.7 (generic-crs) at
 # n=2048, CPython 3.11; powers2 is capped at n=52
@@ -195,7 +201,6 @@ def cmd_2nrq_simulate(args):
         args.d,
         args.alpha,
         args.seed,
-        verify_rounds=True,
         sample_size=args.sample_vertices,
         idealized_inputs=args.idealized_inputs,
     )
@@ -285,6 +290,8 @@ def dense_bytes(args):
     """The bytes of a command's largest arrays, estimated from its options alone."""
     if args.func is cmd_nnd:
         return _NND_BYTES * args.n ** 2
+    if args.func is cmd_2nrq_simulate:
+        return _2NRQ_BYTES * args.k * args.n
     if args.func is cmd_crs_fraction:
         # float64 sort keys and their int64 argsort, samples x N, a block of samples at a time
         return 16 * min(args.samples, concordance.FRACTION_ROWS) * concordance.n_pairs(args.n)

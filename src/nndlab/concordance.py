@@ -444,7 +444,8 @@ class WhiteComponent:
         return len(self.orders)
 
 
-# array entries per block of candidate orders in a white BFS level
+# array entries per block of a white BFS level: frontier rows tested for
+# white swaps, and the neighbour orders those swaps make
 _BLOCK_ENTRIES = 1 << 20
 
 
@@ -452,14 +453,17 @@ def _white_neighbours(frontier, n):
     """Keys of the orders one white swap away from each frontier row, the
     rows in order and each row's swaps from the bottom up."""
     N = frontier.shape[1]
-    block = max(1, _BLOCK_ENTRIES // max(N * N, 1))
+    block = max(1, _BLOCK_ENTRIES // max(N, 1))  # rows of N entries
     for at in range(0, len(frontier), block):
         cur = frontier[at : at + block]
         rows, slots = np.nonzero(_disjoint(cur[:, :-1], cur[:, 1:], n))
-        nxt = cur[rows]
-        k = np.arange(rows.size)
-        nxt[k, slots], nxt[k, slots + 1] = cur[rows, slots + 1], cur[rows, slots]
-        yield from nxt.view(np.dtype((np.void, N * nxt.itemsize))).ravel().tolist()
+        # one row can have N - 1 white swaps, so the neighbours are blocked too
+        for k in range(0, rows.size, block):
+            row, slot = rows[k : k + block], slots[k : k + block]
+            nxt = cur[row]
+            i = np.arange(row.size)
+            nxt[i, slot], nxt[i, slot + 1] = cur[row, slot + 1], cur[row, slot]
+            yield from nxt.view(np.dtype((np.void, N * nxt.itemsize))).ravel().tolist()
 
 
 def white_component(order, cap=20000):
@@ -572,15 +576,16 @@ def white_edge_fraction(n, samples=100_000, seed=0):
     rng = np.random.default_rng(seed)
     N = n_pairs(n)
     # the positions are drawn after the samples x N keys; PCG64's random()
-    # takes one 64-bit step per float, so a twin advanced past the keys draws them
+    # takes one 64-bit step per float, so a twin advanced past the keys draws
+    # them, a block at a time (its 32-bit draws carry over between calls)
     ahead = np.random.default_rng(seed)
     ahead.bit_generator.advance(samples * N)
-    pos = ahead.integers(0, N - 1, size=samples)[:, None] + np.arange(2)
-    pairs = np.empty((samples, 2), dtype=np.int64)
+    white = 0
     for s in range(0, samples, FRACTION_ROWS):
         orders = rng.random((min(FRACTION_ROWS, samples - s), N)).argsort(axis=1)
-        pairs[s : s + len(orders)] = np.take_along_axis(orders, pos[s : s + len(orders)], axis=1)
-    return exact, float(_disjoint(*pairs.T, n).mean())
+        pos = ahead.integers(0, N - 1, size=len(orders))[:, None] + np.arange(2)
+        white += int(_disjoint(*np.take_along_axis(orders, pos, axis=1).T, n).sum())
+    return exact, white / samples
 
 
 @dataclass

@@ -79,8 +79,9 @@ def derive_params(n, K, d, alpha):
     d = int(d)
     if d < 1 or n < 1:
         raise InputError("need d >= 1 and n >= 1")
-    if K <= 2 ** d:
-        raise InputError(f"K must exceed 2^d: got K={K}, 2^d={2 ** d} (dimension too high for K)")
+    # K <= 2^d, without building 2^d, whose digits pass str()'s limit at large d
+    if K < 1 or (K - 1).bit_length() <= d:
+        raise InputError(f"K must exceed 2^d: got K={K} and d={d} (dimension too high for K)")
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     beta = -math.log1p(-alpha) / alpha
@@ -649,28 +650,27 @@ class TwoNrqResult:
     report: dict
 
 
-def run_2nrq(
-    n_mean,
-    K,
-    d,
-    alpha,
-    seed,
-    verify_rounds=False,
-    sample_size=500,
-    idealized_inputs=False,
-):
-    """Full pipeline: sample points, derive the schedule, run every round.
+def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False):
+    """Full pipeline: sample points, derive the schedule, run and verify every round.
 
     The schedule is computed from the realized point count (the algorithm
     knows its input), not from n_mean: the update equation squares the
     previous rate each round, so even the Poisson fluctuation of the count
     would otherwise compound into a visible rate bias at desk scale.
 
+    Each state E_t is verified on one worker thread while round t+1 runs on
+    the main thread.  Verification draws from its own seeds, so the graph,
+    ``per_round`` and ``distance_evals`` are those of the rounds alone.
+
     With ``idealized_inputs`` each round's input edge set is regenerated as
     an exact rate-theta sample of in-range pairs, isolating the one-step
     update from dependence accumulated across rounds (a diagnostic, not the
     algorithm).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    # (K, d, alpha) are checked before the n x d points are drawn
+    derive_params(n_mean, K, d, alpha)
     root = np.random.SeedSequence(int(seed))
     space_seed, e0_seed, round_seed, verify_seed, ideal_seed = (
         int(s) for s in root.generate_state(5)
@@ -685,9 +685,6 @@ def run_2nrq(
     params = derive_params(float(m), K, d, alpha)
     schedule = compute_schedule(params)
     state = init_e0(space, K, e0_seed)
-    round_seeds = [round_seed + t for t in range(schedule.tau + 1)]
-    verify_seeds = [verify_seed + t for t in range(schedule.tau + 1)]
-    ideal_seeds = [ideal_seed + t for t in range(schedule.tau + 1)]
 
     per_round = []
 
@@ -696,10 +693,10 @@ def run_2nrq(
         r_t, r_prev = schedule.radii[t], schedule.radii[t - 1]
         src = state
         if idealized_inputs and t > 1:
-            src = ideal_state(space, r_prev, schedule.rates[t - 1], t - 1, ideal_seeds[t - 1])
+            src = ideal_state(space, r_prev, schedule.rates[t - 1], t - 1, ideal_seed + t - 1)
             src.distance_evals = state.distance_evals
         g_value = g_min_overlap(r_t, r_prev, d)
-        new = range_query_round(src, r_t, r_prev, g_value, round_seeds[t - 1])
+        new = range_query_round(src, r_t, r_prev, g_value, round_seed + t - 1)
         per_round.append(
             {
                 "t": t,
@@ -714,30 +711,24 @@ def run_2nrq(
 
     def verify(state, t):
         return verify_sampling_property(
-            state, schedule.radii[t], schedule.rates[t], sample_size, seed=verify_seeds[t]
+            state, schedule.radii[t], schedule.rates[t], sample_size, seed=verify_seed + t
         )
 
     reports = []
-    if not verify_rounds:
+    # verifying E_t and computing E_{t+1} both only read E_t, so they overlap;
+    # at most one verification is in flight, which keeps two states alive
+    state.adjacency()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(verify, state, 0)
         for t in range(1, schedule.tau + 1):
-            state = advance(state, t)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # verifying E_t and computing E_{t+1} both only read E_t, so they overlap;
-        # at most one verification is in flight, which keeps two states alive
-        state.adjacency()
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pending = pool.submit(verify, state, 0)
-            for t in range(1, schedule.tau + 1):
-                try:
-                    state = advance(state, t)
-                finally:
-                    # raised here first, as in sequence: E_{t-1}'s verification
-                    # error wins over an error of round t
-                    reports.append(pending.result())
-                pending = pool.submit(verify, state, t)
-            reports.append(pending.result())
+            try:
+                state = advance(state, t)
+            finally:
+                # raised here first, as in sequence: E_{t-1}'s verification
+                # error wins over an error of round t
+                reports.append(pending.result())
+            pending = pool.submit(verify, state, t)
+        reports.append(pending.result())
 
     report = {
         "n_mean": float(n_mean),

@@ -108,7 +108,8 @@ def powers_of_two_space(n):
 # ---------------------------------------------------------------------------
 # Longest common substring over random strings
 
-# dynamic-program cells per block of string pairs; a block holds at least one pair
+# dynamic-program cells per block of string pairs, one row of m + 1 per
+# pair; a block holds at least one pair
 _LCS_CELLS = 1 << 20
 
 
@@ -137,7 +138,7 @@ class LcsSpace:
         a, b = np.broadcast_arrays(np.atleast_1d(a), np.atleast_1d(b))  # views: no pair is copied
         codes = self._codes
         rho = np.empty(a.size)
-        step = max(1, _LCS_CELLS // (codes.shape[1] + 1) ** 2)
+        step = max(1, _LCS_CELLS // (codes.shape[1] + 1))
         for s in range(0, a.size, step):
             at = np.unravel_index(np.arange(s, min(s + step, a.size)), a.shape)
             rho[s : s + step] = 1.0 - _lcs_length(codes[a[at]], codes[b[at]]) / self.m
@@ -159,14 +160,16 @@ def _lcs_length(A, B):
     """The longest-common-substring length of each row of A (P, ma) with the same row of B (P, mb).
 
     It runs L[i+1, j+1] = [A_i = B_j] * (L[i, j] + 1) over i for the whole
-    block, and a longest substring ends at a cell holding the maximum.
+    block, keeping only row i of L and the largest entry so far: a longest
+    substring ends at a cell holding the maximum.
     """
     dtype = np.min_scalar_type(min(A.shape[1], B.shape[1]))  # holds every length
-    L = np.zeros((A.shape[0], A.shape[1] + 1, B.shape[1] + 1), dtype=dtype)
-    eq = A[:, :, None] == B[:, None, :]
+    row = np.zeros((A.shape[0], B.shape[1] + 1), dtype=dtype)
+    best = np.zeros(A.shape[0], dtype=dtype)
     for i in range(A.shape[1]):
-        L[:, i + 1, 1:] = eq[:, i] * (L[:, i, :-1] + 1)
-    return L.max(axis=(1, 2))
+        row[:, 1:] = (A[:, i, None] == B) * (row[:, :-1] + 1)
+        np.maximum(best, row.max(axis=1), out=best)
+    return best
 
 
 def lcs_qk(m, n, K, p):

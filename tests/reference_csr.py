@@ -1,7 +1,9 @@
 """Reference copies of the neighbour-list builders that ``ranking.csr`` replaced.
 
-``_cofriend_csr`` (from ``nndlab.descent``), ``undirected_adjacency`` and
-``_bfs_eccentricity`` (from ``nndlab.diagnostics``), and the bodies of
+``_cofriend_csr`` (once a function of ``nndlab.descent``, whose cofriend
+transpose is now one ``csr`` call in ``descent.batch_round``),
+``undirected_adjacency`` and ``_bfs_eccentricity`` (from
+``nndlab.diagnostics``), and the bodies of
 ``TwoNrqState.adjacency`` and ``TwoNrqState.degrees`` (from
 ``nndlab.rangequery``, as functions of the state) are copied verbatim as they
 stood before every CSR layout went through ``ranking.csr``.

@@ -162,7 +162,7 @@ def desk_runs():
     runs = []
     for seed in range(1, 6):
         started = time.perf_counter()
-        result = run_2nrq(2e4, 12, 2, 0.5, seed=seed, verify_rounds=True, sample_size=500)
+        result = run_2nrq(2e4, 12, 2, 0.5, seed=seed, sample_size=500)
         runs.append((seed, result, time.perf_counter() - started))
     return runs
 

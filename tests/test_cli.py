@@ -1,12 +1,17 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import re
 import resource
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nndlab import cli, concordance, descent, diagnostics, ranking, spaces
+from nndlab import cli, concordance, descent, diagnostics, rangequery, ranking, spaces
 from nndlab.concordance import concordancy_check, concordant5_system, linf_embed
 
 
@@ -95,6 +100,24 @@ class TestUsageErrors:
             strict_json(out.read_text())
         else:
             assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["2nrq", "schedule", "--n", "16", "--k", "7", "--d", "1e9"],
+            ["2nrq", "schedule", "--n", "16", "--k", "7", "--d", "5000"],
+            ["2nrq", "simulate", "--n", "100", "--k", "7", "--d", "1e9"],
+            ["2nrq", "simulate", "--n", "100", "--k", "7", "--d", "5000"],
+        ],
+        ids=["schedule-1e9", "schedule-5000", "simulate-1e9", "simulate-5000"],
+    )
+    def test_huge_d_exits_3_with_a_short_message(self, argv, capsys):
+        # the message formatted 2^d, a ValueError traceback past 4300 digits and
+        # 1506 digits at d = 5000, and simulate sampled n x d points first
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert "K must exceed 2^d" in err and len(err) < 200
 
 
 class TestNnd:
@@ -515,11 +538,14 @@ class TestMemoryRefusal:
             (["diag", "diameter", "--n", "1e10", "--k", "2"], 0),
             # the rank table's build peaks near 28 bytes per pair of items
             (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 28 * 2048 ** 2),
+            # near 220 bytes per point and unit of K
+            (["2nrq", "simulate", "--n", "2e7", "--k", "12", "--d", "2"], 220 * 12 * 20_000_000),
+            (["2nrq", "schedule", "--n", "2e7", "--k", "12", "--d", "2"], 0),
         ],
         ids=["fraction", "fraction-few", "embed-csv", "embed-json", "embed-example", "special",
              "special-component", "special-isolated", "expansion-dense", "expansion-sparse",
              "expansion-bad-k", "diameter-bitset", "diameter-interval", "diameter-dense",
-             "diameter-k2", "nnd"],
+             "diameter-k2", "nnd", "2nrq-simulate", "2nrq-schedule"],
     )
     def test_dense_bytes(self, argv, expected):
         assert cli.dense_bytes(cli.build_parser().parse_args(argv)) == expected
@@ -535,8 +561,10 @@ class TestMemoryRefusal:
              (descent, "random_kout")),
             (["diag", "diameter", "--n", "1e8", "--k", "99999999", "--trials", "1"],
              (diagnostics, "diameter_experiment")),
+            (["2nrq", "simulate", "--n", "2e9", "--k", "12", "--d", "2"],
+             (rangequery, "run_2nrq")),
         ],
-        ids=["fraction", "embed", "special", "expansion", "diameter"],
+        ids=["fraction", "embed", "special", "expansion", "diameter", "2nrq-simulate"],
     )
     def test_refused_before_building(self, argv, builder, monkeypatch, capsys):
         # each of these once ended in a MemoryError traceback
@@ -684,3 +712,61 @@ class TestOutputDiscipline:
         assert cli._count("1e3") == 1000
         with pytest.raises(Exception):
             cli._count("2.5")
+
+
+# the options that size a run, bounded so that every drawn command takes milliseconds
+SIZE_BOUNDS = {"--n": 40, "--k": 12, "--rounds": 4, "--lcs-m": 8, "--sample-vertices": 40,
+               "--cap": 50, "--samples": 100, "--trials": 2, "--sets": 20}
+# every other number is drawn from these
+NUMBERS = ["0", "1e-308", "0.5", "1", "2", "5000", "1e9", "1e308", "-1e308", "nan", "inf"]
+# options that write a file
+FILE_OPTIONS = {"--out", "--histogram"}
+
+
+def commands(parser, path=()):
+    """(argv prefix, parser) for every command, read from the parser's subparsers."""
+    subparsers = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subparsers:
+        return [(path, parser)]
+    return [found for name, sub in subparsers[0].choices.items()
+            for found in commands(sub, path + (name,))]
+
+
+def option_values(action):
+    if action.nargs == 0:
+        return st.just([action.option_strings[0]])
+    if action.choices:
+        values = st.sampled_from(sorted(action.choices))
+    elif action.option_strings[0] in SIZE_BOUNDS:
+        values = st.integers(0, SIZE_BOUNDS[action.option_strings[0]]).map(str)
+    else:
+        values = st.sampled_from(NUMBERS)
+    return values.map(lambda value: [action.option_strings[0], value])
+
+
+@st.composite
+def argvs(draw):
+    path, parser = draw(st.sampled_from(commands(cli.build_parser())))
+    argv = list(path)
+    for action in parser._actions:
+        if not action.option_strings or action.option_strings[0] in FILE_OPTIONS | {"-h"}:
+            continue
+        if action.required or draw(st.booleans()):
+            argv += draw(option_values(action))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_any_argv_exits_0_2_3_or_4_with_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 2, 3, 4)
+    text = out.getvalue()
+    if code == 0:
+        # a JSON document, or a CSV body under a JSON config header
+        strict_json(text if text.startswith("{") else text.partition("\n")[0][len("# config: "):])

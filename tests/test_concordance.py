@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,15 @@ from nndlab.concordance import (
 from nndlab.errors import InputError, NotConcordantError, ResourceLimitError
 from nndlab.ranking import RankTable
 from nndlab.spaces import powers_of_two_space, random_ranking_table, rank_table
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """fn(*args, **kwargs) and the peak of the memory it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestPairIndexing:
@@ -317,6 +327,14 @@ class TestWhiteGraph:
         assert not component.complete
         assert len(component) >= 50
 
+    def test_one_order_expands_within_its_block(self, monkeypatch):
+        # one order of N pairs has up to N - 1 white swaps; all of them at once
+        # took 12 MB here, and a (44849, 44850) array at baranyai n = 300
+        monkeypatch.setattr(concordance, "_BLOCK_ENTRIES", 1 << 12)
+        component, peak = peak_bytes(white_component, baranyai_order(60), cap=5)
+        assert len(component) == 5 and not component.complete
+        assert peak <= 1 << 20
+
 
 class TestSpecialOrders:
     def test_powers_order_prefix(self):
@@ -399,6 +417,15 @@ class TestWhiteEdgeFraction:
         exact, empirical = white_edge_fraction(10, samples=100_000, seed=0)
         assert exact == Fraction(7, 11)
         assert abs(empirical - 7 / 11) < 0.01
+
+    def test_memory_does_not_grow_with_samples(self, monkeypatch):
+        # the positions and pairs of every sample took 3.4 MB here, and would
+        # take 9 GB at --samples 3e8
+        whole = white_edge_fraction(10, samples=100_000, seed=4)
+        monkeypatch.setattr(concordance, "FRACTION_ROWS", 64)
+        blocked, peak = peak_bytes(white_edge_fraction, 10, samples=100_000, seed=4)
+        assert blocked == whole
+        assert peak <= 1 << 19
 
 
 class TestEnumerateSmall:

@@ -1,8 +1,9 @@
 """Smoke runs of the demos and of the README's library sketch.
 
 The demos drive descent, the ranking spaces, concordancy and 2NRQ.  The
-range-query demo runs a verified ``run_2nrq`` from a script, so a worker
-thread that kept the interpreter from exiting would show up as a timeout.
+range-query demo runs ``run_2nrq``, which verifies on a worker thread, from a
+script, so a worker thread that kept the interpreter from exiting would show
+up as a timeout.
 """
 
 import os

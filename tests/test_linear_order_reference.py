@@ -135,7 +135,8 @@ def test_white_component_matches_reference(name, cap, monkeypatch):
     start = START_ORDERS[name]
     old = ref.white_component(ref.LinearOrder(start.n, start.pairs), cap=cap)
     listed = None
-    for entries in (1, 7 * start.N * start.N, concordance._BLOCK_ENTRIES):
+    # one frontier row or neighbour per block, seven of each, and the default
+    for entries in (1, 7 * start.N, concordance._BLOCK_ENTRIES):
         monkeypatch.setattr(concordance, "_BLOCK_ENTRIES", entries)
         new = concordance.white_component(start, cap=cap)
         orders = [o.pairs for o in new.orders]

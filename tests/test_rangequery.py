@@ -387,7 +387,7 @@ class TestSamplingProperty:
 
     def test_first_round_uniformity(self):
         # E_0 has independent coins, so one update satisfies the one-step law
-        result = run_2nrq(2e4, 12, 2, 0.5, seed=5, verify_rounds=True, sample_size=500)
+        result = run_2nrq(2e4, 12, 2, 0.5, seed=5, sample_size=500)
         first = result.report["sampling_reports"][1]
         assert first["out_of_range_neighbors"] == 0
         assert abs(first["rate_z"]) <= 3
@@ -401,9 +401,7 @@ class TestSamplingProperty:
     def test_conditioned_rounds_all_satisfy_property(self):
         # feeding each round an exact rate-theta sample isolates the
         # one-step update, which then verifies at every round
-        result = run_2nrq(
-            1e4, 12, 2, 0.5, seed=6, verify_rounds=True, idealized_inputs=True
-        )
+        result = run_2nrq(1e4, 12, 2, 0.5, seed=6, idealized_inputs=True)
         for rep in result.report["sampling_reports"]:
             assert rep["out_of_range_neighbors"] == 0
             assert abs(rep["rate_z"]) <= 3.5
@@ -463,9 +461,13 @@ def _peak_above_start(fn, *args):
 
 def test_init_and_first_round_memory_is_bounded(monkeypatch):
     # the benchmark's configuration; a round that kept every in-range proposal
-    # until its coins were drawn peaked at 26.7 MB, and init_e0 at 27.1 MB
+    # until its coins were drawn peaked at 26.7 MB, and init_e0 at 27.1 MB.
+    # tracemalloc sees every thread, so E_0's verification waits until round 1
+    # has been measured
     real_init, real_round = rangequery.init_e0, rangequery.range_query_round
+    real_verify = rangequery.verify_sampling_property
     peaks = {}
+    measured = threading.Event()
 
     def init(*args):
         state, peaks["init_e0"] = _peak_above_start(real_init, *args)
@@ -474,12 +476,20 @@ def test_init_and_first_round_memory_is_bounded(monkeypatch):
     def first_round(state, *args):
         if state.t:
             return real_round(state, *args)
-        state.adjacency()  # part of the input state, as run_2nrq builds it before round 1
-        new, peaks["round 1"] = _peak_above_start(real_round, state, *args)
+        try:
+            new, peaks["round 1"] = _peak_above_start(real_round, state, *args)
+        finally:
+            measured.set()
         return new
+
+    def verify(state, *args, **kwargs):
+        if not state.t:
+            measured.wait(timeout=120)
+        return real_verify(state, *args, **kwargs)
 
     monkeypatch.setattr(rangequery, "init_e0", init)
     monkeypatch.setattr(rangequery, "range_query_round", first_round)
+    monkeypatch.setattr(rangequery, "verify_sampling_property", verify)
     run_2nrq(2e4, 12, 2, 0.5, seed=1)
     assert peaks["init_e0"] <= 16
     assert peaks["round 1"] <= 12
@@ -510,9 +520,33 @@ def _failing_at(fn, t, message):
 
 
 class TestVerificationThread:
+    def test_reports_equal_verifying_each_round_in_order(self, monkeypatch):
+        # the worker's reports are those of verifying every state E_t on the
+        # main thread, in round order, at verify_seed + t
+        real_round = rangequery.range_query_round
+        states = []
+
+        def record(state, *args):
+            if not states:
+                states.append(state)  # E_0
+            states.append(real_round(state, *args))
+            return states[-1]
+
+        monkeypatch.setattr(rangequery, "range_query_round", record)
+        result = run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
+        verify_seed = int(np.random.SeedSequence(3).generate_state(5)[3])
+        schedule = result.schedule
+        assert [s.t for s in states] == list(range(schedule.tau + 1))
+        expected = [
+            verify_sampling_property(s, schedule.radii[t], schedule.rates[t], 100,
+                                     seed=verify_seed + t).to_json_dict()
+            for t, s in enumerate(states)
+        ]
+        assert result.report["sampling_reports"] == expected
+
     def test_no_thread_left_after_a_verified_run(self):
         before = threading.active_count()
-        result = run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=100)
+        result = run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
         assert len(result.report["sampling_reports"]) == result.schedule.tau + 1
         assert threading.active_count() == before
 
@@ -521,7 +555,7 @@ class TestVerificationThread:
         monkeypatch.setattr(rangequery, "range_query_round", failing)
         before = threading.active_count()
         with pytest.raises(InputError, match="round 2 failed"):
-            run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=100)
+            run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
         assert threading.active_count() == before
 
     def test_verification_error_wins_over_a_later_round_error(self, monkeypatch):
@@ -532,21 +566,14 @@ class TestVerificationThread:
         monkeypatch.setattr(rangequery, "verify_sampling_property", failing)
         before = threading.active_count()
         with pytest.raises(InputError, match="verification 1 failed"):
-            run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=100)
+            run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
         assert threading.active_count() == before
 
     def test_one_sampled_vertex_is_refused(self):
         before = threading.active_count()
         with pytest.raises(InputError, match="at least 2"):
-            run_2nrq(2000, 12, 2, 0.5, seed=3, verify_rounds=True, sample_size=1)
+            run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=1)
         assert threading.active_count() == before
-
-    def test_unverified_run_starts_no_thread(self, monkeypatch):
-        def no_thread(*args, **kwargs):
-            raise AssertionError("a thread was started")
-
-        monkeypatch.setattr(threading.Thread, "start", no_thread)
-        assert run_2nrq(2000, 12, 2, 0.5, seed=3).report["sampling_reports"] == []
 
     def test_cli_import_leaves_the_executor_unloaded(self):
         code = "import sys; from nndlab import cli; print('concurrent.futures' in sys.modules)"

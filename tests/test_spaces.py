@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ class TestLcsKernel:
         # unequal lengths and characters of no alphabet, straight through the kernel
         A, B = (np.array([[ord(c) for c in s]], dtype=np.int64) for s in (a, b))
         assert spaces._lcs_length(A, B).tolist() == [reference_spaces.lcs_length(a, b)]
+
+    def test_memory_is_one_row_per_pair(self, monkeypatch):
+        # a whole table per pair took 3 MB here, and 149 GiB at m = 200000
+        space = lcs_sample(4, 1000, seed=0)
+        a, b = np.triu_indices(4, 1)
+        whole = space.distance(a, b)
+        monkeypatch.setattr(spaces, "_LCS_CELLS", 1 << 10)
+        tracemalloc.start()
+        try:
+            blocked = space.distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert float_bits(blocked) == float_bits(whole)
+        assert peak <= 1 << 18
 
     def test_rank_table_of_sampled_strings_matches_reference(self):
         space = lcs_sample(30, 12, seed=2)
