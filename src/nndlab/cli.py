@@ -15,6 +15,7 @@ import math
 import os
 import resource
 import sys
+from decimal import Decimal
 
 import numpy as np
 
@@ -315,6 +316,12 @@ def dense_bytes(args):
     return 0
 
 
+def _gib(nbytes):
+    """A byte count in GiB: one decimal below 2^20 GiB, three digits above, with no float."""
+    gib = Decimal(nbytes) / 2 ** 30
+    return f"{gib:.1f} GiB" if gib < 2 ** 20 else f"{gib:.3g} GiB"
+
+
 def _refuse_unaffordable(args):
     """Refuse a run above the rank-table cap or the memory budget, before anything is built."""
     if args.func is cmd_nnd or args.func is cmd_crs_embed and args.example is None:
@@ -326,8 +333,8 @@ def _refuse_unaffordable(args):
         total, limit = soft, "address-space limit (RLIMIT_AS)"
     if need > MEMORY_FRACTION * total:
         raise ResourceLimitError(
-            f"{_config(args)['command']} needs about {need / 2 ** 30:.1f} GiB, more than "
-            f"{MEMORY_FRACTION:.0%} of the {total / 2 ** 30:.1f} GiB {limit}"
+            f"{_config(args)['command']} needs about {_gib(need)}, more than "
+            f"{MEMORY_FRACTION:.0%} of the {_gib(total)} {limit}"
         )
 
 

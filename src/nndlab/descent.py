@@ -8,11 +8,12 @@ simultaneous batch rounds, a pure function of the previous state, and
 scheduled pointwise passes where updates are visible immediately.
 
 Every step works on whole arrays, as the local join of NN-descent does over
-fixed-width rows: it lists (owner, candidate) pairs, drops repeats and the
-owner itself with one sort, and hands all the pools to one batched
-``RankingOracle.top_k``.  A pointwise pass is defined by its visit order and
-computed by dependency level: all points whose earlier-visited friends are
-done are updated in one batch.
+fixed-width rows: each owner's candidates form one row, which the owner pads
+where it is short, and one batched ``RankingOracle.top_k`` drops the owner
+and repeats from every row and selects.  A pointwise pass is defined by its
+visit order and computed by dependency level: the level of a point is the
+longest chain of earlier-visited friends ending at it, and each level is
+updated in one batch.
 """
 
 import math
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, csr, csr_rows, unique_keys
+from .ranking import KnnGraph, csr
 
 __all__ = [
     "FriendState",
@@ -100,20 +101,9 @@ def init_random_kout(n, K, seed):
     return FriendState(random_kout(n, K, seed), t=0)
 
 
-# Candidate keys one batch round lists per chunk of owners, so memory stays
-# bounded at large n; a chunk holds at least one owner.
+# Candidates one batch round hands ``top_k`` per chunk of owners, so memory
+# stays bounded at large n; a chunk holds at least one owner.
 _CHUNK_KEYS = 1 << 20
-
-
-def _select(oracle, owners, cands, k):
-    """Each owner's top k among its distinct candidates other than itself.
-
-    One row per distinct owner, in increasing owner order.
-    """
-    n = oracle.n
-    keys = unique_keys((owners.astype(np.int64) * n + cands)[cands != owners])
-    own = keys // n
-    return oracle.top_k(own, keys - own * n, k)
 
 
 def _changed(new, old):
@@ -126,7 +116,10 @@ def batch_round(state, oracle):
 
     Candidates for x are its friends and their friends, its cofriends and
     their friends.  The result is a pure function of the previous state, so
-    it cannot depend on any processing order.
+    it cannot depend on any processing order.  Owners are grouped by the bit
+    length j of their in-degree, and each cofriend row is padded to 2^j - 1
+    with the owner, so a class's rows share one width: the padding and its
+    friends drop out of the selection as the owner and repeats.
     """
     F = state.friends
     n, k = F.shape
@@ -134,18 +127,19 @@ def batch_round(state, oracle):
     # cofriends: the transpose of F, as CSR rows
     indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
     indeg = np.diff(indptr)
-    # owners a..b-1 list (k + indeg) * (k + 1) keys each; cut where the running sum passes a multiple
-    total = np.cumsum((k + indeg) * (k + 1))
-    cuts = np.searchsorted(total, np.arange(_CHUNK_KEYS, total[-1], _CHUNK_KEYS), side="right")
-    bounds = unique_keys(np.concatenate([[0], cuts, [n]]))
+    bits = np.frexp(indeg)[1]
     new_F = np.empty_like(F)
-    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        xs = np.arange(a, b)
-        c = cof[indptr[a] : indptr[b]]
-        own = np.concatenate([np.repeat(xs, k * (k + 1)), np.repeat(np.repeat(xs, indeg[a:b]), k + 1)])
-        mine = np.concatenate([F[a:b], F[F[a:b]].reshape(b - a, k * k)], axis=1)
-        theirs = np.concatenate([c[:, None], F[c]], axis=1)
-        new_F[a:b] = _select(oracle, own, np.concatenate([mine.ravel(), theirs.ravel()]), k)
+    for j in range(int(bits.max()) + 1):
+        owners = np.flatnonzero(bits == j)
+        slots = np.arange(2**j - 1)
+        step = max(1, _CHUNK_KEYS // ((k + slots.size) * (k + 1)))
+        for a in range(0, owners.size, step):
+            x = owners[a : a + step]
+            at = indptr[x, None] + slots
+            c = np.where(slots < indeg[x, None], cof.take(at, mode="clip"), x[:, None])
+            mine = np.concatenate([F[x], c], axis=1)
+            rows = np.concatenate([mine, F[mine].reshape(x.size, -1)], axis=1)
+            new_F[x] = oracle.top_k(x, rows, k)
     return FriendState(
         new_F,
         t=state.t + 1,
@@ -159,37 +153,40 @@ def pointwise_pass(state, schedule, oracle):
 
     Each visited x replaces F(x) by its top K among F(x) and the current
     friend lists of its friends.  The pass is defined by visit order and
-    computed by dependency level: x waits for each friend y visited before
-    it, and every point whose earlier friends are all done is updated in one
+    computed by dependency level: the level of x is the longest chain of
+    earlier-visited friends that ends at x, and each level is updated in one
     batch, reading the new F(y) of an earlier friend and the pass-start F(y)
     of a later one.  The result equals the visit-order loop.
     """
     schedule = np.asarray(schedule)
     if not np.array_equal(np.sort(schedule), np.arange(state.n)):
         raise InputError("schedule must be a permutation of the point ids")
-    new_state = state.copy()
-    before = oracle.comparisons
-    F0, F = state.friends, new_state.friends
+    F0 = state.friends
     n, k = F0.shape
+    # rows n.. of both are the pass's friend lists, written in place; rows ..n stay F0
+    both = np.concatenate([F0, F0])
+    new_state = FriendState(both[n:], t=state.t + 1)
+    before = oracle.comparisons
     pos = np.empty(n, dtype=np.int64)
     pos[schedule] = np.arange(n)
     earlier = pos[F0] < pos[:, None]
-    waits = earlier.sum(axis=1)
-    # Kahn's frontier over the arcs y -> x, y an earlier friend of x
-    indptr, dependents = csr(F0[earlier], np.repeat(np.arange(n), k)[earlier.ravel()], n)
-    level = np.flatnonzero(waits == 0)
-    while level.size:
-        rows = F0[level]
-        seen = np.where(earlier[level][:, :, None], F[rows], F0[rows]).reshape(level.size, k * k)
-        cands = np.concatenate([rows, seen], axis=1).ravel()
-        new_state.set_friends(level, _select(oracle, np.repeat(level, k * (k + 1)), cands, k))
-        done = dependents[csr_rows(indptr[level], indptr[level + 1] - indptr[level])]
-        np.subtract.at(waits, done, 1)
-        ready = unique_keys(done)
-        level = ready[waits[ready] == 0]
-    new_state.t = state.t + 1
-    new_state.work += oracle.comparisons - before
-    new_state.last_changes = _changed(F, F0)
+    # x's pool is the rows of both at reads[x]: F0(x), then each friend's, new for an earlier one
+    reads = np.concatenate([np.arange(n)[:, None], np.where(earlier, F0 + n, F0)], axis=1)
+    # x's earlier friends, or n, a slot whose level stays -1, copied to (k, n) for the max
+    up = np.where(earlier, F0, n).T.copy()
+    level = np.append(np.zeros(n, dtype=np.int64), -1)
+    # levels only grow from 0, so they are settled once their sum stops growing
+    total, settled = 0, -1
+    while total != settled:
+        settled, total = total, int(np.add(level[up].max(axis=0), 1, out=level[:n]).sum())
+    by_level = np.argsort(level[:n], kind="stable")
+    reads = reads[by_level]
+    ends = np.cumsum(np.bincount(level[:n])).tolist()
+    for a, b in zip([0] + ends, ends):
+        x = by_level[a:b]
+        new_state.set_friends(x, oracle.top_k(x, both[reads[a:b]].reshape(b - a, -1), k))
+    new_state.work = state.work + (oracle.comparisons - before)
+    new_state.last_changes = _changed(new_state.friends, F0)
     return new_state
 
 

@@ -148,15 +148,16 @@ class KnnGraph:
 class RankingOracle:
     """Selects each item's most-preferred candidates over a RankTable, metering work.
 
-    ``top_k`` is the one selection: it takes a batch of candidate pools,
-    each candidate with its owner beside it, sorts the keys
-    ``owner * n + rank`` once and reads each owner's best k from the table's
-    ``order``.  It charges ``c * ceil(log2 c)`` per pool of c candidates, the
-    comparison cost of the sort it stands in for, so desk-scale descent runs
-    stay fast while ``comparisons`` stays an honest upper-bound accounting of
-    comparison-based selection.  A scalar owner is the batch of one.
-    The meter is guarded by a lock so concurrent readers may share one
-    oracle.
+    ``top_k`` is the one selection: it takes one fixed-width row of
+    candidates per owner, gathers the owner's ranks of the row, sorts them
+    and reads the best k from the table's ``order``.  The owner itself and
+    repeats in a row are dropped, so an owner may pad a short row with
+    itself.  It charges ``c * ceil(log2 c)`` per row of c distinct
+    candidates, the comparison cost of the sort it stands in for, so
+    desk-scale descent runs stay fast while ``comparisons`` stays an honest
+    upper-bound accounting of comparison-based selection.  A scalar owner
+    with a 1-D pool is the batch of one.  The meter is guarded by a lock so
+    concurrent readers may share one oracle.
     """
 
     def __init__(self, table):
@@ -176,37 +177,40 @@ class RankingOracle:
         with self._lock:
             self._comparisons += amount
 
-    def top_k(self, x, candidates, k):
-        """The k most-preferred candidates of each owner, best first.
+    def top_k(self, x, pools, k):
+        """The k most-preferred distinct candidates of each owner, best first.
 
-        Each owner's candidates must be distinct and must not contain the
-        owner.  With a scalar ``x`` the result is x's best k, or all of its
-        candidates (ordered) when there are fewer.  With an array ``x``, the
-        owner of each candidate, every pool must hold at least k candidates,
-        and the result has one row of k per distinct owner, in increasing
-        owner order.  A pool that breaks these rules refuses the whole call
-        before anything is charged.
+        With an array ``x``, row i of the 2-D ``pools`` is the pool of owner
+        ``x[i]``; every row must hold at least k distinct candidates other
+        than its owner, and the result has one row of k per owner, in the
+        given order.  With a scalar ``x`` and a 1-D pool the result is x's
+        best k, or all of its distinct candidates (ordered) when there are
+        fewer.  Ids outside [0, n) or a short row of a batch refuse the whole
+        call before anything is charged.
         """
         n = self.n
-        cand = np.asarray(candidates)
-        owners = np.broadcast_to(np.asarray(x, dtype=np.int64), cand.shape)
-        ranks = self.table.ranks[owners, cand]
-        # rank 0 is the diagonal's alone, so it occurs exactly when a pool holds its owner
-        if not ranks.all():
-            raise InputError("candidate pool must not contain its owner")
-        keys = np.sort(owners * n + ranks)
-        own = keys // n
-        first = np.ones(keys.size, dtype=bool)
-        first[1:] = own[1:] != own[:-1]
-        starts = np.flatnonzero(first)
-        sizes = np.diff(starts, append=keys.size)
-        if np.ndim(x) and (sizes < k).any():
-            raise InputError(f"every pool of a batch needs at least k={k} candidates")
+        owners, rows = np.atleast_1d(x), np.atleast_2d(pools)
+        # as unsigned, a negative id wraps past n, so one max checks both ends
+        if (owners.ndim != 1 or rows.ndim != 2 or rows.shape[0] != owners.size
+                or max(owners.astype(np.uint64).max(), rows.astype(np.uint64).max(initial=0)) >= n):
+            raise InputError(f"top_k takes one row of candidates per owner, all ids in [0, {n})")
+        ranks = self.table.ranks.ravel()[rows + (owners * n)[:, None]]
+        ranks.sort(axis=1)
+        # a rank is new where it differs from the one before; rank 0, the owner's, sorts first
+        fresh = np.empty(ranks.shape, dtype=bool)
+        np.not_equal(ranks[:, 1:], ranks[:, :-1], out=fresh[:, 1:])
+        np.not_equal(ranks[:, :1], 0, out=fresh[:, :1])
+        sizes = fresh.sum(axis=1)
+        least = sizes.min(initial=k)
+        if np.ndim(x) and least < k:
+            raise InputError(f"every row of a batch needs at least k={k} distinct candidates")
         # ceil(log2 c) is the bit length of c - 1, the exponent frexp returns
-        self._charge(int((sizes * np.frexp(sizes - 1)[1]).sum()))
-        take = starts[:, None] + np.arange(k) if np.ndim(x) else slice(k)
-        # order[o, r - 1] sits at o * (n - 1) + r - 1 = key - o - 1 of the flat order
-        return self.table.order.ravel()[keys[take] - own[take] - 1]
+        self._charge(int(sizes @ np.frexp(sizes - 1)[1]))
+        # the owner and repeats sort last, past every rank, so each row starts with its best
+        best = np.sort(np.where(fresh, ranks, n), axis=1)[:, :least]
+        # order[o, r - 1] sits at o * (n - 1) + r - 1 of the flat order
+        top = self.table.order.ravel()[best + (owners * (n - 1) - 1)[:, None]]
+        return top if np.ndim(x) else top[0]
 
 
 def ranking_from_distance_matrix(dist):

@@ -119,6 +119,22 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "K must exceed 2^d" in err and len(err) < 200
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crs", "fraction", "--n", "1e308"],
+            ["crs", "special", "--kind", "baranyai", "--n", "1e308"],
+            ["2nrq", "simulate", "--n", "1e308", "--k", "12", "--d", "2"],
+        ],
+        ids=["fraction", "baranyai", "simulate"],
+    )
+    def test_astronomical_n_exits_4_with_a_one_line_message(self, argv, capsys):
+        # the GiB figure divided an exact int past float range, an OverflowError
+        # traceback, or printed all of its 300 digits
+        assert run(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("refused:") and err.count("\n") == 1 and len(err) < 200
+
 
 class TestNnd:
     def test_paris_run_report(self, tmp_path):

@@ -171,9 +171,12 @@ class TestOracle:
         assert oracle.comparisons == 6 * math.ceil(math.log2(6))
 
     def test_top_k_rejects_self(self):
-        oracle = RankingOracle(random_ranking_table(6, seed=0))
-        with pytest.raises(InputError):
-            oracle.top_k(2, np.array([1, 2, 3]), 2)
+        # the owner in its own pool is never selected, and its entry is not charged
+        table = random_ranking_table(6, seed=0)
+        oracle = RankingOracle(table)
+        assert oracle.top_k(2, np.array([1, 2, 3]), 2).tolist() == sorted(
+            [1, 3], key=lambda y: table.ranks[2, y])
+        assert oracle.comparisons == 2
 
     def test_top_k_empty_pool_is_free(self):
         oracle = RankingOracle(random_ranking_table(6, seed=0))
@@ -187,55 +190,73 @@ class TestOracle:
         assert oracle.top_k(0, pool, 5).tolist() == sorted(pool, key=lambda y: table.ranks[0, y])
         assert oracle.comparisons == 3 * math.ceil(math.log2(3))
 
-    @pytest.mark.parametrize("pool", [[4, 1, 3, 5], [1, 3, 4, 5], [1, 3, 5, 4]],
+    @pytest.mark.parametrize("pool", [[4, 1, 3, 5, 3], [1, 3, 4, 1, 5], [1, 5, 3, 5, 4]],
                              ids=["first", "middle", "last"])
     def test_top_k_rejects_self_anywhere_without_charge(self, pool):
-        oracle = RankingOracle(random_ranking_table(8, seed=3))
-        oracle.top_k(4, np.array([1, 2, 3]), 2)
-        before = oracle.comparisons
-        with pytest.raises(InputError):
-            oracle.top_k(4, np.array(pool), 2)
-        assert oracle.comparisons == before
+        # the owner and repeats drop wherever they sit: the pool costs what {1, 3, 5} costs
+        oracle, distinct = (RankingOracle(random_ranking_table(8, seed=3)) for _ in range(2))
+        want = distinct.top_k(4, np.array([1, 3, 5]), 2)
+        assert oracle.top_k(4, np.array(pool), 2).tolist() == want.tolist()
+        assert oracle.comparisons == distinct.comparisons == 3 * 2
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(3, 40), st.integers(0, 2**32 - 1), st.data())
     def test_batched_top_k_equals_per_owner_calls(self, n, seed, data):
         table = random_ranking_table(n, seed)
         k = data.draw(st.integers(1, n - 1))
-        owners = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6, unique=True))
+        owners = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
         pools = [
             data.draw(st.lists(st.sampled_from([y for y in range(n) if y != x]),
                                min_size=k, unique=True))
             for x in owners
         ]
         scalar = RankingOracle(table)
-        want = {x: scalar.top_k(x, np.array(pool), k).tolist() for x, pool in zip(owners, pools)}
-        # the pools interleaved, as descent lists them
-        cand = np.concatenate([np.array(pool) for pool in pools])
-        own = np.repeat(owners, [len(pool) for pool in pools])
-        mix = np.random.default_rng(seed).permutation(cand.size)
+        want = [scalar.top_k(x, np.array(pool), k).tolist() for x, pool in zip(owners, pools)]
+        # each row its distinct pool with repeats and the owner mixed in, padded by the owner
+        rng = np.random.default_rng(seed)
+        width = max(len(pool) for pool in pools) + data.draw(st.integers(0, 2 * n))
+        rows = np.empty((len(owners), width), dtype=np.int64)
+        for row, x, pool in zip(rows, owners, pools):
+            extra = rng.choice(pool + [x], size=width - len(pool))
+            row[:] = rng.permutation(np.concatenate([pool, extra]))
         batched = RankingOracle(table)
-        got = batched.top_k(own[mix], cand[mix], k)
-        assert got.tolist() == [want[x] for x in sorted(owners)]
+        assert batched.top_k(np.array(owners), rows, k).tolist() == want
         assert batched.comparisons == scalar.comparisons
 
     @pytest.mark.parametrize("where", [0, 4, 8])
     def test_batched_top_k_refuses_an_owner_in_any_pool_without_charge(self, where):
+        # an owner in its row does not count towards k: with k = 3 that row is short
         oracle = RankingOracle(random_ranking_table(8, seed=3))
-        own = np.repeat([1, 4, 6], 3)
-        cand = np.array([2, 3, 5, 1, 2, 3, 0, 2, 3])
-        cand[where] = own[where]
-        with pytest.raises(InputError):
-            oracle.top_k(own, cand, 2)
+        own = np.array([1, 4, 6])
+        rows = np.array([[2, 3, 5], [1, 2, 3], [0, 2, 3]])
+        rows.ravel()[where] = own[where // 3]
+        with pytest.raises(InputError, match="at least k=3"):
+            oracle.top_k(own, rows, 3)
         assert oracle.comparisons == 0
+        top = oracle.top_k(own, rows, 2)
+        assert top.shape == (3, 2) and not (top == own[:, None]).any()
+        assert oracle.comparisons == 2 * 6 + 2
 
     def test_batched_top_k_refuses_a_short_pool_without_charge(self):
         oracle = RankingOracle(random_ranking_table(8, seed=3))
         with pytest.raises(InputError, match="at least k=3"):
-            oracle.top_k(np.array([1, 1, 1, 4, 4]), np.array([2, 3, 5, 2, 3]), 3)
+            oracle.top_k(np.array([1, 4]), np.array([[2, 3, 5], [2, 3, 2]]), 3)
         assert oracle.comparisons == 0
         # the scalar owner keeps returning a short pool whole
-        assert oracle.top_k(4, np.array([2, 3]), 3).size == 2
+        assert oracle.top_k(4, np.array([2, 3, 2]), 3).size == 2
+
+    @pytest.mark.parametrize("x,pool", [(0, [1, -1]), (0, [2, 5]), (-1, [1, 2])],
+                             ids=["candidate-minus-one", "candidate-n", "negative-owner"])
+    def test_top_k_refuses_ids_outside_the_table_without_charge(self, x, pool):
+        # the flat gather would read a neighbouring owner's ranks for such an id
+        oracle = RankingOracle(random_ranking_table(5, seed=0))
+        oracle.top_k(1, np.array([0, 2]), 1)
+        before = oracle.comparisons
+        with pytest.raises(InputError, match=r"all ids in \[0, 5\)"):
+            oracle.top_k(x, np.array(pool), 1)
+        with pytest.raises(InputError, match=r"all ids in \[0, 5\)"):
+            oracle.top_k(np.array([x, 3]), np.array([pool, [0, 1]]), 1)
+        assert oracle.comparisons == before
 
     def test_meter_safe_under_concurrent_readers(self):
         import threading
