@@ -570,8 +570,8 @@ def white_edge_fraction(n, samples=100_000, seed=0):
     Exact value C(n-2, 2) / (C(n, 2) - 1) = 1 - 4/(n+1); the empirical
     estimate Monte-Carlos uniform orders and uniform adjacent positions.
     """
-    if n < 3:
-        raise InputError("need n >= 3")
+    if n < 3 or samples < 1:
+        raise InputError("need n >= 3 and samples >= 1")
     exact = Fraction(comb(n - 2, 2), comb(n, 2) - 1)
     rng = np.random.default_rng(seed)
     N = n_pairs(n)

@@ -77,8 +77,8 @@ def derive_params(n, K, d, alpha):
     n = float(n)
     K = int(K)
     d = int(d)
-    if d < 1 or n < 1:
-        raise InputError("need d >= 1 and n >= 1")
+    if d < 1 or not 1 <= n < math.inf:
+        raise InputError("need d >= 1 and a finite n >= 1")
     # K <= 2^d, without building 2^d, whose digits pass str()'s limit at large d
     if K < 1 or (K - 1).bit_length() <= d:
         raise InputError(f"K must exceed 2^d: got K={K} and d={d} (dimension too high for K)")
@@ -327,10 +327,11 @@ def _random_pair_keys(rng, m, size):
 def ball_scan(points, centres, r):
     """Points within wrapped sup-distance ``r`` of each centre, in chunks of centres.
 
-    ``centres`` are indices into ``points``.  Yields ``(start, indptr, keys)``
-    for consecutive runs ``centres[start:start + len(indptr) - 1]``: the ball
-    of the k-th centre of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m``
-    (the centre included), and the keys ``k * m + vertex`` ascend.
+    ``centres`` are indices into ``points``, and ``r > 0``; anything else
+    raises ``InputError``.  Yields ``(start, indptr, keys)`` for consecutive
+    runs ``centres[start:start + len(indptr) - 1]``: the ball of the k-th
+    centre of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m`` (the centre
+    included), and the keys ``k * m + vertex`` ascend.
 
     The points are bucketed into a wrapping grid of g^d cells with
     g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
@@ -354,10 +355,31 @@ def ball_scan(points, centres, r):
     between the values at their ends (+-inf for an empty part); a run
     compares coordinates with these ends and subtracts nothing per pair.
     """
-    centres = np.asarray(centres, dtype=np.int64)
+    for start, indptr, keys in _ball_runs(points, centres, r):
+        if indptr is None:
+            indptr, keys = _mask_keys(keys)
+        yield start, indptr, keys
+
+
+def _mask_keys(inside):
+    """The indptr and ascending keys k * m + vertex of a whole-row run's
+    (ball, point) mask: ball k's keys are those in [k * m, (k + 1) * m)."""
+    keys = np.flatnonzero(inside)
+    return np.searchsorted(keys, np.arange(inside.shape[0] + 1) * inside.shape[1]), keys
+
+
+def _ball_runs(points, centres, r):
+    """``ball_scan``'s runs, except that a whole-row run (g <= 3) is
+    ``(start, None, mask)``, its (ball, point) membership as a bool array."""
+    centres = np.asarray(centres)
     m, d = np.shape(points)
+    # as unsigned, a negative id wraps past m, so one max checks both ends
+    if not r > 0 or centres.size and (centres.dtype.kind not in "iu"
+                                      or centres.astype(np.uint64).max() >= m):
+        raise InputError(f"ball_scan needs r > 0 and integer centre ids in [0, {m})")
+    centres = centres.astype(np.int64)
     axes = np.ascontiguousarray(np.transpose(points), dtype=np.float64)  # one row per coordinate
-    g = min(int(2.0 / r) - 1, int(2.0 ** (62.0 / d)))  # cell ids must fit in int64
+    g = min(int(min(2.0 / r, 2.0 ** 62)) - 1, int(2.0 ** (62.0 / d)))  # cell ids fit in int64
     if g <= 3:
         windows = [_coordinate_windows(x, x[centres], r) for x in axes]
         rows = max(1, _ROW_ENTRIES // max(m, 1))
@@ -373,9 +395,7 @@ def ball_scan(points, centres, r):
                 out |= np.greater_equal(x, above, out=tmp)
                 if k:
                     inside &= hit
-            keys = np.flatnonzero(inside)
-            # ball k's keys are those in [k*m, (k+1)*m)
-            yield start, np.searchsorted(keys, np.arange(inside.shape[0] + 1) * m), keys
+            yield start, None, inside
         return
 
     cells = np.minimum(np.floor((axes.T + 1.0) * (g / 2.0)).astype(np.int64), g - 1)
@@ -484,10 +504,18 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     f_max = 0.0
     accepted = [np.zeros(0, dtype=np.int64)]
     # the hubs of degree g, g ascending, propose pairs i < j of their rows in
-    # lexicographic order; each wrapped delta is computed once per axis
-    for g in unique_keys(deg[deg >= 2]):
-        row_starts = indptr[:-1][deg == g]
-        I, J = np.triu_indices(g, 1)
+    # lexicographic order; each wrapped delta is computed once per axis.  One
+    # stable sort groups the hubs by degree, and a class's pairs are those of
+    # the largest degree with j < g, still in lexicographic order
+    by_degree = np.argsort(deg, kind="stable")
+    sorted_deg = deg[by_degree]
+    top_I, top_J = np.triu_indices(deg.max(initial=0), 1)
+    first_hub = np.searchsorted(sorted_deg, 2)
+    bounds = first_hub + np.flatnonzero(np.diff(sorted_deg[first_hub:], prepend=-1))
+    for lo, hi in zip(bounds, np.append(bounds[1:], m)):
+        g = sorted_deg[lo]
+        row_starts = indptr[by_degree[lo:hi]]
+        I, J = top_I[top_J < g], top_J[top_J < g]
         evals += row_starts.size * I.size
         hubs_per_chunk = max(1, _SCAN_ENTRIES // I.size)
         for c in range(0, row_starts.size, hubs_per_chunk):
@@ -550,6 +578,12 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     (c) a two-sided two-sample KS test at the h-transformed radial statistic
     between neighbor distances and non-neighbor in-ball distances.
 
+    It runs in two halves.  The first, ``_sample_balls``, reads no edges: it
+    draws the sample and indexes its balls.  The second,
+    ``_sampling_report``, reads E_t and draws the KS samples from the same
+    generator, so the random stream is that of one pass.  ``run_2nrq`` runs
+    the first half of a round before its edges exist.
+
     A ball of radius >= 1 is the whole torus and is not scanned.  The KS sample
     of a ball is at most ``_KS_CAP`` of its members, drawn by rank, and only
     the drawn members get a distance.  Each run of ``ball_scan`` gives the
@@ -558,19 +592,44 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     picks' distances are computed once, after the last run, so a run costs no
     more than its keys need.
     """
-    from scipy import stats
+    return _sampling_report(state, theta_t, _sample_balls(state.space, r_t, sample_size, seed))
 
+
+def _sample_balls(space, r_t, sample_size, seed):
+    """The half of ``verify_sampling_property`` that reads no edges.
+
+    Returns ``(r_t, rng, sample, held)``: the generator after it drew the
+    sample, and the sample's balls at r_t, or None for whole-torus balls.
+    The balls are held compactly, since they wait for their round: a
+    whole-row run as its (ball, point) mask packed to bits, m/8 bytes per
+    ball, and a grid run as its indptr and int32 vertex ids.
+    """
     if sample_size < 2:
         raise InputError(
             f"need at least 2 sampled vertices for a standard error, got {sample_size}"
         )
     if not r_t > 0:
         raise InputError("need r_t > 0")
+    m = space.n
+    rng = np.random.default_rng(seed)
+    sample = rng.choice(m, size=min(sample_size, m), replace=False)
+    # every wrapped sup-distance is at most 1 (2 - t is exact for t in (1, 2]),
+    # so a ball of radius >= 1 is the whole torus
+    held = None if r_t >= 1.0 else [
+        (start, None, np.packbits(keys, axis=1)) if indptr is None
+        else (start, indptr, (keys % m).astype(np.int32))
+        for start, indptr, keys in _ball_runs(space.points, sample, r_t)
+    ]
+    return r_t, rng, sample, held
+
+
+def _sampling_report(state, theta_t, balls):
+    """The half of ``verify_sampling_property`` that reads E_t, on the balls
+    ``_sample_balls`` indexed."""
+    r_t, rng, sample, held = balls
     m = state.space.n
     d = state.space.d
     pts = state.space.points
-    rng = np.random.default_rng(seed)
-    sample = rng.choice(m, size=min(sample_size, m), replace=False)
     indptr, nbrs = state.adjacency()
     sample_deg = np.diff(indptr)[sample]
     nbr_owner = np.repeat(np.arange(len(sample)), sample_deg)
@@ -581,10 +640,9 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     nbr_radial = (nbr_dist / r_t) ** d
 
     sizes, picks = [], []
-    # every wrapped sup-distance is at most 1 (2 - t is exact for t in (1, 2]),
-    # so a ball of radius >= 1 is the whole torus: one run, the key at p is p
-    whole = r_t >= 1.0
-    runs = [(0, np.arange(len(sample) + 1) * m, None)] if whole else ball_scan(pts, sample, r_t)
+    # a whole-torus ball is one run whose key at p is p
+    whole = held is None
+    runs = [(0, np.arange(len(sample) + 1) * m, None)] if whole else _open_runs(held, m)
     for start, ptr, keys in runs:
         size = ptr.size - 1
         stop = start + size
@@ -623,8 +681,7 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     deg_mean = float(sample_deg.mean())
     deg_se = float(sample_deg.std(ddof=1) / math.sqrt(len(sample)))
     if nbr_radial.size >= 5 and pop_radial.size >= 5:
-        ks = stats.ks_2samp(nbr_radial, pop_radial)
-        ks_stat, ks_p = float(ks.statistic), float(ks.pvalue)
+        ks_stat, ks_p = _ks_2samp(nbr_radial, pop_radial)
     else:
         ks_stat, ks_p = math.nan, math.nan
     return SamplingReport(
@@ -643,6 +700,44 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     )
 
 
+def _open_runs(held, m):
+    """The runs ``(start, indptr, keys)`` of ``ball_scan`` from the balls
+    ``_sample_balls`` held."""
+    for start, indptr, ids in held:
+        if indptr is None:
+            indptr, keys = _mask_keys(np.unpackbits(ids, axis=1, count=m).view(bool))
+        else:
+            keys = ids + np.repeat(np.arange(indptr.size - 1) * m, np.diff(indptr))
+        yield start, indptr, keys
+
+
+def _ks_2samp(a, b):
+    """``scipy.stats.ks_2samp(a, b)``'s two-sided statistic and p-value, as floats.
+
+    scipy takes the asymptotic p-value ``kstwo.sf(D, round(en))``,
+    en = n1 n2 / (n1 + n2), once the larger sample exceeds 10000 points; so
+    does this, with D read from one stable merge of the sorted samples: the
+    gap of the two empirical cdfs at the end of each tie group, where scipy
+    reads it for every point of the group.  Smaller samples go to scipy.
+    """
+    from scipy import stats
+
+    n1, n2 = a.size, b.size
+    if max(n1, n2) <= 10000:
+        ks = stats.ks_2samp(a, b)
+        return float(ks.statistic), float(ks.pvalue)
+    both = np.concatenate([np.sort(a), np.sort(b)])
+    order = np.argsort(both, kind="stable")  # merges the two sorted runs
+    merged = both[order]
+    c1 = np.cumsum(order < n1)
+    last = np.append(merged[1:] != merged[:-1], True)
+    gap = c1[last] / n1 - (np.flatnonzero(last) + 1 - c1[last]) / n2
+    low, high = np.clip(-gap.min(), 0, 1), gap.max()
+    d = low if low > high else high
+    en = float(n1) * n2 / (n1 + n2)
+    return float(d), float(np.clip(stats.distributions.kstwo.sf(d, np.round(en)), 0, 1))
+
+
 @dataclass
 class TwoNrqResult:
     state: TwoNrqState
@@ -659,8 +754,13 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
     would otherwise compound into a visible rate bias at desk scale.
 
     Each state E_t is verified on one worker thread while round t+1 runs on
-    the main thread.  Verification draws from its own seeds, so the graph,
-    ``per_round`` and ``distance_evals`` are those of the rounds alone.
+    the main thread.  The half of verification t that reads no edges (its
+    sample and ball index, see ``verify_sampling_property``) runs on the
+    same worker before E_t exists: rounds 0 and 1 while ``init_e0`` runs,
+    round t+2 right after verification t is queued.  Verification draws
+    from its own seeds, so the graph, ``per_round`` and ``distance_evals``
+    are those of the rounds alone, and the reports and errors are those of
+    verifying each state in turn.
 
     With ``idealized_inputs`` each round's input edge set is regenerated as
     an exact rate-theta sample of in-range pairs, isolating the one-step
@@ -684,8 +784,6 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
         )
     params = derive_params(float(m), K, d, alpha)
     schedule = compute_schedule(params)
-    state = init_e0(space, K, e0_seed)
-
     per_round = []
 
     def advance(state, t):
@@ -709,25 +807,37 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
         )
         return new
 
-    def verify(state, t):
-        return verify_sampling_property(
-            state, schedule.radii[t], schedule.rates[t], sample_size, seed=verify_seed + t
-        )
+    def verify(state, t, balls):
+        return _sampling_report(state, schedule.rates[t], balls.result())
 
     reports = []
     # verifying E_t and computing E_{t+1} both only read E_t, so they overlap;
-    # at most one verification is in flight, which keeps two states alive
-    state.adjacency()
+    # at most one verification is in flight, which keeps two states alive.
+    # The worker runs its tasks in turn, so a ball index is ready when its
+    # verification starts, which raises the index's error if it had one
     with ThreadPoolExecutor(max_workers=1) as pool:
-        pending = pool.submit(verify, state, 0)
-        for t in range(1, schedule.tau + 1):
-            try:
-                state = advance(state, t)
-            finally:
-                # raised here first, as in sequence: E_{t-1}'s verification
-                # error wins over an error of round t
-                reports.append(pending.result())
-            pending = pool.submit(verify, state, t)
+        balls = {}
+
+        def index(t):
+            """Queue the ball index of verification t, if round t exists."""
+            if t <= schedule.tau:
+                balls[t] = pool.submit(_sample_balls, space, schedule.radii[t], sample_size,
+                                       verify_seed + t)
+
+        index(0)
+        index(1)
+        state = init_e0(space, K, e0_seed)
+        state.adjacency()
+        for t in range(schedule.tau + 1):
+            if t:
+                try:
+                    state = advance(state, t)
+                finally:
+                    # raised here first, as in sequence: E_{t-1}'s verification
+                    # error wins over an error of round t
+                    reports.append(pending.result())
+            pending = pool.submit(verify, state, t, balls.pop(t))
+            index(t + 2)
         reports.append(pending.result())
 
     report = {

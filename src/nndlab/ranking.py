@@ -185,15 +185,20 @@ class RankingOracle:
         than its owner, and the result has one row of k per owner, in the
         given order.  With a scalar ``x`` and a 1-D pool the result is x's
         best k, or all of its distinct candidates (ordered) when there are
-        fewer.  Ids outside [0, n) or a short row of a batch refuse the whole
-        call before anything is charged.
+        fewer; an empty pool, ``[]`` included, selects nothing for no charge.
+        Ids that are not integers or lie outside [0, n), or a short row of a
+        batch, refuse the whole call before anything is charged.
         """
         n = self.n
         owners, rows = np.atleast_1d(x), np.atleast_2d(pools)
+        if not rows.size:
+            rows = rows.astype(np.int64)
         # as unsigned, a negative id wraps past n, so one max checks both ends
-        if (owners.ndim != 1 or rows.ndim != 2 or rows.shape[0] != owners.size
+        if (owners.dtype.kind not in "iu" or rows.dtype.kind not in "iu"
+                or owners.ndim != 1 or rows.ndim != 2 or rows.shape[0] != owners.size
                 or max(owners.astype(np.uint64).max(), rows.astype(np.uint64).max(initial=0)) >= n):
-            raise InputError(f"top_k takes one row of candidates per owner, all ids in [0, {n})")
+            raise InputError(
+                f"top_k takes one row of integer candidates per owner, all ids in [0, {n})")
         ranks = self.table.ranks.ravel()[rows + (owners * n)[:, None]]
         ranks.sort(axis=1)
         # a rank is new where it differs from the one before; rank 0, the owner's, sorts first

@@ -408,6 +408,12 @@ class TestWhiteEdgeFraction:
         assert white_edge_fraction(4, samples=10)[0] == Fraction(1, 5)
         assert white_edge_fraction(3, samples=10)[0] == 0
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_refuses_fewer_than_one_sample(self, samples):
+        # no sample divided by zero, and a negative count read as -0.0
+        with pytest.raises(InputError, match="samples >= 1"):
+            white_edge_fraction(5, samples=samples)
+
     def test_formula_identity(self):
         for n in range(4, 12):
             exact, _ = white_edge_fraction(n, samples=10)

@@ -3,16 +3,21 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from nndlab import rangequery
 from nndlab.errors import InputError, ScheduleExhausted
 from nndlab.rangequery import (
     SamplingReport,
     TwoNrqState,
+    ball_scan,
     compute_schedule,
     derive_params,
     g_min_overlap,
@@ -67,6 +72,11 @@ class TestDeriveParams:
         # beta rises with alpha from 1, so only a higher alpha lifts beta above 1
         with pytest.raises(InputError, match=advice):
             derive_params(300, K, 2, alpha)
+
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_non_finite_n(self, n):
+        with pytest.raises(InputError, match="finite n"):
+            derive_params(n, 12, 2, 0.5)
 
     def test_envelope_ordering(self):
         p = derive_params(**DESK)
@@ -295,6 +305,24 @@ class TestInitE0:
         assert np.array_equal(a.edges, b.edges)
 
 
+class TestBallScanInput:
+    POINTS = np.random.default_rng(0).uniform(-1.0, 1.0, size=(200, 2))
+
+    @pytest.mark.parametrize("centres, r", [
+        ([0, 1], 0.0), ([0, 1], -0.1), ([0, 1], math.nan), ([0, 10 ** 6], 0.5),
+        ([0, 10 ** 6], 0.1), ([-1], 0.5), ([0.0, 1.0], 0.5), ([True], 0.5),
+    ], ids=["r=0", "r<0", "r=nan", "id-past-m-rows", "id-past-m-grid", "negative-id",
+            "float-ids", "bool-ids"])
+    def test_refuses_bad_arguments(self, centres, r):
+        # these raised ZeroDivisionError, ValueError and IndexError, or scanned
+        with pytest.raises(InputError, match="ball_scan needs"):
+            list(ball_scan(self.POINTS, np.array(centres), r))
+
+    def test_empty_centres_scan_nothing(self):
+        assert list(ball_scan(self.POINTS, [], 0.5)) == []
+        assert list(ball_scan(self.POINTS, [], 0.1)) == []
+
+
 def _three_point_state(r_gap):
     pts = np.array([[0.0, 0.0], [r_gap / 2, 0.0], [-r_gap / 2, 0.0]])
     pts.setflags(write=False)
@@ -462,10 +490,10 @@ def _peak_above_start(fn, *args):
 def test_init_and_first_round_memory_is_bounded(monkeypatch):
     # the benchmark's configuration; a round that kept every in-range proposal
     # until its coins were drawn peaked at 26.7 MB, and init_e0 at 27.1 MB.
-    # tracemalloc sees every thread, so E_0's verification waits until round 1
-    # has been measured
+    # tracemalloc sees every thread, so the worker's first task, the ball
+    # index of verification 0, waits until round 1 has been measured
     real_init, real_round = rangequery.init_e0, rangequery.range_query_round
-    real_verify = rangequery.verify_sampling_property
+    real_index = rangequery._sample_balls
     peaks = {}
     measured = threading.Event()
 
@@ -482,14 +510,13 @@ def test_init_and_first_round_memory_is_bounded(monkeypatch):
             measured.set()
         return new
 
-    def verify(state, *args, **kwargs):
-        if not state.t:
-            measured.wait(timeout=120)
-        return real_verify(state, *args, **kwargs)
+    def index(*args):
+        measured.wait(timeout=120)
+        return real_index(*args)
 
     monkeypatch.setattr(rangequery, "init_e0", init)
     monkeypatch.setattr(rangequery, "range_query_round", first_round)
-    monkeypatch.setattr(rangequery, "verify_sampling_property", verify)
+    monkeypatch.setattr(rangequery, "_sample_balls", index)
     run_2nrq(2e4, 12, 2, 0.5, seed=1)
     assert peaks["init_e0"] <= 16
     assert peaks["round 1"] <= 12
@@ -506,6 +533,47 @@ def test_round_memory_is_bounded_by_its_chunk():
     after, peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 1.0, 0)
     assert after.distance_evals == base.size * 41 * math.comb(40, 2)
     assert peak <= 8
+
+
+@pytest.mark.parametrize("r", [0.578, 0.203])
+def test_held_ball_index_is_small(r):
+    # a whole-row index held as int64 keys took 27 MB here; packed it is
+    # sample * m / 8 bytes, and a grid index 4 bytes a key
+    space = torus_poisson(2e4, 2, seed=21)
+    tracemalloc.start()
+    try:
+        balls = rangequery._sample_balls(space, r, 500, 22)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    keys = sum(k.size for _, _, k in ball_scan(space.points, balls[2], r))
+    bound = 500 * space.n / 8 if r > 0.4 else 4 * keys
+    assert held <= bound + 2 ** 16
+
+
+@st.composite
+def _ks_samples(draw):
+    """Two samples, either of which may pass scipy's 10000-point switch, with
+    ties within and across them or none."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = [draw(st.integers(1, 400)), draw(st.integers(9900, 14000) | st.integers(1, 400))]
+    values = draw(st.sampled_from([3, 50, 10 ** 6, 0]))  # 0: continuous
+    a, b = (rng.integers(0, values, size=n) / values if values else rng.random(n)
+            for n in draw(st.permutations(sizes)))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ks_samples())
+def test_merge_ks_equals_scipy(case):
+    a, b = case
+    # with many ties scipy's exact p-value can fail below 10000 points; it
+    # then warns and takes the asymptotic one, in both calls alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        want = stats.ks_2samp(a, b)
+        got = rangequery._ks_2samp(a, b)
+    assert repr(got) == repr((float(want.statistic), float(want.pvalue)))
 
 
 def _failing_at(fn, t, message):
@@ -562,10 +630,56 @@ class TestVerificationThread:
         # in sequence, E_1 is verified before round 2 runs
         failing = _failing_at(rangequery.range_query_round, 1, "round 2 failed")
         monkeypatch.setattr(rangequery, "range_query_round", failing)
-        failing = _failing_at(rangequery.verify_sampling_property, 1, "verification 1 failed")
-        monkeypatch.setattr(rangequery, "verify_sampling_property", failing)
+        failing = _failing_at(rangequery._sampling_report, 1, "verification 1 failed")
+        monkeypatch.setattr(rangequery, "_sampling_report", failing)
         before = threading.active_count()
         with pytest.raises(InputError, match="verification 1 failed"):
+            run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, K, d", [(3000, 3, 1), (2000, 12, 2), (4000, 30, 3)])
+    def test_index_ahead_equals_one_call_verification(self, monkeypatch, n, K, d):
+        # each round's ball index was built before its edges existed; the
+        # radii take r >= 1 (no scan), whole-row (0.4 < r < 1) and grid scans
+        real_round = rangequery.range_query_round
+        states = []
+
+        def record(state, *args):
+            if not states:
+                states.append(state)
+            states.append(real_round(state, *args))
+            return states[-1]
+
+        monkeypatch.setattr(rangequery, "range_query_round", record)
+        result = run_2nrq(n, K, d, 0.5, seed=4, sample_size=300)
+        radii = result.schedule.radii
+        assert radii[0] >= 1 and any(0.4 < r < 1 for r in radii) and min(radii) <= 0.4
+        verify_seed = int(np.random.SeedSequence(4).generate_state(5)[3])
+        expected = [
+            verify_sampling_property(s, radii[t], result.schedule.rates[t], 300,
+                                     seed=verify_seed + t).to_json_dict()
+            for t, s in enumerate(states)
+        ]
+        assert result.report["sampling_reports"] == expected
+
+    def test_index_error_reaches_the_caller_and_leaves_no_thread(self, monkeypatch):
+        def failing(*args):
+            raise InputError("scan failed")
+
+        monkeypatch.setattr(rangequery, "_ball_runs", failing)
+        before = threading.active_count()
+        with pytest.raises(InputError, match="scan failed"):
+            run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
+        assert threading.active_count() == before
+
+    def test_init_error_leaves_no_thread(self, monkeypatch):
+        # the ball indices of rounds 0 and 1 are already queued when init_e0 runs
+        def failing(*args):
+            raise InputError("init failed")
+
+        monkeypatch.setattr(rangequery, "init_e0", failing)
+        before = threading.active_count()
+        with pytest.raises(InputError, match="init failed"):
             run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
         assert threading.active_count() == before
 

@@ -231,7 +231,7 @@ def test_verify_does_not_scan_whole_torus_balls(r):
 
     state, theta = _mixed_state(2, r, seed=42)
     want = ref.verify_sampling_property(state, r, theta, 150, seed=7, ks_cap_per_vertex=3)
-    with mock.patch.object(rangequery, "ball_scan", no_scan), \
+    with mock.patch.object(rangequery, "_ball_runs", no_scan), \
             mock.patch.object(rangequery, "_KS_CAP", 3):
         got = verify_sampling_property(state, r, theta, 150, seed=7)
     assert repr(got) == repr(want)

@@ -183,6 +183,23 @@ class TestOracle:
         assert oracle.top_k(2, np.array([], dtype=np.int64), 3).size == 0
         assert oracle.comparisons == 0
 
+    def test_top_k_empty_list_pool_is_free(self):
+        # [] has numpy's float dtype, but holds no id: it is the empty pool
+        oracle = RankingOracle(random_ranking_table(6, seed=0))
+        assert oracle.top_k(2, [], 3).size == 0
+        assert oracle.comparisons == 0
+
+    @pytest.mark.parametrize("x,pool", [(0, [1.0, 2.0]), (0, [1.5, 2.0]), (0, [True, False]),
+                                        (1.0, [0, 2])],
+                             ids=["integral-floats", "floats", "bools", "float-owner"])
+    def test_top_k_refuses_non_integer_ids_without_charge(self, x, pool):
+        oracle = RankingOracle(random_ranking_table(5, seed=0))
+        with pytest.raises(InputError, match="integer candidates"):
+            oracle.top_k(x, np.array(pool), 1)
+        with pytest.raises(InputError, match="integer candidates"):
+            oracle.top_k(np.array([x, 3]), np.array([pool, pool]), 1)
+        assert oracle.comparisons == 0
+
     def test_top_k_short_pool_returns_all_ordered(self):
         table = random_ranking_table(30, seed=2)
         oracle = RankingOracle(table)
