@@ -29,6 +29,11 @@ RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
 # a run is refused when its arrays would pass this share of physical memory or RLIMIT_AS
 MEMORY_FRACTION = 0.5
 
+# `nnd --space lcs` fills n^2 * m * (m + 1) cells of the substring dynamic
+# program to build its rank table; one x86-64 core ran about 8e8 cells/s
+# (--n 4 --lcs-m 8000 in 1.3 s), so this limit is about 3 minutes
+LCS_CELL_LIMIT = 2 ** 37
+
 # peak bytes per embedding coordinate: the float64 array and its text, which
 # for JSON is padded to its nesting; getrusage measured about 21 (csv) and 35
 # (json) at n=200 and n=300, CPython 3.11
@@ -138,24 +143,17 @@ def golden_schedule_checksum():
 
 
 def _build_space_table(args):
-    name = args.space
-    if name == "paris":
-        space = spaces.paris_space(range(1, args.n + 1))
-        return spaces.rank_table(space)
-    if name == "circle":
-        space = spaces.circle_sample(args.n, args.seed)
-        return spaces.rank_table(space)
-    if name == "powers2":
-        space = spaces.powers_of_two_space(args.n)
-        return spaces.rank_table(space)
-    if name == "lcs":
-        space = spaces.lcs_sample(args.n, args.lcs_m, seed=args.seed)
-        return spaces.rank_table(space)
-    if name == "random-ranking":
+    if args.space == "random-ranking":
         return spaces.random_ranking_table(args.n, args.seed)
-    if name == "generic-crs":
+    if args.space == "generic-crs":
         return concordance.generic_crs(args.n, args.seed).table
-    raise InputError(f"unknown space {name!r}")
+    space = {
+        "paris": lambda: spaces.paris_space(range(1, args.n + 1)),
+        "circle": lambda: spaces.circle_sample(args.n, args.seed),
+        "powers2": lambda: spaces.powers_of_two_space(args.n),
+        "lcs": lambda: spaces.lcs_sample(args.n, args.lcs_m, seed=args.seed),
+    }[args.space]()
+    return spaces.rank_table(space)
 
 
 def cmd_nnd(args):
@@ -323,9 +321,15 @@ def _gib(nbytes):
 
 
 def _refuse_unaffordable(args):
-    """Refuse a run above the rank-table cap or the memory budget, before anything is built."""
+    """Refuse a run above the rank-table cap, the LCS cell limit or the memory
+    budget, before anything is built."""
     if args.func is cmd_nnd or args.func is cmd_crs_embed and args.example is None:
         check_table_size(args.n)  # the spaces build n x n arrays before RankTable checks
+    if args.func is cmd_nnd and args.space == "lcs":
+        cells = args.n ** 2 * args.lcs_m * (args.lcs_m + 1)
+        if cells > LCS_CELL_LIMIT:
+            raise ResourceLimitError(f"nnd --space lcs needs {Decimal(cells):.3g} substring "
+                                     f"cells (n^2 m (m + 1)), more than {LCS_CELL_LIMIT:.3g}")
     need = dense_bytes(args)
     total, limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "of physical memory"
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]

@@ -22,7 +22,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable
+from .ranking import RankTable, checked_ids
 
 __all__ = [
     "n_pairs",
@@ -67,10 +67,10 @@ def pair_index(i, j, n):
 
 def _checked_pair_index(pairs, n):
     """pair_index of each row of an (m, 2) array-like of two distinct items of [0, n)."""
-    ij = np.asarray(pairs)
-    if not (ij.ndim == 2 and ij.shape[1] == 2 and ij.dtype.kind in "iu"
-            and ((0 <= ij) & (ij < n)).all()):
-        raise InputError(f"each pair must be two integer items of [0, {n})")
+    bad = f"each pair must be two integer items of [0, {n})"
+    ij = checked_ids(pairs, n, bad)
+    if not (ij.ndim == 2 and ij.shape[1] == 2):
+        raise InputError(bad)
     return pair_index(*ij.astype(np.int64).T, n)
 
 
@@ -103,15 +103,16 @@ class LinearOrder:
 
     @classmethod
     def from_perm(cls, n, perm):
-        """The order listing the pairs of lexicographic indices ``perm``."""
-        return cls.__new__(cls)._set(int(n), np.array(perm, dtype=np.int64))
+        """The order listing the pairs of lexicographic indices ``perm``, copied, never cast."""
+        return cls.__new__(cls)._set(int(n), np.array(perm))
 
     def _set(self, n, perm):
         N = n_pairs(max(n, 0))
-        # N indices >= 0 that fill all of the first N bins are a permutation of range(N)
-        if not (perm.shape == (N,) and perm.min(initial=0) >= 0
-                and np.bincount(perm, minlength=N)[:N].all()):
-            raise InputError("pairs must enumerate every unordered pair exactly once")
+        bad = "pairs must enumerate every unordered pair exactly once"
+        perm = checked_ids(perm, N, bad).astype(np.int64, copy=False)
+        # N indices of [0, N) that fill all N bins are a permutation of range(N)
+        if not (perm.shape == (N,) and np.bincount(perm, minlength=N).all()):
+            raise InputError(bad)
         perm.setflags(write=False)
         self.n, self.perm = n, perm
         return self
@@ -131,14 +132,6 @@ class LinearOrder:
         pos = np.empty(self.N, dtype=np.int64)
         pos[self.perm] = np.arange(1, self.N + 1)
         return pos
-
-    def swap(self, pos):
-        """The order with the pairs at 1-based positions pos, pos+1 swapped."""
-        if not 1 <= pos <= self.N - 1:
-            raise InputError("swap position out of range")
-        perm = self.perm.copy()
-        perm[[pos - 1, pos]] = perm[[pos, pos - 1]]
-        return LinearOrder.from_perm(self.n, perm)
 
     def __eq__(self, other):
         return (

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, csr
+from .ranking import KnnGraph, checked_ids, csr
 
 __all__ = [
     "FriendState",
@@ -38,14 +38,14 @@ __all__ = [
 
 
 class FriendState:
-    """Friend matrix F, round index, work meter."""
+    """Friend matrix F (n x K int32 ids in [0, n), 1 <= K < n), round index, work meter."""
 
     def __init__(self, friends, t=0, work=0, last_changes=None):
-        friends = np.asarray(friends, dtype=np.int32)
-        n, k = friends.shape
+        friends = np.asarray(friends)
+        n, k = friends.shape if friends.ndim == 2 else (0, 0)
         if not 1 <= k < n:
-            raise InputError(f"need 1 <= K < n, got K={k}, n={n}")
-        self.friends = friends
+            raise InputError(f"friends must be (n, K) with 1 <= K < n, got shape {friends.shape}")
+        self.friends = checked_ids(friends, n, "friends out of range").astype(np.int32, copy=False)
         self.t = int(t)
         self.work = int(work)
         self.last_changes = last_changes
@@ -62,11 +62,8 @@ class FriendState:
         """Replace F(x); with an array of points, each row of ``new`` in turn."""
         self.friends[x] = new
 
-    def copy(self):
-        return FriendState(self.friends.copy(), t=self.t, work=self.work)
-
     def to_graph(self):
-        return KnnGraph(self.friends.copy())
+        return KnnGraph(self.friends)
 
 
 def random_kout(n, K, seed_or_rng):
@@ -158,9 +155,10 @@ def pointwise_pass(state, schedule, oracle):
     batch, reading the new F(y) of an earlier friend and the pass-start F(y)
     of a later one.  The result equals the visit-order loop.
     """
-    schedule = np.asarray(schedule)
+    bad = "schedule must be a permutation of the point ids"
+    schedule = checked_ids(schedule, state.n, bad)
     if not np.array_equal(np.sort(schedule), np.arange(state.n)):
-        raise InputError("schedule must be a permutation of the point ids")
+        raise InputError(bad)
     F0 = state.friends
     n, k = F0.shape
     # rows n.. of both are the pass's friend lists, written in place; rows ..n stay F0

@@ -15,13 +15,22 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import csr, csr_rows, unique_keys
+from .ranking import checked_ids, csr, csr_rows, unique_keys
 
 EXACT_DIAMETER_LIMIT = 20000
 
 
+def _checked_kout(F):
+    """F as an (n, K) array of integer ids in [0, n), else ``InputError``."""
+    F = np.asarray(F)
+    if F.ndim != 2:
+        raise InputError("F must be a 2-D (n, K) array")
+    return checked_ids(F, len(F), f"vertex ids must be integers in [0, {len(F)})")
+
+
 def undirected_adjacency(F):
     """Deduplicated CSR adjacency of the undirected view of the (n, K) out-neighbour array F."""
+    F = _checked_kout(F)
     n, k = F.shape
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = F.ravel().astype(np.int64)
@@ -73,17 +82,17 @@ def _bfs_eccentricity(indptr, nbrs, source, n):
 
 
 def undirected_diameter(F):
-    """Diameter of the undirected view of the (n, K) out-neighbour array F.
+    """Diameter of the undirected view of the (n, K) out-neighbour array F of ids in [0, n).
 
     Exact (all-source BFS) up to ``EXACT_DIAMETER_LIMIT`` vertices; beyond it,
     a certified (lower, upper) interval from a two-sweep lower bound and
     eccentricity doubling, the sweeps starting at a vertex drawn with seed 0.
     Returns "disconnected" when the graph is not connected.
     """
-    n = F.shape[0]
+    indptr, nbrs = undirected_adjacency(F)
+    n = indptr.size - 1
     if n < 2:
         raise InputError("need at least two vertices")
-    indptr, nbrs = undirected_adjacency(F)
     if (np.diff(indptr) == 0).any():
         return "disconnected"
     if n <= EXACT_DIAMETER_LIMIT:
@@ -192,11 +201,12 @@ class ExpansionReport:
 def expansion_check(F, expansion_alpha, epsilon, sample_sets, seed):
     """Count sampled sets X violating |N(X)| > (K - 1 - epsilon) |X|.
 
-    F is the (n, K) out-neighbour array; N(X) collects out-neighbors of X
-    outside X.  Only sets smaller than expansion_alpha * n / log(n) are
-    eligible; the whole vertex set is never tested.  ``min_margin`` is the smallest observed |N(X)| / |X| minus the
-    threshold, an indicator of slack.
+    F is the (n, K) out-neighbour array of integer ids in [0, n); N(X) collects out-neighbors
+    of X outside X.  Only sets smaller than expansion_alpha * n / log(n) are eligible; the
+    whole vertex set is never tested.  ``min_margin`` is the smallest observed |N(X)| / |X|
+    minus the threshold, an indicator of slack.
     """
+    F = _checked_kout(F)
     n, K = F.shape
     max_size = min(expansion_alpha * n / math.log(n), n - 1)
     if max_size < 1:  # tested before int(), which cannot take -inf

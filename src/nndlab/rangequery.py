@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, ScheduleExhausted
-from .ranking import csr, csr_rows, unique_keys
+from .ranking import checked_ids, csr, csr_rows, unique_keys
 from .spaces import torus_poisson, wrapped_distance
 
 __all__ = [
@@ -242,21 +242,24 @@ def work_bound(params, t_prime, n):
 class TwoNrqState:
     """Undirected edge set over a torus sample at some round, plus a work meter.
 
-    ``keys`` are int64 edge keys lo*m + hi with 0 <= lo < hi < m, m the
-    point count; repeats collapse, and any other key is refused.  ``edges``
-    is the (E, 2) int64 array of the distinct pairs, in lexicographic order,
-    read-only because the adjacency built from it is kept.
+    ``keys`` are integer edge keys lo*m + hi with 0 <= lo < hi < m, m the
+    point count; repeats collapse, and any other key or dtype is refused.
+    ``edges`` is the (E, 2) int64 array of the distinct pairs, in
+    lexicographic order, read-only because the adjacency built from it is kept.
     """
 
     def __init__(self, space, keys, t=0, distance_evals=0):
         m = space.n
-        keys = unique_keys(np.asarray(keys, dtype=np.int64))
+        bad = "edge keys must be lo*m + hi with 0 <= lo < hi < m"
+        keys = unique_keys(keys)
+        checked_ids(keys[:: max(keys.size - 1, 1)], m * m, bad)  # the sorted keys' two ends
+        keys = keys.astype(np.int64, copy=False)
         self.space = space
         self.edges = np.empty((keys.size, 2), dtype=np.int64)
         np.divmod(keys, m, out=(self.edges[:, 0], self.edges[:, 1]))
         lo, hi = self.edges.T
-        if keys.size and (keys[0] < 0 or keys[-1] >= m * m or (lo >= hi).any()):
-            raise InputError("edge keys must be lo*m + hi with 0 <= lo < hi < m")
+        if (lo >= hi).any():
+            raise InputError(bad)
         self.edges.setflags(write=False)
         self.t = int(t)
         self.distance_evals = int(distance_evals)
@@ -371,13 +374,11 @@ def _mask_keys(inside):
 def _ball_runs(points, centres, r):
     """``ball_scan``'s runs, except that a whole-row run (g <= 3) is
     ``(start, None, mask)``, its (ball, point) membership as a bool array."""
-    centres = np.asarray(centres)
     m, d = np.shape(points)
-    # as unsigned, a negative id wraps past m, so one max checks both ends
-    if not r > 0 or centres.size and (centres.dtype.kind not in "iu"
-                                      or centres.astype(np.uint64).max() >= m):
-        raise InputError(f"ball_scan needs r > 0 and integer centre ids in [0, {m})")
-    centres = centres.astype(np.int64)
+    bad = f"ball_scan needs r > 0 and integer centre ids in [0, {m})"
+    if not r > 0:
+        raise InputError(bad)
+    centres = checked_ids(centres, m, bad).astype(np.int64)
     axes = np.ascontiguousarray(np.transpose(points), dtype=np.float64)  # one row per coordinate
     g = min(int(min(2.0 / r, 2.0 ** 62)) - 1, int(2.0 ** (62.0 / d)))  # cell ids fit in int64
     if g <= 3:

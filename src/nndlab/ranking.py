@@ -27,6 +27,16 @@ def check_table_size(n):
         )
 
 
+def checked_ids(ids, n, message):
+    """``ids`` as an array, never cast or copied, if every entry is an integer in
+    [0, n); else ``InputError(message)``.  Float and bool dtypes are refused even
+    with integral values, not truncated; an empty array of any dtype passes."""
+    ids = np.asarray(ids)
+    if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n):
+        raise InputError(message)
+    return ids
+
+
 def unique_keys(keys):
     """The sorted distinct keys, as ``np.unique`` gives them, by one plain sort.
 
@@ -65,9 +75,9 @@ class RankTable:
     """Explicit per-item rankings over a ground set of n items.
 
     ``order[x]`` lists the other n-1 items from most to least preferred by
-    x; ``ranks[x, y]`` is the 1-based position of y in that list (0 on the
-    diagonal).  Instances are immutable after construction and safe to share
-    across threads.
+    x, as integer ids (floats are refused, not cast); ``ranks[x, y]`` is the
+    1-based position of y in that list (0 on the diagonal).  Instances are
+    immutable after construction and safe to share across threads.
     """
 
     def __init__(self, order):
@@ -79,9 +89,7 @@ class RankTable:
             raise InputError("a ranking system needs at least two items")
         check_table_size(n)
         bad = "row x of order must be a permutation of all items except x"
-        if order.min() < 0 or order.max() >= n:
-            raise InputError(bad)
-        order = order.astype(np.int32)
+        order = checked_ids(order, n, bad).astype(np.int32)
         ranks = np.zeros((n, n), dtype=np.int32)
         # ranks[x, order[x, i]] = i + 1, with no n^2 array of row indices
         np.put_along_axis(ranks, order, np.arange(1, n, dtype=np.int32)[None, :], axis=1)
@@ -114,11 +122,11 @@ class RankTable:
 
 
 class KnnGraph:
-    """A K-out digraph over n items: row x of the (n, K) ``neighbors`` lists
-    x's K out-neighbors, most preferred first."""
+    """A K-out digraph over n items: row x of the (n, K) ``neighbors`` lists x's K
+    out-neighbors, most preferred first, as integer ids in [0, n) (a read-only int32 copy)."""
 
     def __init__(self, neighbors):
-        neighbors = np.asarray(neighbors, dtype=np.int32)
+        neighbors = np.asarray(neighbors)
         if neighbors.ndim != 2:
             raise InputError("neighbors must be a 2-D (n, K) array")
         self.n, self.k = neighbors.shape
@@ -129,9 +137,8 @@ class KnnGraph:
             raise InputError("neighbor lists must not repeat items")
         if (neighbors == np.arange(self.n)[:, None]).any():
             raise InputError("an item may not neighbor itself")
-        if neighbors.min() < 0 or neighbors.max() >= self.n:
-            raise InputError("neighbor ids out of range")
-        self.neighbors = neighbors
+        neighbors = checked_ids(neighbors, self.n, "neighbor ids out of range")
+        self.neighbors = neighbors.astype(np.int32)
         self.neighbors.setflags(write=False)
 
     def __eq__(self, other):
@@ -190,15 +197,13 @@ class RankingOracle:
         batch, refuse the whole call before anything is charged.
         """
         n = self.n
-        owners, rows = np.atleast_1d(x), np.atleast_2d(pools)
+        bad = f"top_k takes one row of integer candidates per owner, all ids in [0, {n})"
+        owners = checked_ids(np.atleast_1d(x), n, bad)
+        rows = checked_ids(np.atleast_2d(pools), n, bad)
+        if owners.ndim != 1 or rows.ndim != 2 or rows.shape[0] != owners.size:
+            raise InputError(bad)
         if not rows.size:
-            rows = rows.astype(np.int64)
-        # as unsigned, a negative id wraps past n, so one max checks both ends
-        if (owners.dtype.kind not in "iu" or rows.dtype.kind not in "iu"
-                or owners.ndim != 1 or rows.ndim != 2 or rows.shape[0] != owners.size
-                or max(owners.astype(np.uint64).max(), rows.astype(np.uint64).max(initial=0)) >= n):
-            raise InputError(
-                f"top_k takes one row of integer candidates per owner, all ids in [0, {n})")
+            owners, rows = owners.astype(np.int64), rows.astype(np.int64)
         ranks = self.table.ranks.ravel()[rows + (owners * n)[:, None]]
         ranks.sort(axis=1)
         # a rank is new where it differs from the one before; rank 0, the owner's, sorts first

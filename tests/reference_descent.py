@@ -79,7 +79,7 @@ def pointwise_pass(state, schedule, oracle):
     schedule = np.asarray(schedule)
     if not np.array_equal(np.sort(schedule), np.arange(state.n)):
         raise InputError("schedule must be a permutation of the point ids")
-    new_state = state.copy()
+    new_state = FriendState(state.friends.copy(), t=state.t, work=state.work)
     before = oracle.comparisons
     changes = 0
     F = new_state.friends

@@ -59,14 +59,6 @@ class LinearOrder:
             self._pos = pos
         return self._pos
 
-    def swap(self, pos):
-        """The order with the pairs at 1-based positions pos, pos+1 swapped."""
-        if not 1 <= pos <= self.N - 1:
-            raise InputError("swap position out of range")
-        p = list(self.pairs)
-        p[pos - 1], p[pos] = p[pos], p[pos - 1]
-        return LinearOrder._trusted(self.n, tuple(p))
-
     def __eq__(self, other):
         return (
             isinstance(other, LinearOrder)

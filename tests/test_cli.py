@@ -125,8 +125,11 @@ class TestUsageErrors:
             ["crs", "fraction", "--n", "1e308"],
             ["crs", "special", "--kind", "baranyai", "--n", "1e308"],
             ["2nrq", "simulate", "--n", "1e308", "--k", "12", "--d", "2"],
+            # without the cell limit, its substring kernel ran for 1154 s
+            ["nnd", "--space", "lcs", "--n", "4", "--k", "2", "--lcs-m", "200000"],
+            ["nnd", "--space", "lcs", "--n", "4", "--k", "2", "--lcs-m", "1e308"],
         ],
-        ids=["fraction", "baranyai", "simulate"],
+        ids=["fraction", "baranyai", "simulate", "lcs-m", "lcs-m-1e308"],
     )
     def test_astronomical_n_exits_4_with_a_one_line_message(self, argv, capsys):
         # the GiB figure divided an exact int past float range, an OverflowError
