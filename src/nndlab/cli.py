@@ -47,9 +47,11 @@ _SPECIAL_BYTES = 480
 _COMPONENT_BYTES = 13
 
 # peak bytes per point and unit of K of a 2nrq simulation, verification
-# included: getrusage measured 153-184 at d=2, K=12 (n=1e5 to 4e5; it grows
-# with the degree, which grows with n) and 170-172 at d=4, K=28 (n=1e5 and
-# 2e5), above start-up with numpy and scipy loaded, CPython 3.11
+# included, above start-up with numpy and scipy loaded (getrusage, CPython
+# 3.11, seed 7): 88, 110 and 124-132 at d=2, K=12 and n=1e5, 4e5 and 1e6
+# (it grows with the degree, which grows with n), and 87 at d=4, K=28,
+# n=1e5; 172, 207, 268 and 171 while each state held a pair list beside
+# its CSR
 _2NRQ_BYTES = 220
 
 # peak bytes per n^2 items of an nnd run, which builds its rank table at the

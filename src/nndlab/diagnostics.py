@@ -208,6 +208,8 @@ def expansion_check(F, expansion_alpha, epsilon, sample_sets, seed):
     """
     F = _checked_kout(F)
     n, K = F.shape
+    if n < 2:  # log(n) is 0 at n = 1
+        raise InputError(f"expansion_check needs at least two vertices, got {n}")
     max_size = min(expansion_alpha * n / math.log(n), n - 1)
     if max_size < 1:  # tested before int(), which cannot take -inf
         raise InputError("expansion_alpha too small: no admissible set size")

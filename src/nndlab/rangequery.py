@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, ScheduleExhausted
-from .ranking import checked_ids, csr, csr_rows, unique_keys
+from .ranking import checked_ids, csr_rows, unique_sorted
 from .spaces import torus_poisson, wrapped_distance
 
 __all__ = [
@@ -239,47 +239,87 @@ def work_bound(params, t_prime, n):
 # ---------------------------------------------------------------------------
 # The simulated graph process
 
+def _key_dtype(m):
+    """The dtype of edge keys lo*m + hi over m points: int32 while m^2 fits it."""
+    return np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
+
+
 class TwoNrqState:
     """Undirected edge set over a torus sample at some round, plus a work meter.
 
-    ``keys`` are integer edge keys lo*m + hi with 0 <= lo < hi < m, m the
-    point count; repeats collapse, and any other key or dtype is refused.
-    ``edges`` is the (E, 2) int64 array of the distinct pairs, in
-    lexicographic order, read-only because the adjacency built from it is kept.
+    ``keys`` are a 1-D array of integer edge keys lo*m + hi with
+    0 <= lo < hi < m, m the point count; repeats collapse, and any other key,
+    shape or dtype is refused.  The state holds its edges once, as the
+    read-only CSR that ``adjacency()`` returns, built here from the sorted
+    distinct keys.  ``edges``, the (E, 2) int64 array of the distinct pairs
+    in lexicographic order, is read off that CSR on each access, read-only.
     """
 
     def __init__(self, space, keys, t=0, distance_evals=0):
         m = space.n
         bad = "edge keys must be lo*m + hi with 0 <= lo < hi < m"
-        keys = unique_keys(keys)
-        checked_ids(keys[:: max(keys.size - 1, 1)], m * m, bad)  # the sorted keys' two ends
-        keys = keys.astype(np.int64, copy=False)
-        self.space = space
-        self.edges = np.empty((keys.size, 2), dtype=np.int64)
-        np.divmod(keys, m, out=(self.edges[:, 0], self.edges[:, 1]))
-        lo, hi = self.edges.T
-        if (lo >= hi).any():
+        keys = np.asarray(keys)
+        if keys.ndim != 1:
             raise InputError(bad)
-        self.edges.setflags(write=False)
+        if (keys[1:] < keys[:-1]).any():  # rounds and init_e0 hand theirs over sorted
+            keys = np.sort(keys)
+        keys = unique_sorted(keys)
+        checked_ids(keys[:: max(keys.size - 1, 1)], m * m, bad)  # the sorted keys' two ends
+        keys = keys.astype(_key_dtype(m), copy=False)
+        # row v's upper half is the hi of keys[up[v]:up[v + 1]], ascending, and
+        # hi > lo = v holds for them all if it holds for the first
+        up = np.searchsorted(keys, np.arange(m + 1, dtype=keys.dtype) * m)
+        above = np.diff(up)
+        rows = np.flatnonzero(above)
+        if (keys[up[rows]] - rows * m <= rows).any():
+            raise InputError(bad)
+        # row v's lower half is the lo of the transposed keys hi*m + lo in
+        # [v*m, (v + 1)*m), ascending once sorted; they are distinct, so any
+        # sort gives that order.  hi < m fits int32: 2^31 points would take
+        # 32 GiB at d = 2
+        hi = np.empty(keys.size, dtype=np.int32)
+        np.remainder(keys, m, out=hi, casting="same_kind")
+        swapped = np.multiply(hi, m, dtype=keys.dtype)
+        swapped += keys // m
+        del keys
+        below = np.bincount(hi, minlength=m)
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(above + below, out=indptr[1:])
+        # each row is its upper half, then its lower half
+        upper = np.repeat(np.tile([True, False], m), np.column_stack([above, below]).ravel())
+        neighbors = np.empty(upper.size, dtype=np.int64)
+        neighbors[upper] = hi
+        del hi
+        swapped.sort()
+        swapped %= m
+        neighbors[np.logical_not(upper, out=upper)] = swapped
+        self.space = space
+        self._adjacency = (indptr, neighbors)
+        for arr in self._adjacency:
+            arr.setflags(write=False)
         self.t = int(t)
         self.distance_evals = int(distance_evals)
-        self._adjacency = None
+
+    @property
+    def edges(self):
+        indptr, nbrs = self._adjacency
+        rows = np.repeat(np.arange(self.space.n), np.diff(indptr))
+        upper = nbrs > rows
+        edges = np.column_stack([rows[upper], nbrs[upper]])
+        edges.setflags(write=False)
+        return edges
 
     @property
     def edge_count(self):
-        return self.edges.shape[0]
+        return self._adjacency[1].size // 2
 
     def degrees(self):
-        return np.diff(self.adjacency()[0])
+        return np.diff(self._adjacency[0])
 
     def adjacency(self):
-        """Read-only CSR (indptr, neighbors), built once; row v lists the neighbours
-        above v, then those below v, each ascending (the order a round proposes in)."""
-        if self._adjacency is None:
-            a, b = self.edges.T
-            self._adjacency = csr(np.concatenate([a, b]), np.concatenate([b, a]), self.space.n)
-            for arr in self._adjacency:
-                arr.setflags(write=False)
+        """The read-only CSR (indptr, neighbors), the same arrays on every call; row
+        v lists the neighbours above v, then those below v, each ascending (the
+        order a round proposes in)."""
         return self._adjacency
 
 
@@ -303,24 +343,28 @@ def init_e0(space, K, seed):
         return TwoNrqState(space, keys[rng.permutation(total)[:count]])
     # draw i.i.d. pairs until enough distinct ones exist, then thin uniformly;
     # symmetric over pairs, so the final set is uniform of its size
-    chosen = np.zeros(0, dtype=np.int64)
+    chosen = np.zeros(0, dtype=_key_dtype(m))
     while chosen.size < count:
         chosen = np.concatenate([chosen, _random_pair_keys(rng, m, max(4 * count, 1024))])
-        chosen = unique_keys(chosen)
-    pick = rng.choice(chosen.size, size=count, replace=False)
-    return TwoNrqState(space, chosen[pick])
+        chosen.sort()
+        chosen = unique_sorted(chosen)
+    keys = chosen[rng.choice(chosen.size, size=count, replace=False)]
+    del chosen
+    keys.sort()
+    return TwoNrqState(space, keys)
 
 
 def _random_pair_keys(rng, m, size):
     """Keys lo*m + hi of ``size`` i.i.d. uniform vertex pairs, those with lo = hi left out.
 
-    The draws are freed before the kept keys are gathered, so no more than
-    three int64 arrays of ``size`` are alive at once.
+    The endpoints are drawn as int32, which gives the same values and leaves
+    ``rng`` in the same state as int64 draws, and the keys are of
+    ``_key_dtype(m)``.  The draws are freed before the kept keys are gathered.
     """
-    a = rng.integers(0, m, size=size)
-    b = rng.integers(0, m, size=size)
+    a = rng.integers(0, m, size=size, dtype=np.int32)
+    b = rng.integers(0, m, size=size, dtype=np.int32)
     ok = a != b
-    keys = np.minimum(a, b)
+    keys = np.minimum(a, b, dtype=_key_dtype(m))
     keys *= m
     keys += np.maximum(a, b, out=a)
     del a, b
@@ -330,11 +374,11 @@ def _random_pair_keys(rng, m, size):
 def ball_scan(points, centres, r):
     """Points within wrapped sup-distance ``r`` of each centre, in chunks of centres.
 
-    ``centres`` are indices into ``points``, and ``r > 0``; anything else
-    raises ``InputError``.  Yields ``(start, indptr, keys)`` for consecutive
-    runs ``centres[start:start + len(indptr) - 1]``: the ball of the k-th
-    centre of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m`` (the centre
-    included), and the keys ``k * m + vertex`` ascend.
+    ``centres`` are a 1-D array of indices into ``points``, and ``r > 0``;
+    anything else raises ``InputError``.  Yields ``(start, indptr, keys)``
+    for consecutive runs ``centres[start:start + len(indptr) - 1]``: the ball
+    of the k-th centre of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m``
+    (the centre included), and the keys ``k * m + vertex`` ascend.
 
     The points are bucketed into a wrapping grid of g^d cells with
     g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
@@ -375,10 +419,11 @@ def _ball_runs(points, centres, r):
     """``ball_scan``'s runs, except that a whole-row run (g <= 3) is
     ``(start, None, mask)``, its (ball, point) membership as a bool array."""
     m, d = np.shape(points)
-    bad = f"ball_scan needs r > 0 and integer centre ids in [0, {m})"
-    if not r > 0:
+    bad = f"ball_scan needs r > 0 and a 1-D array of integer centre ids in [0, {m})"
+    centres = checked_ids(centres, m, bad)
+    if not r > 0 or centres.ndim != 1:
         raise InputError(bad)
-    centres = checked_ids(centres, m, bad).astype(np.int64)
+    centres = centres.astype(np.int64)
     axes = np.ascontiguousarray(np.transpose(points), dtype=np.float64)  # one row per coordinate
     g = min(int(min(2.0 / r, 2.0 ** 62)) - 1, int(2.0 ** (62.0 / d)))  # cell ids fit in int64
     if g <= 3:
@@ -492,7 +537,11 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     The hubs are walked in chunks of at most ``_SCAN_ENTRIES`` proposals,
     and only the accepted ones are kept, so memory is bounded by the chunk
     and the new edge set.  Each chunk draws its coins in turn, which is the
-    same stream as one draw for the whole round.
+    same stream as one draw for the whole round.  The accepted keys are
+    written into one buffer that grows in place (``ndarray.resize``
+    reallocates, and a large block is remapped, not copied), so they are
+    never held twice, as a chunk list and its concatenation would be; the
+    buffer is sorted in place and handed to ``TwoNrqState`` with its repeats.
     """
     if not 0 < r_t < r_prev <= 1.0:
         raise InputError("need 0 < r_t < r_prev <= 1")
@@ -503,7 +552,8 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     deg = np.diff(indptr)
     evals = 0
     f_max = 0.0
-    accepted = [np.zeros(0, dtype=np.int64)]
+    accepted = np.empty(_SCAN_ENTRIES, dtype=_key_dtype(m))
+    size = 0
     # the hubs of degree g, g ascending, propose pairs i < j of their rows in
     # lexicographic order; each wrapped delta is computed once per axis.  One
     # stable sort groups the hubs by degree, and a class's pairs are those of
@@ -536,13 +586,19 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
             keys = np.minimum(u, v)
             keys *= m
             keys += np.maximum(u, v, out=u)
-            accepted.append(keys)
+            if size + keys.size > accepted.size:
+                # a quarter to spare, as resize zero-fills what it adds; no
+                # view of the buffer outlives its statement
+                accepted.resize(size + keys.size + size // 4, refcheck=False)
+            accepted[size : size + keys.size] = keys
+            size += keys.size
     # the round's largest rate, as one check over all proposals would quote it
     if f_max > 1.0 + 1e-9:
         raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
+    accepted.resize(size, refcheck=False)
+    accepted.sort()
     return TwoNrqState(
-        state.space, np.concatenate(accepted), t=state.t + 1,
-        distance_evals=state.distance_evals + evals,
+        state.space, accepted, t=state.t + 1, distance_evals=state.distance_evals + evals
     )
 
 
@@ -788,7 +844,7 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
     per_round = []
 
     def advance(state, t):
-        """E_t from E_{t-1}, with its adjacency built: nothing writes to it after this."""
+        """E_t from E_{t-1}; a state is read-only once built."""
         r_t, r_prev = schedule.radii[t], schedule.radii[t - 1]
         src = state
         if idealized_inputs and t > 1:
@@ -828,7 +884,6 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
         index(0)
         index(1)
         state = init_e0(space, K, e0_seed)
-        state.adjacency()
         for t in range(schedule.tau + 1):
             if t:
                 try:

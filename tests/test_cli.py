@@ -3,8 +3,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -568,6 +571,26 @@ class TestMemoryRefusal:
     )
     def test_dense_bytes(self, argv, expected):
         assert cli.dense_bytes(cli.build_parser().parse_args(argv)) == expected
+
+    def test_2nrq_estimate_bounds_a_measured_run(self, tmp_path):
+        # a fresh process's peak resident set above its start-up, numpy and
+        # scipy loaded, stays below the estimate the refusal is made from
+        argv = ["2nrq", "simulate", "--n", "1e5", "--k", "12", "--d", "2",
+                "--out", str(tmp_path / "report.json")]
+        code = (
+            "import resource, sys\n"
+            "import numpy, scipy.stats\n"
+            "from nndlab import cli\n"
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+        grown = int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
+        assert grown < cli.dense_bytes(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv,builder",

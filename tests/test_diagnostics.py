@@ -118,6 +118,13 @@ class TestExpansion:
         with pytest.raises(InputError):
             expansion_check(F, 1e-6, 1.0, sample_sets=10, seed=0)
 
+    @pytest.mark.parametrize("F", [np.array([[0]]), np.zeros((0, 3), dtype=np.int64)],
+                             ids=["one-vertex", "empty"])
+    def test_fewer_than_two_vertices_rejected(self, F):
+        # one vertex raised ZeroDivisionError from log(1), and none a math domain error
+        with pytest.raises(InputError, match="at least two vertices"):
+            expansion_check(F, 0.5, 1.0, sample_sets=3, seed=0)
+
     def test_reference_alpha_formula(self):
         value = expansion_alpha_reference(16, 1.0)
         assert value == pytest.approx((math.e ** 3 * 17 ** 4) ** -1.0)

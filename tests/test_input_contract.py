@@ -3,10 +3,11 @@
 Every public callable that takes item ids is drawn with valid arguments and
 one corruption of its ids: float ids (integral ones too), bool ids, -1, n,
 an int64 id of 2^32 or more (an int32 cast would wrap it to a valid id),
-and a 1-D array where a 2-D one is due.  Each must raise ``InputError``
-before the oracle charges anything.  ``test_every_export_is_drawn_or_exempt``
-keeps the list whole: each callable the package exports is drawn here, or
-is named in ``EXEMPT`` with the reason it takes no ids.
+a 1-D array where a 2-D one is due, and a column where a 1-D one is due.
+Each must raise ``InputError`` before the oracle charges anything.
+``test_every_export_is_drawn_or_exempt`` keeps the list whole: each
+callable the package exports is drawn here, or is named in ``EXEMPT`` with
+the reason it takes no ids.
 """
 
 import types
@@ -128,7 +129,7 @@ EXEMPT = {
 
 def _corruptions(ids):
     return ["float", "integral-float", "bool", "minus-one", "n", "past-int32"] + (
-        ["one-d"] if ids.ndim == 2 else [])
+        {1: ["two-d"], 2: ["one-d"]}.get(ids.ndim, []))
 
 
 def _corrupt(ids, n, corruption, at):
@@ -137,6 +138,8 @@ def _corrupt(ids, n, corruption, at):
         return ids.astype(bool)
     if corruption == "one-d":
         return ids.ravel()
+    if corruption == "two-d":
+        return ids[:, None]
     dtype = {"float": np.float64, "integral-float": np.float64, "past-int32": np.int64}
     bad = ids.astype(dtype.get(corruption, ids.dtype))
     if corruption == "float":
@@ -182,10 +185,13 @@ def test_bad_ids_raise_input_error_before_any_charge(site, data):
         lambda: undirected_diameter(np.array([[1], [7], [0]])),
         lambda: undirected_diameter(np.array([1, 2, 0])),
         lambda: expansion_check(np.array([[1], [7], [0]]), 0.5, 1.0, 3, 0),
+        lambda: TwoNrqState(TorusSpace(2, np.zeros((6, 2))), np.array([[1, 15], [29, 2]])),
+        lambda: list(ball_scan(POINTS, np.array([[0], [3]]), 0.3)),
     ],
     ids=["RankTable-floats", "KnnGraph-past-int32", "FriendState-floats", "FriendState-n",
          "pointwise_pass-float-schedule", "TwoNrqState-float-key", "from_perm-floats",
-         "undirected_diameter-n", "undirected_diameter-1-D", "expansion_check-n"],
+         "undirected_diameter-n", "undirected_diameter-1-D", "expansion_check-n",
+         "TwoNrqState-2-D", "ball_scan-2-D"],
 )
 def test_ids_once_cast_or_unchecked_are_refused(call):
     # each of these was truncated, wrapped, accepted or raised a raw numpy error

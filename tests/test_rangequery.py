@@ -489,7 +489,8 @@ def _peak_above_start(fn, *args):
 
 def test_init_and_first_round_memory_is_bounded(monkeypatch):
     # the benchmark's configuration; a round that kept every in-range proposal
-    # until its coins were drawn peaked at 26.7 MB, and init_e0 at 27.1 MB.
+    # until its coins were drawn peaked at 26.7 MB, and init_e0 at 27.1 MB
+    # (11.4 MB with int64 draws and a state held as pairs and a CSR, 6.4 MB since).
     # tracemalloc sees every thread, so the worker's first task, the ball
     # index of verification 0, waits until round 1 has been measured
     real_init, real_round = rangequery.init_e0, rangequery.range_query_round
@@ -518,8 +519,28 @@ def test_init_and_first_round_memory_is_bounded(monkeypatch):
     monkeypatch.setattr(rangequery, "range_query_round", first_round)
     monkeypatch.setattr(rangequery, "_sample_balls", index)
     run_2nrq(2e4, 12, 2, 0.5, seed=1)
-    assert peaks["init_e0"] <= 16
+    assert peaks["init_e0"] <= 8
     assert peaks["round 1"] <= 12
+
+
+def test_state_holds_one_csr():
+    # a state that kept an (E, 2) pair list beside its CSR held 33 bytes per
+    # edge, and building the CSR from 2E concatenated entries peaked at 82
+    space = torus_poisson(2e4, 2, seed=23)
+    m = space.n
+    a, b = np.random.default_rng(24).integers(0, m, size=(2, 100_000))
+    keys = (np.minimum(a, b) * m + np.maximum(a, b))[a != b]
+    tracemalloc.start()
+    try:
+        state = TwoNrqState(space, keys)
+        state.adjacency()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    edges = state.edge_count
+    assert edges > 99_000
+    assert held <= 16 * edges + 8 * (m + 1) + 4096
+    assert peak <= 40 * edges
 
 
 def test_round_memory_is_bounded_by_its_chunk():
