@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, checked_ids, csr
+from .ranking import KnnGraph, checked_ids, key_dtype, key_rows
 
 __all__ = [
     "FriendState",
@@ -103,6 +103,15 @@ def init_random_kout(n, K, seed):
 _CHUNK_KEYS = 1 << 20
 
 
+def _cofriends(F):
+    """The transpose of F as CSR ``(indptr, cof)``: the cofriends of x, ascending,
+    are ``cof[indptr[x]:indptr[x + 1]]``, read off the sorted keys friend*n + owner."""
+    n = len(F)
+    dtype = key_dtype(n)
+    keys = np.sort((F.astype(dtype) * n + np.arange(n, dtype=dtype)[:, None]).ravel())
+    return key_rows(keys, n, n), (keys % n).astype(np.int32, copy=False)
+
+
 def _changed(new, old):
     """The number of rows whose friend sets differ."""
     return int((np.sort(new, axis=1) != np.sort(old, axis=1)).any(axis=1).sum())
@@ -119,10 +128,9 @@ def batch_round(state, oracle):
     friends drop out of the selection as the owner and repeats.
     """
     F = state.friends
-    n, k = F.shape
+    k = F.shape[1]
     before = oracle.comparisons
-    # cofriends: the transpose of F, as CSR rows
-    indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
+    indptr, cof = _cofriends(F)
     indeg = np.diff(indptr)
     bits = np.frexp(indeg)[1]
     new_F = np.empty_like(F)

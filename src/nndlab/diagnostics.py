@@ -15,7 +15,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import checked_ids, csr, csr_rows, unique_keys
+from .ranking import checked_ids, csr_rows, key_rows, unique_keys
 
 EXACT_DIAMETER_LIMIT = 20000
 
@@ -35,7 +35,7 @@ def undirected_adjacency(F):
     src = np.repeat(np.arange(n, dtype=np.int64), k)
     dst = F.ravel().astype(np.int64)
     key = unique_keys(np.concatenate([src * n + dst, dst * n + src]))
-    return csr(key // n, key % n, n)
+    return key_rows(key, n, n), key % n
 
 
 def _full_row_mask(n, words):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, ScheduleExhausted
-from .ranking import checked_ids, csr_rows, unique_sorted
+from .ranking import checked_ids, csr_rows, key_dtype, key_rows, unique_sorted
 from .spaces import torus_poisson, wrapped_distance
 
 __all__ = [
@@ -103,7 +103,7 @@ def g_min_overlap(s, r, d):
     """
     if d < 1:
         raise InputError("need d >= 1")
-    if s < 0 or r <= 0:
+    if not (s >= 0 and r > 0):
         raise InputError("need s >= 0 and r > 0")
     span = 2.0 * r - s
     if span <= 0:
@@ -135,7 +135,7 @@ def solve_next_radius(params, r_prev):
     which is the normal termination condition.
     """
     n, K, d, alpha = params.n, params.K, params.d, params.alpha
-    if r_prev > 1.0 or r_prev ** d < K / (n * alpha):
+    if not (r_prev <= 1.0 and r_prev ** d >= K / (n * alpha)):
         raise InputError("r_prev must lie in the admissible range")
     theta_prev = K / (n * r_prev ** d)
     coeff = theta_prev ** 2 * n / 2 ** d
@@ -239,11 +239,6 @@ def work_bound(params, t_prime, n):
 # ---------------------------------------------------------------------------
 # The simulated graph process
 
-def _key_dtype(m):
-    """The dtype of edge keys lo*m + hi over m points: int32 while m^2 fits it."""
-    return np.int32 if m * m <= np.iinfo(np.int32).max else np.int64
-
-
 class TwoNrqState:
     """Undirected edge set over a torus sample at some round, plus a work meter.
 
@@ -251,8 +246,13 @@ class TwoNrqState:
     0 <= lo < hi < m, m the point count; repeats collapse, and any other key,
     shape or dtype is refused.  The state holds its edges once, as the
     read-only CSR that ``adjacency()`` returns, built here from the sorted
-    distinct keys.  ``edges``, the (E, 2) int64 array of the distinct pairs
-    in lexicographic order, is read off that CSR on each access, read-only.
+    distinct keys.  Row v lists the neighbours above v, then those below v,
+    each ascending: the ascending order of the rotated keys v*m + (u - v) mod m
+    of its neighbours u.  The edge of key k = lo*m + hi rotates to k - lo in
+    row lo, so these entries already ascend, and to hi*(m - 1) + lo + m in
+    row hi; those are sorted, and one stable sort merges the two runs.
+    ``edges``, the (E, 2) int64 array of the distinct pairs in lexicographic
+    order, is read off that CSR on each access, read-only.
     """
 
     def __init__(self, space, keys, t=0, distance_evals=0):
@@ -265,34 +265,28 @@ class TwoNrqState:
             keys = np.sort(keys)
         keys = unique_sorted(keys)
         checked_ids(keys[:: max(keys.size - 1, 1)], m * m, bad)  # the sorted keys' two ends
-        keys = keys.astype(_key_dtype(m), copy=False)
-        # row v's upper half is the hi of keys[up[v]:up[v + 1]], ascending, and
-        # hi > lo = v holds for them all if it holds for the first
-        up = np.searchsorted(keys, np.arange(m + 1, dtype=keys.dtype) * m)
-        above = np.diff(up)
-        rows = np.flatnonzero(above)
-        if (keys[up[rows]] - rows * m <= rows).any():
+        keys = keys.astype(key_dtype(m), copy=False)
+        lo = keys // m
+        rotated = np.empty(2 * keys.size, dtype=keys.dtype)
+        upper, lower = rotated[: keys.size], rotated[keys.size :]
+        np.remainder(keys, m, out=lower)
+        if (lower <= lo).any():
             raise InputError(bad)
-        # row v's lower half is the lo of the transposed keys hi*m + lo in
-        # [v*m, (v + 1)*m), ascending once sorted; they are distinct, so any
-        # sort gives that order.  hi < m fits int32: 2^31 points would take
-        # 32 GiB at d = 2
-        hi = np.empty(keys.size, dtype=np.int32)
-        np.remainder(keys, m, out=hi, casting="same_kind")
-        swapped = np.multiply(hi, m, dtype=keys.dtype)
-        swapped += keys // m
+        np.subtract(keys, lo, out=upper)
         del keys
-        below = np.bincount(hi, minlength=m)
-        indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(above + below, out=indptr[1:])
-        # each row is its upper half, then its lower half
-        upper = np.repeat(np.tile([True, False], m), np.column_stack([above, below]).ravel())
-        neighbors = np.empty(upper.size, dtype=np.int64)
-        neighbors[upper] = hi
-        del hi
-        swapped.sort()
-        swapped %= m
-        neighbors[np.logical_not(upper, out=upper)] = swapped
+        lower *= m - 1
+        lower += lo
+        lower += m
+        del lo
+        lower.sort()
+        rotated.sort(kind="stable")
+        indptr = key_rows(rotated, m, m)
+        # neighbour u = (v + offset) mod m, from row v and offset of each key
+        neighbors = rotated.astype(np.int64)
+        neighbors %= m
+        neighbors += np.floor_divide(rotated, m, out=rotated)
+        del rotated
+        neighbors %= m
         self.space = space
         self._adjacency = (indptr, neighbors)
         for arr in self._adjacency:
@@ -331,8 +325,8 @@ def init_e0(space, K, seed):
     quadratic pair scan.
     """
     m = space.n
-    if m < 2:
-        raise InputError("need at least two vertices")
+    if m < 2 or not 0 <= K < math.inf:
+        raise InputError(f"need at least two vertices and a finite K >= 0, got m={m}, K={K}")
     rng = np.random.default_rng(seed)
     total = m * (m - 1) // 2
     rate = min(1.0, K / m)
@@ -342,10 +336,17 @@ def init_e0(space, K, seed):
         keys = iu[0] * m + iu[1]
         return TwoNrqState(space, keys[rng.permutation(total)[:count]])
     # draw i.i.d. pairs until enough distinct ones exist, then thin uniformly;
-    # symmetric over pairs, so the final set is uniform of its size
-    chosen = np.zeros(0, dtype=_key_dtype(m))
+    # symmetric over pairs, so the final set is uniform of its size.  int32
+    # draws give the values and rng state of int64 ones, and they are freed
+    # before the kept keys, those with lo != hi, are gathered
+    chosen = np.zeros(0, dtype=key_dtype(m))
     while chosen.size < count:
-        chosen = np.concatenate([chosen, _random_pair_keys(rng, m, max(4 * count, 1024))])
+        a, b = (rng.integers(0, m, size=max(4 * count, 1024), dtype=np.int32) for _ in range(2))
+        ok = a != b
+        keys = _pair_keys(a, b, m)
+        del a, b
+        chosen = np.concatenate([chosen, keys[ok]])
+        del keys, ok
         chosen.sort()
         chosen = unique_sorted(chosen)
     keys = chosen[rng.choice(chosen.size, size=count, replace=False)]
@@ -354,21 +355,13 @@ def init_e0(space, K, seed):
     return TwoNrqState(space, keys)
 
 
-def _random_pair_keys(rng, m, size):
-    """Keys lo*m + hi of ``size`` i.i.d. uniform vertex pairs, those with lo = hi left out.
-
-    The endpoints are drawn as int32, which gives the same values and leaves
-    ``rng`` in the same state as int64 draws, and the keys are of
-    ``_key_dtype(m)``.  The draws are freed before the kept keys are gathered.
-    """
-    a = rng.integers(0, m, size=size, dtype=np.int32)
-    b = rng.integers(0, m, size=size, dtype=np.int32)
-    ok = a != b
-    keys = np.minimum(a, b, dtype=_key_dtype(m))
+def _pair_keys(u, v, m):
+    """The keys min*m + max of the vertex pairs (u[i], v[i]), of ``key_dtype(m)``;
+    ``u`` is overwritten."""
+    keys = np.minimum(u, v, dtype=key_dtype(m))
     keys *= m
-    keys += np.maximum(a, b, out=a)
-    del a, b
-    return keys[ok]
+    keys += np.maximum(u, v, out=u)
+    return keys
 
 
 def ball_scan(points, centres, r):
@@ -412,7 +405,7 @@ def _mask_keys(inside):
     """The indptr and ascending keys k * m + vertex of a whole-row run's
     (ball, point) mask: ball k's keys are those in [k * m, (k + 1) * m)."""
     keys = np.flatnonzero(inside)
-    return np.searchsorted(keys, np.arange(inside.shape[0] + 1) * inside.shape[1]), keys
+    return key_rows(keys, inside.shape[1], inside.shape[0]), keys
 
 
 def _ball_runs(points, centres, r):
@@ -464,9 +457,9 @@ def _ball_runs(points, centres, r):
         dist = wrapped_distance(centre_axes.T, np.take(by_cell, pos, axis=1).T)
         hit = np.flatnonzero(dist <= r)
         owner = np.repeat(np.arange(chunk.size), scanned)[hit]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=chunk.size))])
         # the 3^d cells are distinct when g >= 4, so the keys are unique
-        yield start, indptr, np.sort(owner * m + order[pos[hit]])
+        keys = np.sort(owner * m + order[pos[hit]])
+        yield start, key_rows(keys, m, chunk.size), keys
 
 
 def _coordinate_windows(x, c, r):
@@ -511,6 +504,8 @@ def ideal_state(space, r, theta, t, seed):
     j > i within r; the pairs come from a cell-grid scan, so the cost is
     about m times the ball population rather than m^2 once r < 0.4.
     """
+    if not 0 <= theta <= 1:
+        raise InputError(f"theta must lie in [0, 1], got {theta}")
     m = space.n
     rng = np.random.default_rng(seed)
     rows = [np.zeros(0, dtype=np.int64)]
@@ -545,6 +540,8 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     """
     if not 0 < r_t < r_prev <= 1.0:
         raise InputError("need 0 < r_t < r_prev <= 1")
+    if not 0 <= g_value < math.inf:
+        raise InputError(f"g_value must be finite and non-negative, got {g_value}")
     rng = np.random.default_rng(seed)
     m = state.space.n
     axes = np.ascontiguousarray(state.space.points.T)
@@ -552,7 +549,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     deg = np.diff(indptr)
     evals = 0
     f_max = 0.0
-    accepted = np.empty(_SCAN_ENTRIES, dtype=_key_dtype(m))
+    accepted = np.empty(_SCAN_ENTRIES, dtype=key_dtype(m))
     size = 0
     # the hubs of degree g, g ascending, propose pairs i < j of their rows in
     # lexicographic order; each wrapped delta is computed once per axis.  One
@@ -573,7 +570,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
             block = nbrs[row_starts[c : c + hubs_per_chunk, None] + np.arange(g)]
             deltas = []
             for x in axes[:, block]:
-                t = x[:, I]  # wrapped_deltas(x[:, I] - x[:, J]), in the gathered array
+                t = x[:, I]  # |x[:, I] - x[:, J]| wrapped, in the gathered array
                 np.subtract(t, x[:, J], out=t)
                 np.abs(t, out=t)
                 np.minimum(t, 2.0 - t, out=t)
@@ -582,10 +579,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
             f = g_value / _nu_many([t[near] for t in deltas], r_prev)
             f_max = max(f_max, f.max(initial=0.0))
             hub, pair = np.divmod(near[rng.random(f.size) < f], I.size)
-            u, v = block[hub, I[pair]], block[hub, J[pair]]
-            keys = np.minimum(u, v)
-            keys *= m
-            keys += np.maximum(u, v, out=u)
+            keys = _pair_keys(block[hub, I[pair]], block[hub, J[pair]], m)
             if size + keys.size > accepted.size:
                 # a quarter to spare, as resize zero-fills what it adds; no
                 # view of the buffer outlives its statement
@@ -661,9 +655,9 @@ def _sample_balls(space, r_t, sample_size, seed):
     whole-row run as its (ball, point) mask packed to bits, m/8 bytes per
     ball, and a grid run as its indptr and int32 vertex ids.
     """
-    if sample_size < 2:
+    if not isinstance(sample_size, (int, np.integer)) or sample_size < 2:
         raise InputError(
-            f"need at least 2 sampled vertices for a standard error, got {sample_size}"
+            f"need an integer sample size of at least 2 for a standard error, got {sample_size}"
         )
     if not r_t > 0:
         raise InputError("need r_t > 0")

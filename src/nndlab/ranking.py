@@ -54,20 +54,16 @@ def unique_sorted(keys):
     return keys[first]
 
 
-def csr(rows, cols, n):
-    """The entries (rows[i], cols[i]) as CSR over n rows: ``(indptr, cols')``.
+def key_dtype(width):
+    """The dtype of keys row*width + col with row, col < width: int32 while width^2 fits it."""
+    return np.int32 if width * width <= np.iinfo(np.int32).max else np.int64
 
-    Row x is ``cols'[indptr[x]:indptr[x + 1]]``; the sort by row is stable, so
-    each row keeps its entries in input order.  It is a least-significant-digit
-    radix sort over 16-bit digits, which numpy's stable argsort sorts by
-    counting: one pass per digit of n - 1, and no comparison sort.
-    """
-    order = np.argsort(rows.astype(np.uint16), kind="stable")
-    for shift in range(16, int(n - 1).bit_length(), 16):
-        order = order[np.argsort((rows[order] >> shift).astype(np.uint16), kind="stable")]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols[order]
+
+def key_rows(keys, width, rows):
+    """The CSR indptr of ascending keys row*width + col over ``rows`` rows: row x
+    holds the keys in [x*width, (x + 1)*width), at ``indptr[x]:indptr[x + 1]``.
+    ``rows * width`` must fit the keys' dtype."""
+    return np.searchsorted(keys, np.arange(rows + 1, dtype=keys.dtype) * width)
 
 
 def csr_rows(starts, counts):

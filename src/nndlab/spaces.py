@@ -214,8 +214,8 @@ class TorusSpace:
 
 def torus_poisson(n_mean, d, seed):
     """Poisson(n_mean) many i.i.d. uniform points on the d-torus."""
-    if n_mean < 1 or d < 1:
-        raise InputError("need n_mean >= 1 and d >= 1")
+    if not 1 <= n_mean < math.inf or d < 1:
+        raise InputError("need a finite n_mean >= 1 and d >= 1")
     rng = np.random.default_rng(seed)
     count = int(rng.poisson(n_mean))
     points = rng.uniform(-1.0, 1.0, size=(count, d))
@@ -223,21 +223,15 @@ def torus_poisson(n_mean, d, seed):
     return TorusSpace(int(d), points)
 
 
-def wrapped_deltas(diff):
-    """Per-coordinate wrapped distances for raw coordinate differences."""
-    delta = np.abs(diff)
-    return np.minimum(delta, 2.0 - delta)
-
-
 def wrapped_distance(u, v):
     """Wrapped sup-norm distance between coordinate arrays ``u`` and ``v``.
 
     Coordinates run along the last axis and the two arrays broadcast.  The
-    coordinates are folded one at a time with ``np.maximum``, which is exact
-    like ``wrapped_deltas(u - v).max(axis=-1)``, so every distance is
-    bit-identical, but each pass runs over one whole coordinate.  It is
-    fastest when each ``u[..., k]`` is contiguous, as in the transpose of a
-    (d, N) array.
+    per-coordinate wrapped distances min(|u - v|, 2 - |u - v|) are folded one
+    at a time with ``np.maximum``, which is exact like their ``max(axis=-1)``,
+    so every distance is bit-identical, but each pass runs over one whole
+    coordinate.  It is fastest when each ``u[..., k]`` is contiguous, as in
+    the transpose of a (d, N) array.
     """
     dist = None
     for k in range(np.shape(u)[-1]):

@@ -1,13 +1,15 @@
-"""Reference copies of the neighbour-list builders that ``ranking.csr`` replaced.
+"""Reference copies of the neighbour-list builders that the sorted-key CSRs replaced.
 
 ``_cofriend_csr`` (once a function of ``nndlab.descent``, whose cofriend
-transpose is now one ``csr`` call in ``descent.batch_round``),
+transpose is now ``descent._cofriends``, the sorted keys friend*n + owner),
 ``undirected_adjacency`` and ``_bfs_eccentricity`` (from
 ``nndlab.diagnostics``), and the bodies of
 ``TwoNrqState.adjacency`` and ``TwoNrqState.degrees`` (from
-``nndlab.rangequery``, as functions of the state) are copied verbatim as they
-stood before every CSR layout went through ``ranking.csr``.
-``tests/test_csr_reference.py`` requires equal arrays of equal dtypes.
+``nndlab.rangequery``, as functions of the state; a state's rows are now its
+rotated keys) are copied verbatim as they stood before every CSR was read off
+sorted keys by ``ranking.key_rows``.  ``tests/test_csr_reference.py`` requires
+equal arrays of equal dtypes, and ``tests/reference_descent.py`` transposes
+with ``_cofriend_csr``.
 """
 
 import numpy as np

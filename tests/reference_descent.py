@@ -5,7 +5,8 @@
 copied verbatim from ``nndlab.descent``.  Run them with
 a ``ReferenceOracle`` so that the whole reference path selects the old way.
 ``tests/test_descent_reference.py`` requires equal friend matrices, work,
-changes, selections and charges.
+changes, selections and charges.  The cofriend transpose is
+``reference_csr._cofriend_csr``, not the package's.
 """
 
 import math
@@ -14,7 +15,8 @@ import numpy as np
 
 from nndlab.descent import FriendState
 from nndlab.errors import InputError
-from nndlab.ranking import RankingOracle, csr, unique_keys
+from nndlab.ranking import RankingOracle, unique_keys
+from reference_csr import _cofriend_csr
 
 
 class ReferenceOracle(RankingOracle):
@@ -53,7 +55,7 @@ def batch_round(state, oracle):
     n, k = F.shape
     before = oracle.comparisons
     # cofriends: the transpose of F, as CSR rows
-    indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
+    indptr, cof = _cofriend_csr(F)
     new_F = np.empty_like(F)
     changes = 0
     for x in range(n):

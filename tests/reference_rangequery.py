@@ -16,7 +16,8 @@ import numpy as np
 from nndlab.errors import InputError
 from nndlab.rangequery import SamplingReport, TwoNrqState
 from nndlab.ranking import csr_rows, unique_keys
-from nndlab.spaces import wrapped_deltas, wrapped_distance
+from nndlab.spaces import wrapped_distance
+from reference_spaces import wrapped_deltas
 
 
 def _edge_keys(edges, m):

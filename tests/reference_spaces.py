@@ -1,9 +1,12 @@
-"""A per-pair, per-character oracle for the longest-common-substring distance.
+"""Reference forms of two ``nndlab.spaces`` computations.
 
-This is the dynamic program that ``nndlab.spaces`` ran once per pair of
-strings before its batched kernel: one row of the table per character of
-``a``.  The tests compare the kernel's lengths and distances with it bit for
-bit.
+``lcs_length`` is the per-pair, per-character oracle for the
+longest-common-substring distance: the dynamic program that ``nndlab.spaces``
+ran once per pair of strings before its batched kernel, one row of the table
+per character of ``a``.  The tests compare the kernel's lengths and distances
+with it bit for bit.  ``wrapped_deltas`` gives the per-coordinate wrapped
+distances of raw coordinate differences, whose ``max(axis=-1)``
+``spaces.wrapped_distance`` equals bit for bit.
 """
 
 import numpy as np
@@ -29,3 +32,9 @@ def lcs_length(a, b):
 def lcs_rho(space, a, b):
     """rho = 1 - M/m for strings a and b of an ``LcsSpace``, M their ``lcs_length``."""
     return 1.0 - lcs_length(space.strings[a], space.strings[b]) / space.m
+
+
+def wrapped_deltas(diff):
+    """Per-coordinate wrapped distances for raw coordinate differences."""
+    delta = np.abs(diff)
+    return np.minimum(delta, 2.0 - delta)

@@ -164,7 +164,7 @@ class TestNnd:
         assert doc["data"]["recall"] < 0.7
 
     def test_paris_golden_sha256(self, tmp_path):
-        # the report as written while ranking.csr sorted its rows by comparison
+        # the report as written while the CSR rows were sorted by comparison
         out = tmp_path / "report.json"
         assert run(["nnd", "--space", "paris", "--n", "2048", "--k", "8", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
@@ -257,7 +257,7 @@ class TestTwoNrq:
         ids=["plain", "idealized"],
     )
     def test_simulate_golden_sha256(self, extra, digest, tmp_path):
-        # the report as written before the adjacency went through ranking.csr;
+        # the report as written before the adjacency was read off sorted keys;
         # pins the neighbour order that orders the proposals and the coins
         out = tmp_path / "sim.json"
         assert run(["2nrq", "simulate", "--n", "4e3", "--k", "12", "--d", "2",
@@ -488,7 +488,7 @@ class TestDiag:
             "dfe1c69a1991c21f071f2aefc300d6d3ab1dfeb4616a2014d65cf3df582cbd7b")
 
     def test_diameter_golden_sha256(self, tmp_path):
-        # the report as written while ranking.csr sorted its rows by comparison
+        # the report as written while the CSR rows were sorted by comparison
         out = tmp_path / "diam.json"
         assert run(["diag", "diameter", "--n", "10000", "--k", "3", "--trials", "3",
                     "--out", str(out)]) == 0

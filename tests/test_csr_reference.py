@@ -1,11 +1,13 @@
-"""``ranking.csr`` against the three neighbour-list builders it replaced.
+"""The package's CSR builders against the neighbour-list builders they replaced.
 
-The cofriend transpose of descent, the undirected adjacency of the diameter
-diagnostic and the 2NRQ state's adjacency are compared with their verbatim
-copies in ``reference_csr`` on arbitrary inputs, including empty edge sets
-and vertices without neighbours: equal arrays with equal dtypes.  The radix
-order of ``csr`` itself is compared with numpy's stable argsort for n on both
-sides of 2^16, up to 2^20.
+Every CSR is read off sorted keys row*width + col, its indptr by
+``ranking.key_rows``.  The cofriend transpose of descent, the undirected
+adjacency of the diameter diagnostic and the 2NRQ state's adjacency, whose
+rows are its rotated keys, are compared with their verbatim copies in
+``reference_csr`` on arbitrary inputs, including empty edge sets and vertices
+without neighbours: equal arrays with equal dtypes.  ``key_rows`` itself is
+compared with the prefix sums of the row counts, and ``key_dtype`` is checked
+where width^2 leaves int32.
 """
 
 import numpy as np
@@ -13,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_csr as ref
+from nndlab.descent import _cofriends
 from nndlab.diagnostics import _bfs_eccentricity, undirected_adjacency
 from nndlab.rangequery import TwoNrqState, init_e0
-from nndlab.ranking import csr
+from nndlab.ranking import key_dtype, key_rows
 from nndlab.spaces import TorusSpace, torus_poisson
 
 
@@ -49,9 +52,7 @@ def edge_sets(draw):
 @settings(max_examples=200, deadline=None)
 @given(out_matrices())
 def test_cofriend_transpose_matches_reference(F):
-    n, k = F.shape
-    got = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
-    assert_same(got, ref._cofriend_csr(F))
+    assert_same(_cofriends(F), ref._cofriend_csr(F))
 
 
 @settings(max_examples=200, deadline=None)
@@ -89,22 +90,31 @@ def test_two_nrq_adjacency_is_built_once():
 
 
 @st.composite
-def row_lists(draw):
-    """Row ids below n, n on both sides of 2^16 and up to 2^20, with ties in the low digit."""
-    edge = [1, 2, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 16 + 2, 2 ** 17, 2 ** 20]
-    n = draw(st.sampled_from(edge) | st.integers(1, 2 ** 20))
-    digit = st.sampled_from([0, 1, 2 ** 16 - 1]) | st.integers(0, 2 ** 16 - 1)
-    cells = draw(st.lists(st.tuples(st.integers(0, 16), digit), max_size=300))
+def sorted_keys(draw):
+    """Ascending keys row*width + col below rows*width, of int32 or int64; rows
+    may be empty, the last ones among them, and so may the keys."""
+    rows = draw(st.integers(0, 40))
+    width = draw(st.integers(1, 40))
+    cells = draw(st.lists(st.integers(0, rows * width - 1), max_size=200)) if rows else []
     dtype = draw(st.sampled_from([np.int32, np.int64]))
-    return np.array([(hi << 16 | lo) % n for hi, lo in cells], dtype=dtype), n
+    return np.sort(np.array(cells, dtype=dtype)), width, rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(row_lists())
-def test_csr_radix_order_matches_stable_argsort(case):
-    # n near 2^32 is left out: bincount(minlength=n) would allocate 32 GB
-    rows, n = case
-    indptr, order = csr(rows, np.arange(rows.size), n)
-    np.testing.assert_array_equal(order, np.argsort(rows, kind="stable"))
-    np.testing.assert_array_equal(indptr[1:], np.cumsum(np.bincount(rows, minlength=n)))
-    assert indptr[0] == 0 and indptr.size == n + 1
+@given(sorted_keys())
+def test_key_rows_matches_prefix_row_counts(case):
+    keys, width, rows = case
+    indptr = key_rows(keys, width, rows)
+    assert indptr.size == rows + 1 and indptr[0] == 0
+    np.testing.assert_array_equal(indptr[1:], np.cumsum(np.bincount(keys // width, minlength=rows)))
+
+
+def test_key_rows_keeps_trailing_empty_rows():
+    np.testing.assert_array_equal(key_rows(np.array([0, 1, 5]), 3, 4), [0, 2, 3, 3, 3])
+    np.testing.assert_array_equal(key_rows(np.zeros(0, dtype=np.int32), 3, 2), [0, 0, 0])
+
+
+def test_key_dtype_is_int32_while_width_squared_fits():
+    assert 46340 ** 2 <= np.iinfo(np.int32).max < 46341 ** 2
+    assert key_dtype(46340) == np.int32
+    assert key_dtype(46341) == np.int64

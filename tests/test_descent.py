@@ -6,6 +6,7 @@ from scipy import stats
 
 from nndlab.descent import (
     FriendState,
+    _cofriends,
     batch_round,
     default_budget,
     init_random_kout,
@@ -15,7 +16,7 @@ from nndlab.descent import (
     run_report,
 )
 from nndlab.errors import InputError
-from nndlab.ranking import RankingOracle, csr, exact_knn, recall
+from nndlab.ranking import RankingOracle, exact_knn, recall
 from nndlab.spaces import paris_space, random_ranking_table, rank_table
 from nndlab.concordance import generic_crs
 
@@ -33,8 +34,8 @@ def worst_ranks(state, table):
 def assert_csr_transpose(F):
     # batch_round takes cofriends as the CSR of F's arcs keyed by target;
     # compare that with a transpose built pair by pair
-    n, k = F.shape
-    indptr, cof = csr(F.ravel(), np.repeat(np.arange(n, dtype=np.int32), k), n)
+    n = len(F)
+    indptr, cof = _cofriends(F)
     for x in range(n):
         expected = sorted(y for y in range(n) if x in F[y])
         assert cof[indptr[x] : indptr[x + 1]].tolist() == expected

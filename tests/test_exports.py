@@ -5,13 +5,15 @@ longer defines, fails only when something star-imports or imports it.
 These tests star-import every module and import every name, and check that
 every module uses each name it imports.  The package is imported inside
 each test, so a broken ``nndlab/__init__.py`` fails the tests rather than
-their collection.
+their collection.  Two more read the source: every private definition is
+used by package code, and every definition is named outside the tests.
 """
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,42 @@ def test_private_definitions_are_used():
     }
     assert defined
     assert sorted(defined - used) == [], "private definitions that no package code uses"
+
+
+def _names(path):
+    """The identifiers that the code in ``path`` names: every ``Name``, every
+    attribute and every imported name, but no string, docstring or comment."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[-1])
+    return names
+
+
+def test_definitions_are_reached_outside_tests():
+    # tests alone do not keep a definition alive: a function, class or method
+    # that no package code, demo, benchmark script or README example names
+    # serves nothing, and belongs in a tests/reference_*.py file or nowhere
+    package = Path(PACKAGE.submodule_search_locations[0])
+    root = Path(__file__).resolve().parents[1]
+    defined = set()
+    for path in package.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                defined.update(
+                    item.name for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+    sources = [*package.glob("*.py"), *root.glob("demos/*.py"), *root.glob("perfbench/**/*.py")]
+    named = set().union(*(_names(path) for path in sources))
+    readme = (root / "README.md").read_text()
+    named.update(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    assert defined
+    assert sorted(defined - named) == [], "definitions that nothing but tests reaches"

@@ -34,7 +34,8 @@ from nndlab.rangequery import (
     range_query_round,
     verify_sampling_property,
 )
-from nndlab.spaces import TorusSpace, torus_poisson, wrapped_deltas, wrapped_distance
+from nndlab.spaces import TorusSpace, torus_poisson, wrapped_distance
+from reference_spaces import wrapped_deltas
 
 RADII = (1.5, 1.0, 0.6, 0.2, 0.07)
 

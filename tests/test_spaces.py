@@ -276,10 +276,10 @@ class TestTorus:
         space = torus_poisson(10, 3, seed=0)
         rng = np.random.default_rng(4)
         u, v, w = (rng.uniform(-1, 1, size=(10_000, 3)) for _ in range(3))
-        duv = spaces.wrapped_deltas(u - v).max(axis=1)
-        dvu = spaces.wrapped_deltas(v - u).max(axis=1)
-        dvw = spaces.wrapped_deltas(v - w).max(axis=1)
-        duw = spaces.wrapped_deltas(u - w).max(axis=1)
+        duv = reference_spaces.wrapped_deltas(u - v).max(axis=1)
+        dvu = reference_spaces.wrapped_deltas(v - u).max(axis=1)
+        dvw = reference_spaces.wrapped_deltas(v - w).max(axis=1)
+        duw = reference_spaces.wrapped_deltas(u - w).max(axis=1)
         assert np.allclose(duv, dvu)
         assert (duw <= duv + dvw + 1e-12).all()
 
