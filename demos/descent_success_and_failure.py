@@ -8,10 +8,8 @@ point's ranking is independent of everyone else's opinions about third
 parties, friend lists carry no signal, and recall plateaus far below 1.
 """
 
-import math
-
 from nndlab.concordance import generic_crs
-from nndlab.descent import batch_round, init_random_kout, pointwise_pass, run_nnd
+from nndlab.descent import batch_round, default_budget, init_random_kout, pointwise_pass, run_nnd
 from nndlab.ranking import RankingOracle, exact_knn, recall
 from nndlab.spaces import paris_space, rank_table
 
@@ -37,7 +35,7 @@ oracle2 = RankingOracle(crs_table)
 exact2 = exact_knn(crs_table, K)
 state2 = init_random_kout(512, K, seed=0)
 schedule = np.random.default_rng(0).permutation(512)
-budget = math.ceil(2 * math.log(512) / math.log(K))
+budget = default_budget(512, K)
 print(f"budget: {budget} passes (2 log_K n)")
 print("pass   changed  recall")
 for r in range(1, budget + 1):

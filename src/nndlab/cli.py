@@ -17,12 +17,10 @@ import resource
 import sys
 from decimal import Decimal
 
-import numpy as np
-
 from . import __version__
 from . import concordance, descent, diagnostics, rangequery, spaces
 from .errors import InputError, NndlabError, ResourceLimitError
-from .ranking import RankingOracle, check_table_size, exact_knn, recall
+from .ranking import RankingOracle, check_table_size, checked_count, exact_knn, recall
 
 RECALL_LIMIT = 4096  # largest n for which the quadratic exact graph is built
 
@@ -68,13 +66,14 @@ def _finite(text):
 
 
 def _count_at_least(low):
-    """An argparse type for integers of at least ``low``, also written as 1e3."""
+    """An argparse type for integers of at least ``low``, also written as 1e3: ``checked_count``."""
 
     def count(text):
-        value = _finite(text)
-        if value != int(value) or value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
-        return int(value)
+        message = f"expected an integer of at least {low}, got {text!r}"
+        try:
+            return checked_count(_finite(text), low, message, high=math.inf)
+        except InputError:
+            raise argparse.ArgumentTypeError(message) from None
 
     return count
 
@@ -273,8 +272,7 @@ def cmd_diag_diameter(args):
 
 
 def cmd_diag_expansion(args):
-    rng = np.random.default_rng(args.seed)
-    F = descent.random_kout(args.n, args.k, rng)
+    F = descent.random_kout(args.n, args.k, args.seed)
     report = diagnostics.expansion_check(F, args.alpha, args.eps, args.sets, args.seed)
     return _json_doc(_config(args), report.to_json_dict())
 

@@ -17,12 +17,12 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, inf, prod
 
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable, checked_ids
+from .ranking import RankTable, checked_count, checked_ids, seeded
 
 __all__ = [
     "n_pairs",
@@ -99,15 +99,17 @@ class LinearOrder:
     __slots__ = ("n", "perm")
 
     def __init__(self, n, pairs):
-        self._set(int(n), _checked_pair_index(list(pairs) or np.empty((0, 2), dtype=np.int64), n))
+        n = checked_count(n, 0, "n must be an integer >= 0")
+        self._set(n, _checked_pair_index(list(pairs) or np.empty((0, 2), dtype=np.int64), n))
 
     @classmethod
     def from_perm(cls, n, perm):
         """The order listing the pairs of lexicographic indices ``perm``, copied, never cast."""
-        return cls.__new__(cls)._set(int(n), np.array(perm))
+        n = checked_count(n, 0, "n must be an integer >= 0")
+        return cls.__new__(cls)._set(n, np.array(perm))
 
     def _set(self, n, perm):
-        N = n_pairs(max(n, 0))
+        N = n_pairs(n)
         bad = "pairs must enumerate every unordered pair exactly once"
         perm = checked_ids(perm, N, bad).astype(np.int64, copy=False)
         # N indices of [0, N) that fill all N bins are a permutation of range(N)
@@ -309,9 +311,8 @@ def concordancy_check(table):
 
 def generic_crs(n, seed):
     """phi of a uniformly random linear order on the pairs of [n]."""
-    if n < 2:
-        raise InputError("need at least two items")
-    perm = np.random.default_rng(seed).permutation(n_pairs(n))
+    n = checked_count(n, 2, "need at least two items")
+    perm = seeded(seed).permutation(n_pairs(n))
     return Crs(RankTable(_phi_orders(perm[None], n)[0]))
 
 
@@ -353,8 +354,7 @@ def _linear_extension(crs, seed):
     import heapq
 
     N = n_pairs(crs.n)
-    rng = np.random.default_rng(seed)
-    priority = rng.permutation(N).tolist()
+    priority = seeded(seed).permutation(N).tolist()
     graph = crs._graph
     indptr, succ = graph.indptr.tolist(), graph.indices.tolist()
     indeg = np.bincount(graph.indices, minlength=N).tolist()
@@ -467,8 +467,7 @@ def white_component(order, cap=20000):
     ``orders`` lists the members in discovery order; the BFS keys an order
     by the bytes of its pair indices in the smallest unsigned dtype.
     """
-    if cap < 1:
-        raise InputError("cap must be positive")
+    cap = checked_count(cap, 1, "cap must be positive")
     n, N = order.n, order.N
     dtype = np.min_scalar_type(max(N - 1, 0))
     frontier = order.perm.astype(dtype)[None]
@@ -494,8 +493,7 @@ def powers_of_two_order(n):
 
     Exact integer arithmetic; consecutive pairs always share an endpoint.
     """
-    if n < 3:
-        raise InputError("need n >= 3")
+    n = checked_count(n, 3, "need n >= 3")
     pairs = sorted(all_pairs(n), key=lambda p: 2 ** p[1] - 2 ** p[0])
     return LinearOrder(n, pairs)
 
@@ -509,8 +507,7 @@ def baranyai_order(n):
     """
     if n % 2 != 0:
         raise InputError("a 1-factorization of K_n needs even n")
-    if n < 4:
-        raise InputError("need n >= 4")
+    n = checked_count(n, 4, "need n >= 4")
     pairs = []
     for r in range(n - 1):
         matching = [(r, n - 1)]
@@ -531,8 +528,7 @@ def eulerian_order(n):
     """
     if n % 2 == 0:
         raise InputError("K_n has an Eulerian circuit only for odd n")
-    if n < 3:
-        raise InputError("need n >= 3")
+    n = checked_count(n, 3, "need n >= 3")
     adj = {v: set(range(n)) - {v} for v in range(n)}
     stack = [0]
     walk = []
@@ -563,15 +559,15 @@ def white_edge_fraction(n, samples=100_000, seed=0):
     Exact value C(n-2, 2) / (C(n, 2) - 1) = 1 - 4/(n+1); the empirical
     estimate Monte-Carlos uniform orders and uniform adjacent positions.
     """
-    if n < 3 or samples < 1:
-        raise InputError("need n >= 3 and samples >= 1")
+    bad = "need n >= 3 and samples >= 1"
+    n, samples = checked_count(n, 3, bad), checked_count(samples, 1, bad)
     exact = Fraction(comb(n - 2, 2), comb(n, 2) - 1)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     N = n_pairs(n)
     # the positions are drawn after the samples x N keys; PCG64's random()
     # takes one 64-bit step per float, so a twin advanced past the keys draws
     # them, a block at a time (its 32-bit draws carry over between calls)
-    ahead = np.random.default_rng(seed)
+    ahead = seeded(seed)
     ahead.bit_generator.advance(samples * N)
     white = 0
     for s in range(0, samples, FRACTION_ROWS):
@@ -632,15 +628,14 @@ def enumerate_small(n):
     the image's n(n-1) rank entries, and its white edges are counted
     exactly; every distinct image is certified concordant.  For n <= 4 the
     white graph is also traversed exhaustively and component classes are
-    verified to coincide with phi fibers; a full 10!-vertex traversal at
-    n = 5 is not attempted.
+    verified to coincide with phi fibers; at n = 5 no 10!-vertex traversal
+    is attempted, and ``component_sizes`` is the histogram of fiber sizes.
     """
+    n = checked_count(n, 2, "need n >= 2", high=inf)
     if n > 5:
         raise ResourceLimitError(
             f"enumerate_small refuses n={n}: (n(n-1)/2)! linear orders explode"
         )
-    if n < 2:
-        raise InputError("need n >= 2")
     N = n_pairs(n)
     place = n ** np.arange(n * (n - 1) - 1, -1, -1, dtype=np.int64)  # 5^20 < 2^63
     white = _disjoint(np.arange(N)[:, None], np.arange(N), n)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .ranking import KnnGraph, checked_ids, key_dtype, key_rows
+from .ranking import BAD_SEED, KnnGraph, checked_count, checked_ids, key_dtype, key_rows, seeded
 
 __all__ = [
     "FriendState",
@@ -46,8 +46,8 @@ class FriendState:
         if not 1 <= k < n:
             raise InputError(f"friends must be (n, K) with 1 <= K < n, got shape {friends.shape}")
         self.friends = checked_ids(friends, n, "friends out of range").astype(np.int32, copy=False)
-        self.t = int(t)
-        self.work = int(work)
+        self.t = checked_count(t, 0, f"the round index t must be an integer >= 0, got t={t!r}")
+        self.work = checked_count(work, 0, "need work >= 0")
         self.last_changes = last_changes
 
     @property
@@ -68,13 +68,10 @@ class FriendState:
 
 def random_kout(n, K, seed_or_rng):
     """Uniform random K-out matrix: each row an independent K-subset."""
-    if not 1 <= K < n:
-        raise InputError(f"need 1 <= K < n, got K={K}, n={n}")
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+    bad = f"need 1 <= K < n, got K={K}, n={n}"
+    n = checked_count(n, 2, bad)
+    K = checked_count(K, 1, bad, high=n - 1)
+    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else seeded(seed_or_rng)
     if K > (n - 1) // 2:
         # dense rows: rejection would thrash, use per-row permutations
         keys = rng.random((n, n))
@@ -198,11 +195,9 @@ def pointwise_pass(state, schedule, oracle):
 
 def default_budget(n, K):
     """Hard round budget ceil(2 log_K n)."""
-    if K < 2:
-        raise InputError(
-            f"the default round budget 2 log_K n needs K >= 2, got K={K}; "
-            "give the budget explicitly (--rounds)"
-        )
+    n = checked_count(n, 1, f"the default round budget 2 log_K n needs n >= 1, got n={n}")
+    K = checked_count(K, 2, f"the default round budget 2 log_K n needs K >= 2, got K={K}; "
+                      "give the budget explicitly (--rounds)")
     return max(1, math.ceil(2 * math.log(n) / math.log(K)))
 
 
@@ -232,14 +227,11 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
         raise InputError(f"unknown mode {mode!r}")
     if stop not in ("no_change", "budget"):
         raise InputError(f"unknown stop rule {stop!r}")
-    if oracle.n != n:
-        raise InputError("oracle item count does not match n")
-    if not 1 <= K < n:
-        raise InputError(f"need 1 <= K < n, got K={K}, n={n}")
-    budget = default_budget(n, K) if max_rounds is None else int(max_rounds)
-    if budget < 1:
-        raise InputError("round budget must be positive")
-    rng = np.random.default_rng(seed)
+    n = checked_count(n, oracle.n, "oracle item count does not match n", high=oracle.n)
+    K = checked_count(K, 1, f"need 1 <= K < n, got K={K}, n={n}", high=n - 1)
+    budget = (default_budget(n, K) if max_rounds is None
+              else checked_count(max_rounds, 1, "round budget must be positive"))
+    rng = seeded(seed)
     state = FriendState(random_kout(n, K, rng), t=0)
     schedule = rng.permutation(n) if mode == "pointwise" else None
     changes = []
@@ -261,7 +253,7 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
         mode=mode,
         n=n,
         k=K,
-        seed=int(seed),
+        seed=checked_count(seed, 0, BAD_SEED, high=math.inf),
         stop=stop,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import checked_ids, csr_rows, key_rows, unique_keys
+from .ranking import BAD_SEED, checked_count, checked_ids, csr_rows, key_rows, seeded, unique_keys
 
 EXACT_DIAMETER_LIMIT = 20000
 
@@ -98,7 +98,7 @@ def undirected_diameter(F):
     if n <= EXACT_DIAMETER_LIMIT:
         result = _bitset_diameter(indptr, nbrs, n)
         return "disconnected" if result is None else result
-    start = int(np.random.default_rng(0).integers(n))
+    start = int(seeded(0).integers(n))
     ecc0, dist0 = _bfs_eccentricity(indptr, nbrs, start, n)
     if ecc0 is None:
         return "disconnected"
@@ -146,14 +146,13 @@ def diameter_experiment(n, K, trials, epsilon, seed):
     how often measured diameters stay within it.  Requires K >= 3 (below
     that the bound is vacuous or undefined).
     """
-    if K < 3:
-        raise InputError("the diameter experiment requires K >= 3")
-    if trials < 1 or n < K + 1:
-        raise InputError("need trials >= 1 and n > K")
+    K = checked_count(K, 3, "the diameter experiment requires K >= 3")
+    bad = "need trials >= 1 and n > K"
+    trials, n = checked_count(trials, 1, bad), checked_count(n, K + 1, bad)
     bound = (1 + epsilon) * math.log(n) / math.log(K - 1)
     if not math.isfinite(bound):
         raise InputError("epsilon out of range: the bound (1 + epsilon) log_{K-1}(n) is not finite")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     diameters = []
     disconnected = 0
     for _ in range(trials):
@@ -170,7 +169,7 @@ def diameter_experiment(n, K, trials, epsilon, seed):
         K=K,
         trials=trials,
         epsilon=epsilon,
-        seed=int(seed),
+        seed=checked_count(seed, 0, BAD_SEED, high=math.inf),
         bound=bound,
         diameters=diameters,
         disconnected=disconnected,
@@ -210,11 +209,14 @@ def expansion_check(F, expansion_alpha, epsilon, sample_sets, seed):
     n, K = F.shape
     if n < 2:  # log(n) is 0 at n = 1
         raise InputError(f"expansion_check needs at least two vertices, got {n}")
+    if not (0 < expansion_alpha < math.inf and math.isfinite(epsilon)):
+        raise InputError("need a finite expansion_alpha > 0 and a finite epsilon")
+    sample_sets = checked_count(sample_sets, 1, "need sample_sets >= 1")
     max_size = min(expansion_alpha * n / math.log(n), n - 1)
-    if max_size < 1:  # tested before int(), which cannot take -inf
+    if max_size < 1:
         raise InputError("expansion_alpha too small: no admissible set size")
     max_size = int(max_size)
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     threshold = K - 1 - epsilon
     violations = 0
     min_margin = math.inf
@@ -232,7 +234,7 @@ def expansion_check(F, expansion_alpha, epsilon, sample_sets, seed):
         expansion_alpha=expansion_alpha,
         epsilon=epsilon,
         sample_sets=sample_sets,
-        seed=int(seed),
+        seed=checked_count(seed, 0, BAD_SEED, high=math.inf),
         max_size=max_size,
         violations=violations,
         min_margin=float(min_margin),

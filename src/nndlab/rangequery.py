@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError, ScheduleExhausted
-from .ranking import checked_ids, csr_rows, key_dtype, key_rows, unique_sorted
+from .ranking import checked_count, checked_ids, csr_rows, key_dtype, key_rows, seeded, unique_sorted
 from .spaces import torus_poisson, wrapped_distance
 
 __all__ = [
@@ -75,13 +75,14 @@ class TwoNrqParams:
 def derive_params(n, K, d, alpha):
     """Derive (beta, gamma, gamma_star, t' bound) from (n, K, d, alpha)."""
     n = float(n)
-    K = int(K)
-    d = int(d)
-    if d < 1 or not 1 <= n < math.inf:
+    if not 1 <= n < math.inf:
         raise InputError("need d >= 1 and a finite n >= 1")
+    d = checked_count(d, 1, "need d >= 1 and a finite n >= 1")
+    bad = f"K must exceed 2^d: got K={K} and d={d} (dimension too high for K)"
+    K = checked_count(K, 1, bad)
     # K <= 2^d, without building 2^d, whose digits pass str()'s limit at large d
-    if K < 1 or (K - 1).bit_length() <= d:
-        raise InputError(f"K must exceed 2^d: got K={K} and d={d} (dimension too high for K)")
+    if (K - 1).bit_length() <= d:
+        raise InputError(bad)
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
     beta = -math.log1p(-alpha) / alpha
@@ -101,10 +102,9 @@ def g_min_overlap(s, r, d):
     The smallest volume of the intersection of two radius-r sup-norm balls
     whose centers are at most s apart; zero once s >= 2r.
     """
-    if d < 1:
-        raise InputError("need d >= 1")
-    if not (s >= 0 and r > 0):
-        raise InputError("need s >= 0 and r > 0")
+    d = checked_count(d, 1, "need d >= 1")
+    if not (0 <= s < math.inf and 0 < r < math.inf):
+        raise InputError("need finite s >= 0 and r > 0")
     span = 2.0 * r - s
     if span <= 0:
         return 0.0
@@ -135,7 +135,7 @@ def solve_next_radius(params, r_prev):
     which is the normal termination condition.
     """
     n, K, d, alpha = params.n, params.K, params.d, params.alpha
-    if not (r_prev <= 1.0 and r_prev ** d >= K / (n * alpha)):
+    if not (0 < r_prev <= 1.0 and r_prev ** d >= K / (n * alpha)):
         raise InputError("r_prev must lie in the admissible range")
     theta_prev = K / (n * r_prev ** d)
     coeff = theta_prev ** 2 * n / 2 ** d
@@ -291,8 +291,8 @@ class TwoNrqState:
         self._adjacency = (indptr, neighbors)
         for arr in self._adjacency:
             arr.setflags(write=False)
-        self.t = int(t)
-        self.distance_evals = int(distance_evals)
+        self.t = checked_count(t, 0, f"the round index t must be an integer >= 0, got t={t!r}")
+        self.distance_evals = checked_count(distance_evals, 0, "need distance_evals >= 0")
 
     @property
     def edges(self):
@@ -327,7 +327,7 @@ def init_e0(space, K, seed):
     m = space.n
     if m < 2 or not 0 <= K < math.inf:
         raise InputError(f"need at least two vertices and a finite K >= 0, got m={m}, K={K}")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     total = m * (m - 1) // 2
     rate = min(1.0, K / m)
     count = int(rng.binomial(total, rate))
@@ -507,7 +507,7 @@ def ideal_state(space, r, theta, t, seed):
     if not 0 <= theta <= 1:
         raise InputError(f"theta must lie in [0, 1], got {theta}")
     m = space.n
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     rows = [np.zeros(0, dtype=np.int64)]
     for start, _, keys in ball_scan(space.points, np.arange(m), r):
         owner, idx = np.divmod(keys, m)
@@ -542,7 +542,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
         raise InputError("need 0 < r_t < r_prev <= 1")
     if not 0 <= g_value < math.inf:
         raise InputError(f"g_value must be finite and non-negative, got {g_value}")
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     m = state.space.n
     axes = np.ascontiguousarray(state.space.points.T)
     indptr, nbrs = state.adjacency()
@@ -643,6 +643,8 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0):
     picks' distances are computed once, after the last run, so a run costs no
     more than its keys need.
     """
+    if not 0 <= theta_t <= 1:
+        raise InputError(f"theta_t must lie in [0, 1], got {theta_t}")
     return _sampling_report(state, theta_t, _sample_balls(state.space, r_t, sample_size, seed))
 
 
@@ -655,14 +657,12 @@ def _sample_balls(space, r_t, sample_size, seed):
     whole-row run as its (ball, point) mask packed to bits, m/8 bytes per
     ball, and a grid run as its indptr and int32 vertex ids.
     """
-    if not isinstance(sample_size, (int, np.integer)) or sample_size < 2:
-        raise InputError(
-            f"need an integer sample size of at least 2 for a standard error, got {sample_size}"
-        )
-    if not r_t > 0:
-        raise InputError("need r_t > 0")
+    sample_size = checked_count(sample_size, 2, "need an integer sample size of at least 2 for "
+                                f"a standard error, got {sample_size}")
+    if not 0 < r_t < math.inf:
+        raise InputError("need a finite r_t > 0")
     m = space.n
-    rng = np.random.default_rng(seed)
+    rng = seeded(seed)
     sample = rng.choice(m, size=min(sample_size, m), replace=False)
     # every wrapped sup-distance is at most 1 (2 - t is exact for t in (1, 2]),
     # so a ball of radius >= 1 is the whole torus
@@ -820,9 +820,9 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    # (K, d, alpha) are checked before the n x d points are drawn
+    # (K, d, alpha) and the seed are checked before the n x d points are drawn
     derive_params(n_mean, K, d, alpha)
-    root = np.random.SeedSequence(int(seed))
+    root = seeded(seed).bit_generator.seed_seq  # np.random.SeedSequence(seed)
     space_seed, e0_seed, round_seed, verify_seed, ideal_seed = (
         int(s) for s in root.generate_state(5)
     )
@@ -893,10 +893,10 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
     report = {
         "n_mean": float(n_mean),
         "realized_points": m,
-        "K": K,
-        "d": d,
+        "K": params.K,
+        "d": params.d,
         "alpha": alpha,
-        "seed": int(seed),
+        "seed": root.entropy,
         "idealized_inputs": bool(idealized_inputs),
         "tau": schedule.tau,
         "t_prime": schedule.t_prime,

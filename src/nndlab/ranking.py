@@ -17,6 +17,8 @@ from .errors import InputError
 # engines, not production indexes.
 MAX_TABLE_ITEMS = 2 ** 15
 
+BAD_SEED = "a seed must be an integer >= 0"
+
 
 def check_table_size(n):
     """Refuse a rank table of more than ``MAX_TABLE_ITEMS`` items."""
@@ -35,6 +37,22 @@ def checked_ids(ids, n, message):
     if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= n):
         raise InputError(message)
     return ids
+
+
+def checked_count(value, low, message, high=np.iinfo(np.int64).max):
+    """``value`` as a Python int if it is an integer or an integral float in [low, high],
+    else ``InputError(message)``: bools, NaN and infinities are refused, and nothing rounded."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        value = int(value)
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= int(value) <= high):
+        raise InputError(message)
+    return int(value)
+
+
+def seeded(seed):
+    """``np.random.default_rng`` of a seed ``checked_count`` takes as an int >= 0, of any size."""
+    return np.random.default_rng(checked_count(seed, 0, BAD_SEED, high=np.inf))
 
 
 def unique_keys(keys):
@@ -194,10 +212,11 @@ class RankingOracle:
         given order.  With a scalar ``x`` and a 1-D pool the result is x's
         best k, or all of its distinct candidates (ordered) when there are
         fewer; an empty pool, ``[]`` included, selects nothing for no charge.
-        Ids that are not integers or lie outside [0, n), or a short row of a
-        batch, refuse the whole call before anything is charged.
+        Ids that are not integers or lie outside [0, n), a k that is not a count
+        >= 1, or a short row of a batch, refuse the call before anything is charged.
         """
         n = self.n
+        k = checked_count(k, 1, f"top_k takes a count k >= 1, got k={k!r}")
         bad = f"top_k takes one row of integer candidates per owner, all ids in [0, {n})"
         owners = checked_ids(np.atleast_1d(x), n, bad)
         rows = checked_ids(np.atleast_2d(pools), n, bad)
@@ -251,8 +270,7 @@ def ranking_from_distance_matrix(dist):
 
 def exact_knn(table, K):
     """The exact K-NN graph of a ranking system; O(n^2) by construction."""
-    if not 1 <= K < table.n:
-        raise InputError(f"need 1 <= K < n, got K={K}, n={table.n}")
+    K = checked_count(K, 1, f"need 1 <= K < n, got K={K}, n={table.n}", high=table.n - 1)
     return KnnGraph(table.order[:, :K])
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import RankTable, ranking_from_distance_matrix
+from .ranking import RankTable, checked_count, ranking_from_distance_matrix, seeded
 
 
 # ---------------------------------------------------------------------------
@@ -69,11 +69,9 @@ class CircleSpace:
 
 
 def circle_sample(n, seed):
-    """Sample round(n) points i.i.d. uniform on [0, 2*pi)."""
-    if n < 1:
-        raise InputError("n must be at least 1")
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2 * np.pi, size=int(round(n)))
+    """Sample n points i.i.d. uniform on [0, 2*pi)."""
+    n = checked_count(n, 1, "n must be at least 1")
+    angles = seeded(seed).uniform(0.0, 2 * np.pi, size=n)
     return CircleSpace(tuple(angles.tolist()))
 
 
@@ -97,12 +95,10 @@ class PowersOfTwoSpace:
 
 
 def powers_of_two_space(n):
-    if n < 2:
-        raise InputError("need at least two points")
     if n > 52:
         # beyond 2**52 the float distances lose exactness
         raise InputError("powers-of-two space is capped at n = 52")
-    return PowersOfTwoSpace(int(n))
+    return PowersOfTwoSpace(checked_count(n, 2, "need at least two points"))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +143,13 @@ class LcsSpace:
 
 def lcs_sample(n, m, seed):
     """Sample n independent strings of length m, characters i.i.d. uniform over "acgt"."""
-    if n < 2 or m < 1:
-        raise InputError("need n >= 2 strings of length m >= 1")
+    bad = "need n >= 2 strings of length m >= 1"
+    n, m = checked_count(n, 2, bad), checked_count(m, 1, bad)
     alphabet = "acgt"
     # choice draws differently with p given, so p stays: the strings keep their bytes
-    idx = np.random.default_rng(seed).choice(len(alphabet), size=(n, m), p=(0.25,) * 4)
+    idx = seeded(seed).choice(len(alphabet), size=(n, m), p=(0.25,) * 4)
     strings = tuple("".join(alphabet[i] for i in row) for row in idx)
-    return LcsSpace(int(m), alphabet, strings)
+    return LcsSpace(m, alphabet, strings)
 
 
 def _lcs_length(A, B):
@@ -183,10 +179,9 @@ def lcs_qk(m, n, K, p):
     """
     if not 0 < p < 1:
         raise InputError("p must lie in (0, 1)")
-    if not 1 <= K < n:
-        raise InputError("need 1 <= K < n")
-    if m < 2:
-        raise InputError("need m >= 2")
+    n = checked_count(n, 2, "need 1 <= K < n")
+    K = checked_count(K, 1, "need 1 <= K < n", high=n - 1)
+    m = checked_count(m, 2, "need m >= 2")
     denom = -math.log(p)
     q_K = (2 * math.log(m) + math.log((1 - p) * n / K)) / denom
     q_1 = (2 * math.log(m) + math.log((1 - p) * n)) / denom
@@ -214,13 +209,14 @@ class TorusSpace:
 
 def torus_poisson(n_mean, d, seed):
     """Poisson(n_mean) many i.i.d. uniform points on the d-torus."""
-    if not 1 <= n_mean < math.inf or d < 1:
+    if not 1 <= n_mean < math.inf:
         raise InputError("need a finite n_mean >= 1 and d >= 1")
-    rng = np.random.default_rng(seed)
+    d = checked_count(d, 1, "need a finite n_mean >= 1 and d >= 1")
+    rng = seeded(seed)
     count = int(rng.poisson(n_mean))
     points = rng.uniform(-1.0, 1.0, size=(count, d))
     points.setflags(write=False)
-    return TorusSpace(int(d), points)
+    return TorusSpace(d, points)
 
 
 def wrapped_distance(u, v):
@@ -247,8 +243,7 @@ def wrapped_distance(u, v):
 
 def random_ranking_table(n, seed):
     """Each item's ranking an independent uniform permutation of the rest."""
-    if n < 2:
-        raise InputError("need at least two items")
+    n = checked_count(n, 2, "need at least two items")
     return RankTable(random_kout(n, n - 1, seed))
 
 

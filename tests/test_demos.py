@@ -1,6 +1,7 @@
 """Smoke runs of the demos and of the README's library sketch.
 
-The demos drive descent, the ranking spaces, concordancy and 2NRQ.  The
+The demos drive descent, the ranking spaces, concordancy, 2NRQ and the start
+graph's diameter and expansion, the last under the slow mark.  The
 range-query demo runs ``run_2nrq``, which verifies on a worker thread, from a
 script, so a worker thread that kept the interpreter from exiting would show
 up as a timeout.
@@ -31,6 +32,13 @@ def run_python(argv):
                                     "concordancy_and_embeddings.py"])
 def test_demo_runs_clean(script):
     done = run_python([str(ROOT / "demos" / script)])
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.slow
+def test_start_graph_demo_runs_clean():
+    # its diameter measurements at n = 10^4 took about 17 s on a 2-CPU host
+    done = run_python([str(ROOT / "demos" / "start_graph_geometry.py")])
     assert "Traceback" not in done.stdout + done.stderr
 
 

@@ -7,6 +7,7 @@ every module uses each name it imports.  The package is imported inside
 each test, so a broken ``nndlab/__init__.py`` fails the tests rather than
 their collection.  Two more read the source: every private definition is
 used by package code, and every definition is named outside the tests.
+A last one keeps counts and seeds read in one place, ``ranking``.
 """
 
 import ast
@@ -80,6 +81,33 @@ def test_private_definitions_are_used():
     }
     assert defined
     assert sorted(defined - used) == [], "private definitions that no package code uses"
+
+
+# parameters that hold counts or seeds, which ranking.checked_count and
+# ranking.seeded read: a cast of one elsewhere truncates or rounds it
+_COUNT_NAMES = {"n", "K", "k", "d", "m", "t", "seed", "cap", "trials", "samples", "sample_sets",
+                "sample_size", "max_rounds"}
+
+
+def test_counts_and_seeds_are_read_only_through_ranking():
+    stray = []
+    for path in sorted(Path(PACKAGE.submodule_search_locations[0]).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.stem == "ranking":
+            seeded = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "seeded")
+            allowed = set(map(id, ast.walk(seeded)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            cast = (name in ("int", "round") and node.args and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in _COUNT_NAMES)
+            if name == "default_rng" or cast:
+                stray.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert stray == [], "seed or cast a count through ranking.seeded or ranking.checked_count"
 
 
 def _names(path):

@@ -1,4 +1,5 @@
-"""The library's input contract: item ids are integers in [0, n), or ``InputError``.
+"""The library's input contract: item ids are integers in [0, n), counts and
+seeds are integers, and reals are finite, or ``InputError``.
 
 Every public callable that takes item ids is drawn with valid arguments and
 one corruption of its ids: float ids (integral ones too), bool ids, -1, n,
@@ -8,8 +9,17 @@ Each must raise ``InputError`` before the oracle charges anything.
 ``test_every_export_is_drawn_or_exempt`` keeps the list whole: each
 callable the package exports is drawn here, or is named in ``EXEMPT`` with
 the reason it takes no ids.
+
+Every count, seed and real of the exports is drawn the same way in
+``NUMERIC``: a count with NaN, +-inf, one below its least value, a fraction,
+``True`` and 2^64 (a count in ``OVERSIZED`` refuses 2^64 as a resource
+limit); a seed the same way but for 2^64, which is a valid seed; a real with
+NaN and +-inf.  Integral floats and a seed of 2^70 stay accepted.  ``test_every_numeric_export_is_drawn_or_named`` requires each
+export in ``EXEMPT`` to be drawn there, or named in ``NOT_NUMERIC`` with the
+reason it takes no number.
 """
 
+import math
 import types
 
 import numpy as np
@@ -25,19 +35,45 @@ from nndlab import (
     RankingOracle,
     RankTable,
     TwoNrqState,
+    baranyai_order,
     batch_round,
+    default_budget,
+    derive_params,
+    diameter_experiment,
+    enumerate_small,
+    eulerian_order,
     exact_knn,
     expansion_check,
+    g_min_overlap,
     generic_crs,
+    init_e0,
+    init_random_kout,
+    linf_embed,
     pointwise_pass,
+    powers_of_two_order,
     random_kout,
+    range_query_round,
+    run_2nrq,
+    run_nnd,
+    solve_next_radius,
     undirected_diameter,
+    verify_sampling_property,
+    white_component,
+    white_edge_fraction,
 )
 from nndlab.concordance import n_pairs
-from nndlab.errors import InputError
+from nndlab.errors import InputError, ResourceLimitError
 from nndlab.rangequery import ball_scan
-from nndlab.ranking import checked_ids
-from nndlab.spaces import TorusSpace, random_ranking_table
+from nndlab.ranking import checked_count, checked_ids
+from nndlab.spaces import (
+    TorusSpace,
+    circle_sample,
+    lcs_qk,
+    lcs_sample,
+    powers_of_two_space,
+    random_ranking_table,
+    torus_poisson,
+)
 
 N = 6
 TABLE = random_ranking_table(N, seed=0)
@@ -220,3 +256,202 @@ def test_every_export_is_drawn_or_exempt():
     assert sorted(exported - drawn - set(EXEMPT)) == [], "exports neither drawn nor exempt"
     assert sorted(set(EXEMPT) - exported) == [], "exempt names the package does not export"
     assert all(EXEMPT.values())
+
+
+# ---------------------------------------------------------------------------
+# Counts, seeds and reals
+
+TORUS = torus_poisson(200, 2, seed=0)
+E0 = init_e0(TORUS, 12, seed=1)
+PARAMS = derive_params(3000, 12, 2, 0.5)
+SEED, REAL = "seed", "real"
+
+# name: (the export it draws, a call taking keyword arguments, valid ones,
+# and the kind of each: the least value of a count, SEED or REAL)
+NUMERIC = {
+    "exact_knn": ("exact_knn", lambda **a: exact_knn(TABLE, **a), {"K": 2}, {"K": 1}),
+    "top_k": ("RankingOracle", lambda **a: ORACLE.top_k(0, POOLS[0], **a), {"k": 2}, {"k": 1}),
+    "default_budget": ("default_budget", default_budget, {"n": 512, "K": 8}, {"n": 1, "K": 2}),
+    "random_kout": ("random_kout", random_kout, {"n": N, "K": 2, "seed_or_rng": 0},
+                    {"n": 2, "K": 1, "seed_or_rng": SEED}),
+    "init_random_kout": ("init_random_kout", init_random_kout, {"n": N, "K": 2, "seed": 0},
+                         {"n": 2, "K": 1, "seed": SEED}),
+    "run_nnd": ("run_nnd", lambda **a: run_nnd(ORACLE, **a),
+                {"n": N, "K": 2, "seed": 0, "max_rounds": 2},
+                {"n": N, "K": 1, "seed": SEED, "max_rounds": 1}),
+    "FriendState": ("FriendState", lambda **a: FriendState(KOUT, **a), {"t": 0, "work": 0},
+                    {"t": 0, "work": 0}),
+    "TwoNrqState": ("TwoNrqState", lambda **a: TwoNrqState(TorusSpace(2, POINTS), [1], **a),
+                    {"t": 0, "distance_evals": 0}, {"t": 0, "distance_evals": 0}),
+    "LinearOrder": ("LinearOrder", lambda **a: LinearOrder(pairs=[(0, 1), (1, 2), (0, 2)], **a),
+                    {"n": 3}, {"n": 0}),
+    "LinearOrder.from_perm": ("LinearOrder", lambda **a: LinearOrder.from_perm(perm=[2, 0, 1], **a),
+                              {"n": 3}, {"n": 0}),
+    "expansion_check": ("expansion_check", lambda **a: expansion_check(KOUT, **a),
+                        {"expansion_alpha": 0.5, "epsilon": 1.0, "sample_sets": 3, "seed": 0},
+                        {"expansion_alpha": REAL, "epsilon": REAL, "sample_sets": 1,
+                         "seed": SEED}),
+    "baranyai_order": ("baranyai_order", baranyai_order, {"n": 6}, {"n": 4}),
+    "eulerian_order": ("eulerian_order", eulerian_order, {"n": 5}, {"n": 3}),
+    "powers_of_two_order": ("powers_of_two_order", powers_of_two_order, {"n": 5}, {"n": 3}),
+    "enumerate_small": ("enumerate_small", enumerate_small, {"n": 3}, {"n": 2}),
+    "generic_crs": ("generic_crs", generic_crs, {"n": N, "seed": 0}, {"n": 2, "seed": SEED}),
+    "white_component": ("white_component", lambda **a: white_component(baranyai_order(4), **a),
+                        {"cap": 5}, {"cap": 1}),
+    "linf_embed": ("linf_embed", lambda **a: linf_embed(CRS, **a), {"seed": 0}, {"seed": SEED}),
+    "white_edge_fraction": ("white_edge_fraction", white_edge_fraction,
+                            {"n": 5, "samples": 10, "seed": 0},
+                            {"n": 3, "samples": 1, "seed": SEED}),
+    "derive_params": ("derive_params", derive_params, {"n": 3000, "K": 12, "d": 2, "alpha": 0.5},
+                      {"n": REAL, "K": 1, "d": 1, "alpha": REAL}),
+    "g_min_overlap": ("g_min_overlap", g_min_overlap, {"s": 0.3, "r": 0.4, "d": 2},
+                      {"s": REAL, "r": REAL, "d": 1}),
+    "init_e0": ("init_e0", lambda **a: init_e0(TORUS, **a), {"K": 12, "seed": 0},
+                {"K": REAL, "seed": SEED}),
+    "range_query_round": ("range_query_round", lambda **a: range_query_round(E0, **a),
+                          {"r_t": 0.5, "r_prev": 1.0, "g_value": 1.0, "seed": 0},
+                          {"r_t": REAL, "r_prev": REAL, "g_value": REAL, "seed": SEED}),
+    "solve_next_radius": ("solve_next_radius", lambda **a: solve_next_radius(PARAMS, **a),
+                          {"r_prev": 1.0}, {"r_prev": REAL}),
+    "verify_sampling_property": ("verify_sampling_property",
+                                 lambda **a: verify_sampling_property(E0, **a),
+                                 {"r_t": 0.5, "theta_t": 0.1, "sample_size": 10, "seed": 0},
+                                 {"r_t": REAL, "theta_t": REAL, "sample_size": 2, "seed": SEED}),
+    "run_2nrq": ("run_2nrq", run_2nrq,
+                 {"n_mean": 200, "K": 12, "d": 2, "alpha": 0.5, "seed": 0, "sample_size": 10},
+                 {"n_mean": REAL, "K": 1, "d": 1, "alpha": REAL, "seed": SEED, "sample_size": 2}),
+    "diameter_experiment": ("diameter_experiment", diameter_experiment,
+                            {"n": 30, "K": 3, "trials": 2, "epsilon": 0.5, "seed": 0},
+                            {"n": 4, "K": 3, "trials": 1, "epsilon": REAL, "seed": SEED}),
+}
+
+# counts refused above a cap as a resource limit, not as bad input
+OVERSIZED = {("enumerate_small", "n"): ResourceLimitError}
+
+# exports in EXEMPT that take no count, seed or real
+NOT_NUMERIC = {
+    "NndlabError": "an exception type",
+    "InputError": "an exception type",
+    "NotConcordantError": "an exception type",
+    "ResourceLimitError": "an exception type",
+    "ScheduleExhausted": "an exception type",
+    "ranking_from_distance_matrix": "takes a distance matrix, checked entry by entry",
+    "recall": "takes two KnnGraphs",
+    "NndResult": "a result record of run_nnd",
+    "run_report": "takes an NndResult",
+    "EmbeddingMatrix": "a result record of linf_embed",
+    "SmallCensus": "a result record of enumerate_small",
+    "WhiteComponent": "a result record of white_component",
+    "concordancy_check": "takes a RankTable",
+    "concordant5_system": "takes no arguments",
+    "is_isolated": "takes a LinearOrder",
+    "verify_embedding": "takes a Crs and an EmbeddingMatrix",
+    "phi": "takes a LinearOrder",
+    "Schedule": "a result record of compute_schedule",
+    "TwoNrqParams": "a parameter record that derive_params checks and fills",
+    "compute_schedule": "takes TwoNrqParams",
+    "DiameterReport": "a result record of diameter_experiment",
+    "ExpansionReport": "a result record of expansion_check",
+}
+
+
+def _bad_numbers(kind):
+    """The values a number of this kind is drawn with, each to be refused."""
+    if kind == REAL:
+        return [math.nan, math.inf, -math.inf]
+    low = 0 if kind == SEED else kind
+    bad = [math.nan, math.inf, -math.inf, low - 1, low + 0.5, True]
+    return bad if kind == SEED else bad + [2**64]
+
+
+@pytest.mark.parametrize("site", sorted(NUMERIC))
+def test_valid_numbers_integral_floats_and_large_seeds_are_accepted(site):
+    _, call, valid, kinds = NUMERIC[site]
+    call(**valid)
+    call(**{name: 2**70 if kinds[name] == SEED else float(value) for name, value in valid.items()})
+
+
+@pytest.mark.parametrize("site", sorted(NUMERIC))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bad_numbers_raise_input_error_before_any_charge(site, data):
+    _, call, valid, kinds = NUMERIC[site]
+    name = data.draw(st.sampled_from(sorted(kinds)), label="parameter")
+    value = data.draw(st.sampled_from(_bad_numbers(kinds[name])), label="value")
+    error = OVERSIZED.get((site, name), InputError) if value == 2**64 else InputError
+    before = ORACLE.comparisons
+    with pytest.raises(error):
+        call(**{**valid, name: value})
+    assert ORACLE.comparisons == before
+
+
+def test_every_numeric_export_is_drawn_or_named():
+    drawn = {export for export, *_ in NUMERIC.values()}
+    assert not drawn & set(NOT_NUMERIC)
+    assert sorted(set(EXEMPT) - drawn - set(NOT_NUMERIC)) == [], "exports neither drawn nor named"
+    assert sorted(set(NOT_NUMERIC) - set(EXEMPT)) == [], "named exports that are not exempt"
+    assert all(NOT_NUMERIC.values())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_2nrq(3000, 12.7, 2, 0.5, 1),
+        lambda: ORACLE.top_k(0, [1, 2, 3, 4], -1),
+        lambda: derive_params(1e4, 12, 2.9, 0.5),
+        lambda: run_nnd(ORACLE, N, 2, max_rounds=2.9),
+        lambda: circle_sample(2.5, 0),
+        lambda: powers_of_two_space(5.9),
+        lambda: random_kout(30, 3, -1),
+        lambda: generic_crs(8, 2.5),
+        lambda: expansion_check(random_kout(30, 3, 0), 0.5, 1.0, 0, 0),
+        lambda: diameter_experiment(30, 3, 1.5, 0.5, 0),
+        lambda: lcs_sample(4, 2.5, 0),
+        lambda: lcs_qk(32, 100, 2.5, 0.25),
+        lambda: torus_poisson(100, 2.5, 0),
+        lambda: random_ranking_table(4.5, 0),
+    ],
+    ids=["run_2nrq-K", "top_k-k", "derive_params-d", "run_nnd-max_rounds", "circle_sample-n",
+         "powers_of_two_space-n", "random_kout-seed", "generic_crs-seed",
+         "expansion_check-sample_sets", "diameter_experiment-trials", "lcs_sample-m",
+         "lcs_qk-K", "torus_poisson-d", "random_ranking_table-n"],
+)
+def test_counts_once_cast_or_unchecked_are_refused(call):
+    # each of these was truncated, rounded, run with a quiet result or raised a numpy error
+    before = ORACLE.comparisons
+    with pytest.raises(InputError):
+        call()
+    assert ORACLE.comparisons == before
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: expansion_check(KOUT, math.nan, 1.0, 3, 0),
+        lambda: expansion_check(KOUT, 0.5, math.nan, 3, 0),
+        lambda: verify_sampling_property(E0, 0.5, math.nan, 10),
+        lambda: verify_sampling_property(E0, 0.5, 2.5, 10),
+    ],
+    ids=["expansion_check-nan-alpha", "expansion_check-nan-epsilon",
+         "verify_sampling_property-nan-theta", "verify_sampling_property-theta-above-1"],
+)
+def test_real_arguments_once_unchecked_are_refused(call):
+    # a ValueError from int(), a report dumping NaN and Infinity, and a meaningless rate_z
+    with pytest.raises(InputError):
+        call()
+
+
+def test_integral_floats_are_counts():
+    assert circle_sample(1e3, 0).n == 1000
+    assert baranyai_order(6.0) == baranyai_order(6)  # a TypeError from range() once
+    result = run_nnd(ORACLE, float(N), 2.0, seed=float(2**70), max_rounds=2.0)
+    assert [type(v) for v in (result.n, result.k, result.seed)] == [int, int, int]
+    assert result.seed == 2**70
+    assert checked_count(np.float32(3), 1, "") == 3
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, math.inf, -1, True, np.bool_(True), 2**63, "3",
+                                   None, np.array(3)])
+def test_checked_count_refuses_what_is_not_an_integer_in_range(value):
+    with pytest.raises(InputError, match="^refused$"):
+        checked_count(value, 0, "refused")
