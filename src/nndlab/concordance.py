@@ -89,6 +89,9 @@ def all_pairs(n):
     return list(zip(lo.tolist(), hi.tolist()))
 
 
+_NOT_EVERY_PAIR = "pairs must enumerate every unordered pair exactly once"
+
+
 class LinearOrder:
     """A linear order on the pairs of [n], listed from bottom up.
 
@@ -100,7 +103,11 @@ class LinearOrder:
 
     def __init__(self, n, pairs):
         n = checked_count(n, 0, "n must be an integer >= 0")
-        self._set(n, _checked_pair_index(list(pairs) or np.empty((0, 2), dtype=np.int64), n))
+        pairs = list(pairs)
+        # before pair_index, whose int64 arithmetic overflows at n past 2^31
+        if len(pairs) != n_pairs(n):
+            raise InputError(_NOT_EVERY_PAIR)
+        self._set(n, _checked_pair_index(pairs or np.empty((0, 2), dtype=np.int64), n))
 
     @classmethod
     def from_perm(cls, n, perm):
@@ -110,11 +117,10 @@ class LinearOrder:
 
     def _set(self, n, perm):
         N = n_pairs(n)
-        bad = "pairs must enumerate every unordered pair exactly once"
-        perm = checked_ids(perm, N, bad).astype(np.int64, copy=False)
+        perm = checked_ids(perm, N, _NOT_EVERY_PAIR).astype(np.int64, copy=False)
         # N indices of [0, N) that fill all N bins are a permutation of range(N)
         if not (perm.shape == (N,) and np.bincount(perm, minlength=N).all()):
-            raise InputError(bad)
+            raise InputError(_NOT_EVERY_PAIR)
         perm.setflags(write=False)
         self.n, self.perm = n, perm
         return self

@@ -38,16 +38,15 @@ __all__ = [
 
 
 class FriendState:
-    """Friend matrix F (n x K int32 ids in [0, n), 1 <= K < n), round index, work meter."""
+    """Friend matrix F (n x K int32 ids in [0, n), 1 <= K < n) and the number of
+    rows the step that made it changed."""
 
-    def __init__(self, friends, t=0, work=0, last_changes=None):
+    def __init__(self, friends, last_changes=None):
         friends = np.asarray(friends)
         n, k = friends.shape if friends.ndim == 2 else (0, 0)
         if not 1 <= k < n:
             raise InputError(f"friends must be (n, K) with 1 <= K < n, got shape {friends.shape}")
         self.friends = checked_ids(friends, n, "friends out of range").astype(np.int32, copy=False)
-        self.t = checked_count(t, 0, f"the round index t must be an integer >= 0, got t={t!r}")
-        self.work = checked_count(work, 0, "need work >= 0")
         self.last_changes = last_changes
 
     @property
@@ -92,7 +91,7 @@ def random_kout(n, K, seed_or_rng):
 
 def init_random_kout(n, K, seed):
     """Random K-out start state at round 0 (friend order arbitrary)."""
-    return FriendState(random_kout(n, K, seed), t=0)
+    return FriendState(random_kout(n, K, seed))
 
 
 # Candidates one batch round hands ``top_k`` per chunk of owners, so memory
@@ -126,7 +125,6 @@ def batch_round(state, oracle):
     """
     F = state.friends
     k = F.shape[1]
-    before = oracle.comparisons
     indptr, cof = _cofriends(F)
     indeg = np.diff(indptr)
     bits = np.frexp(indeg)[1]
@@ -142,12 +140,7 @@ def batch_round(state, oracle):
             mine = np.concatenate([F[x], c], axis=1)
             rows = np.concatenate([mine, F[mine].reshape(x.size, -1)], axis=1)
             new_F[x] = oracle.top_k(x, rows, k)
-    return FriendState(
-        new_F,
-        t=state.t + 1,
-        work=state.work + (oracle.comparisons - before),
-        last_changes=_changed(new_F, F),
-    )
+    return FriendState(new_F, last_changes=_changed(new_F, F))
 
 
 def pointwise_pass(state, schedule, oracle):
@@ -168,8 +161,7 @@ def pointwise_pass(state, schedule, oracle):
     n, k = F0.shape
     # rows n.. of both are the pass's friend lists, written in place; rows ..n stay F0
     both = np.concatenate([F0, F0])
-    new_state = FriendState(both[n:], t=state.t + 1)
-    before = oracle.comparisons
+    new_state = FriendState(both[n:])
     pos = np.empty(n, dtype=np.int64)
     pos[schedule] = np.arange(n)
     earlier = pos[F0] < pos[:, None]
@@ -188,7 +180,6 @@ def pointwise_pass(state, schedule, oracle):
     for a, b in zip([0] + ends, ends):
         x = by_level[a:b]
         new_state.set_friends(x, oracle.top_k(x, both[reads[a:b]].reshape(b - a, -1), k))
-    new_state.work = state.work + (oracle.comparisons - before)
     new_state.last_changes = _changed(new_state.friends, F0)
     return new_state
 
@@ -208,8 +199,6 @@ class NndResult:
     comparisons: int
     round_changes: list
     mode: str
-    n: int
-    k: int
     seed: int
     stop: str
     recall: float | None = field(default=None)
@@ -232,27 +221,24 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
     budget = (default_budget(n, K) if max_rounds is None
               else checked_count(max_rounds, 1, "round budget must be positive"))
     rng = seeded(seed)
-    state = FriendState(random_kout(n, K, rng), t=0)
+    state = FriendState(random_kout(n, K, rng))
     schedule = rng.permutation(n) if mode == "pointwise" else None
+    before = oracle.comparisons
     changes = []
-    rounds = 0
     for _ in range(budget):
         if mode == "batch":
             state = batch_round(state, oracle)
         else:
             state = pointwise_pass(state, schedule, oracle)
-        rounds += 1
         changes.append(state.last_changes)
         if stop == "no_change" and state.last_changes == 0:
             break
     return NndResult(
         graph=state.to_graph(),
-        rounds=rounds,
-        comparisons=state.work,
+        rounds=len(changes),
+        comparisons=oracle.comparisons - before,
         round_changes=changes,
         mode=mode,
-        n=n,
-        k=K,
         seed=checked_count(seed, 0, BAD_SEED, high=math.inf),
         stop=stop,
     )
@@ -262,8 +248,8 @@ def run_report(result):
     """JSON-ready run report."""
     report = {
         "mode": result.mode,
-        "n": result.n,
-        "K": result.k,
+        "n": result.graph.n,
+        "K": result.graph.k,
         "seed": result.seed,
         "stop": result.stop,
         "rounds": result.rounds,

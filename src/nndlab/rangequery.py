@@ -74,7 +74,10 @@ class TwoNrqParams:
 
 def derive_params(n, K, d, alpha):
     """Derive (beta, gamma, gamma_star, t' bound) from (n, K, d, alpha)."""
-    n = float(n)
+    try:
+        n = float(n)
+    except OverflowError:  # an integer past the float range
+        n = math.inf
     if not 1 <= n < math.inf:
         raise InputError("need d >= 1 and a finite n >= 1")
     d = checked_count(d, 1, "need d >= 1 and a finite n >= 1")

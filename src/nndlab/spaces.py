@@ -43,8 +43,9 @@ def paris_space(etas):
     etas = tuple(float(e) for e in etas)
     if len(etas) < 2:
         raise InputError("need at least two leaves")
-    if etas[0] <= 0 or any(a >= b for a, b in zip(etas, etas[1:])):
-        raise InputError("etas must be strictly increasing and positive")
+    # every comparison is False at a NaN
+    if not (0 < etas[0] and etas[-1] < math.inf and all(a < b for a, b in zip(etas, etas[1:]))):
+        raise InputError("etas must be finite, strictly increasing and positive")
     return ParisSpace(etas)
 
 

@@ -4,8 +4,8 @@
 ``nndlab.ranking``); ``_top_k``, ``batch_round`` and ``pointwise_pass`` are
 copied verbatim from ``nndlab.descent``.  Run them with
 a ``ReferenceOracle`` so that the whole reference path selects the old way.
-``tests/test_descent_reference.py`` requires equal friend matrices, work,
-changes, selections and charges.  The cofriend transpose is
+``tests/test_descent_reference.py`` requires equal friend matrices, changes,
+selections and charges.  The cofriend transpose is
 ``reference_csr._cofriend_csr``, not the package's.
 """
 
@@ -53,7 +53,6 @@ def batch_round(state, oracle):
     """
     F = state.friends
     n, k = F.shape
-    before = oracle.comparisons
     # cofriends: the transpose of F, as CSR rows
     indptr, cof = _cofriend_csr(F)
     new_F = np.empty_like(F)
@@ -64,12 +63,7 @@ def batch_round(state, oracle):
         new_F[x] = _top_k(state, oracle, x, parts)
         if not np.array_equal(np.sort(new_F[x]), np.sort(F[x])):
             changes += 1
-    return FriendState(
-        new_F,
-        t=state.t + 1,
-        work=state.work + (oracle.comparisons - before),
-        last_changes=changes,
-    )
+    return FriendState(new_F, last_changes=changes)
 
 
 def pointwise_pass(state, schedule, oracle):
@@ -81,8 +75,7 @@ def pointwise_pass(state, schedule, oracle):
     schedule = np.asarray(schedule)
     if not np.array_equal(np.sort(schedule), np.arange(state.n)):
         raise InputError("schedule must be a permutation of the point ids")
-    new_state = FriendState(state.friends.copy(), t=state.t, work=state.work)
-    before = oracle.comparisons
+    new_state = FriendState(state.friends.copy())
     changes = 0
     F = new_state.friends
     for x in schedule:
@@ -90,7 +83,5 @@ def pointwise_pass(state, schedule, oracle):
         if not np.array_equal(np.sort(new), np.sort(F[x])):
             changes += 1
         new_state.set_friends(x, new)
-    new_state.t = state.t + 1
-    new_state.work += oracle.comparisons - before
     new_state.last_changes = changes
     return new_state

@@ -123,11 +123,6 @@ class TestBatchRound:
         state = batch_round(init_random_kout(30, 4, seed=4), oracle)
         assert_csr_transpose(state.friends)
 
-    def test_round_counter_advances(self):
-        oracle = paris_oracle(12)
-        state = init_random_kout(12, 3, seed=0)
-        assert batch_round(state, oracle).t == 1
-
 
 class TestPointwisePass:
     def test_matches_batch_when_complete(self):
@@ -171,6 +166,27 @@ class TestPointwisePass:
         assert_csr_transpose(after.friends)
 
 
+class MeterlessOracle:
+    """An oracle's ``n`` and ``top_k`` without its comparison meter."""
+
+    def __init__(self, oracle):
+        self.n, self.top_k = oracle.n, oracle.top_k
+
+
+@pytest.mark.parametrize(
+    "step",
+    [batch_round, lambda state, oracle: pointwise_pass(state, np.arange(40)[::-1], oracle)],
+    ids=["batch_round", "pointwise_pass"],
+)
+def test_rounds_do_not_read_the_meter(step):
+    # run_nnd alone reads the oracle's meter, once before its first round and once after its last
+    oracle = paris_oracle(40)
+    state = init_random_kout(40, 4, seed=5)
+    got, want = step(state, MeterlessOracle(oracle)), step(state, oracle)
+    np.testing.assert_array_equal(got.friends, want.friends)
+    assert got.last_changes == want.last_changes
+
+
 class TestRunNnd:
     def test_paris_converges_to_exact(self):
         oracle = paris_oracle(2048)
@@ -197,6 +213,19 @@ class TestRunNnd:
         a = run_nnd(RankingOracle(table), 64, 4, mode="pointwise", seed=5)
         b = run_nnd(RankingOracle(table), 64, 4, mode="pointwise", seed=5)
         assert a.graph == b.graph and a.comparisons == b.comparisons
+
+    @pytest.mark.parametrize("mode", ["batch", "pointwise"])
+    @pytest.mark.parametrize("stop", ["no_change", "budget"])
+    def test_comparisons_are_this_runs_charges(self, mode, stop):
+        fresh, shared = paris_oracle(64), paris_oracle(64)
+        want = run_nnd(fresh, 64, 4, mode=mode, seed=1, stop=stop)
+        assert want.comparisons == fresh.comparisons > 0
+        run_nnd(shared, 64, 4, mode=mode, seed=0, stop=stop)  # charges the shared meter first
+        for _ in range(2):
+            before = shared.comparisons
+            got = run_nnd(shared, 64, 4, mode=mode, seed=1, stop=stop)
+            assert got.comparisons == want.comparisons == shared.comparisons - before
+            assert got.rounds == len(got.round_changes) == want.rounds
 
     def test_monotone_quality_per_vertex(self):
         oracle = paris_oracle(128)

@@ -2,9 +2,9 @@
 
 On Paris, uniformly random and generic concordant tables with n from 3 to 60,
 K from 1 to n - 1 and arbitrary seeds, three pointwise passes and three
-batch rounds give the same friend matrices, work and changes as the
-reference, and ``RankingOracle.top_k`` gives the same ids in the same order
-for the same charge as the reference body, on any pool that omits x.
+batch rounds give the same friend matrices and changes for the same charges
+as the reference, and ``RankingOracle.top_k`` gives the same ids in the same
+order for the same charge as the reference body, on any pool that omits x.
 """
 
 import numpy as np
@@ -41,7 +41,7 @@ def starts(draw):
 
 def assert_same_state(got, want):
     np.testing.assert_array_equal(got.friends, want.friends)
-    assert (got.t, got.work, got.last_changes) == (want.t, want.work, want.last_changes)
+    assert got.last_changes == want.last_changes
 
 
 def run_both(step, ref_step, table, k, seed, *args):
@@ -52,7 +52,7 @@ def run_both(step, ref_step, table, k, seed, *args):
         state = step(state, *args, oracle)
         want = ref_step(want, *args, ref_oracle)
         assert_same_state(state, want)
-    assert oracle.comparisons == ref_oracle.comparisons
+        assert oracle.comparisons == ref_oracle.comparisons
 
 
 @settings(max_examples=150, deadline=None)

@@ -70,6 +70,7 @@ from nndlab.spaces import (
     circle_sample,
     lcs_qk,
     lcs_sample,
+    paris_space,
     powers_of_two_space,
     random_ranking_table,
     torus_poisson,
@@ -279,8 +280,6 @@ NUMERIC = {
     "run_nnd": ("run_nnd", lambda **a: run_nnd(ORACLE, **a),
                 {"n": N, "K": 2, "seed": 0, "max_rounds": 2},
                 {"n": N, "K": 1, "seed": SEED, "max_rounds": 1}),
-    "FriendState": ("FriendState", lambda **a: FriendState(KOUT, **a), {"t": 0, "work": 0},
-                    {"t": 0, "work": 0}),
     "TwoNrqState": ("TwoNrqState", lambda **a: TwoNrqState(TorusSpace(2, POINTS), [1], **a),
                     {"t": 0, "distance_evals": 0}, {"t": 0, "distance_evals": 0}),
     "LinearOrder": ("LinearOrder", lambda **a: LinearOrder(pairs=[(0, 1), (1, 2), (0, 2)], **a),
@@ -427,6 +426,24 @@ def test_counts_once_cast_or_unchecked_are_refused(call):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: derive_params(10**400, 12, 2, 0.5),
+        lambda: paris_space([math.nan, 1.0]),
+        lambda: paris_space([1.0, math.inf]),
+        lambda: LinearOrder(2**62, [(0, 1)]),
+    ],
+    ids=["derive_params-n-past-float", "paris_space-nan-eta", "paris_space-inf-eta",
+         "LinearOrder-n-past-int64-pair-index"],
+)
+def test_values_outside_the_exports_fuzz_are_refused(call):
+    # an OverflowError from float(n), a space that only its rank table refused, and an
+    # OverflowError from pair_index's int64 arithmetic
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: expansion_check(KOUT, math.nan, 1.0, 3, 0),
         lambda: expansion_check(KOUT, 0.5, math.nan, 3, 0),
         lambda: verify_sampling_property(E0, 0.5, math.nan, 10),
@@ -445,7 +462,7 @@ def test_integral_floats_are_counts():
     assert circle_sample(1e3, 0).n == 1000
     assert baranyai_order(6.0) == baranyai_order(6)  # a TypeError from range() once
     result = run_nnd(ORACLE, float(N), 2.0, seed=float(2**70), max_rounds=2.0)
-    assert [type(v) for v in (result.n, result.k, result.seed)] == [int, int, int]
+    assert [type(v) for v in (result.graph.n, result.graph.k, result.seed)] == [int, int, int]
     assert result.seed == 2**70
     assert checked_count(np.float32(3), 1, "") == 3
 
