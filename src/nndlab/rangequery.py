@@ -243,7 +243,7 @@ def work_bound(params, t_prime, n):
 # The simulated graph process
 
 class TwoNrqState:
-    """Undirected edge set over a torus sample at some round, plus a work meter.
+    """Undirected edge set over a torus sample.
 
     ``keys`` are a 1-D array of integer edge keys lo*m + hi with
     0 <= lo < hi < m, m the point count; repeats collapse, and any other key,
@@ -254,11 +254,9 @@ class TwoNrqState:
     of its neighbours u.  The edge of key k = lo*m + hi rotates to k - lo in
     row lo, so these entries already ascend, and to hi*(m - 1) + lo + m in
     row hi; those are sorted, and one stable sort merges the two runs.
-    ``edges``, the (E, 2) int64 array of the distinct pairs in lexicographic
-    order, is read off that CSR on each access, read-only.
     """
 
-    def __init__(self, space, keys, t=0, distance_evals=0):
+    def __init__(self, space, keys):
         m = space.n
         bad = "edge keys must be lo*m + hi with 0 <= lo < hi < m"
         keys = np.asarray(keys)
@@ -294,17 +292,6 @@ class TwoNrqState:
         self._adjacency = (indptr, neighbors)
         for arr in self._adjacency:
             arr.setflags(write=False)
-        self.t = checked_count(t, 0, f"the round index t must be an integer >= 0, got t={t!r}")
-        self.distance_evals = checked_count(distance_evals, 0, "need distance_evals >= 0")
-
-    @property
-    def edges(self):
-        indptr, nbrs = self._adjacency
-        rows = np.repeat(np.arange(self.space.n), np.diff(indptr))
-        upper = nbrs > rows
-        edges = np.column_stack([rows[upper], nbrs[upper]])
-        edges.setflags(write=False)
-        return edges
 
     @property
     def edge_count(self):
@@ -499,7 +486,7 @@ def _first_position(sx, c, pred):
     return lo
 
 
-def ideal_state(space, r, theta, t, seed):
+def ideal_state(space, r, theta, seed):
     """A state satisfying the sampling hypothesis exactly: independent
     rate-theta coins over every vertex pair within distance r.
 
@@ -519,11 +506,12 @@ def ideal_state(space, r, theta, t, seed):
         owner, idx = owner[later], idx[later]
         keep = rng.random(owner.size) < theta
         rows.append(owner[keep] * m + idx[keep])
-    return TwoNrqState(space, np.concatenate(rows), t=t)
+    return TwoNrqState(space, np.concatenate(rows))
 
 
 def range_query_round(state, r_t, r_prev, g_value, seed):
-    """One range-query update: E_t built fresh from E_{t-1}'s neighbor pairs.
+    """One range-query update: ``(E_t, evals)``, E_t built fresh from
+    E_{t-1}'s neighbor pairs and evals the distances evaluated.
 
     Every vertex of degree >= 2 proposes each unordered pair of its
     neighbors; each proposal costs one distance evaluation, is dropped
@@ -594,16 +582,13 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
         raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
     accepted.resize(size, refcheck=False)
     accepted.sort()
-    return TwoNrqState(
-        state.space, accepted, t=state.t + 1, distance_evals=state.distance_evals + evals
-    )
+    return TwoNrqState(state.space, accepted), evals
 
 
 @dataclass
 class SamplingReport:
     """Measured sampling-property statistics for one round."""
 
-    t: int
     r_t: float
     theta_t: float
     sampled: int
@@ -739,7 +724,6 @@ def _sampling_report(state, theta_t, balls):
     else:
         ks_stat, ks_p = math.nan, math.nan
     return SamplingReport(
-        t=state.t,
         r_t=float(r_t),
         theta_t=float(theta_t),
         sampled=len(sample),
@@ -843,12 +827,10 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
     def advance(state, t):
         """E_t from E_{t-1}; a state is read-only once built."""
         r_t, r_prev = schedule.radii[t], schedule.radii[t - 1]
-        src = state
         if idealized_inputs and t > 1:
-            src = ideal_state(space, r_prev, schedule.rates[t - 1], t - 1, ideal_seed + t - 1)
-            src.distance_evals = state.distance_evals
+            state = ideal_state(space, r_prev, schedule.rates[t - 1], ideal_seed + t - 1)
         g_value = g_min_overlap(r_t, r_prev, d)
-        new = range_query_round(src, r_t, r_prev, g_value, round_seed + t - 1)
+        new, evals = range_query_round(state, r_t, r_prev, g_value, round_seed + t - 1)
         per_round.append(
             {
                 "t": t,
@@ -856,7 +838,7 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
                 "theta_t": schedule.rates[t],
                 "edges": new.edge_count,
                 "mean_degree": float(new.degrees().mean()),
-                "distance_evals": new.distance_evals - state.distance_evals,
+                "distance_evals": evals,
             }
         )
         return new
@@ -905,10 +887,10 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
         "t_prime": schedule.t_prime,
         "radii": list(schedule.radii),
         "rates": list(schedule.rates),
-        "distance_evals": state.distance_evals,
+        "distance_evals": sum(r["distance_evals"] for r in per_round),
         "tau_bound": tau_bound(params, n=float(n_mean)),
         "work_bound": work_bound(params, schedule.t_prime, n=float(n_mean)),
         "per_round": per_round,
-        "sampling_reports": [r.to_json_dict() for r in reports],
+        "sampling_reports": [{"t": t, **r.to_json_dict()} for t, r in enumerate(reports)],
     }
     return TwoNrqResult(state=state, schedule=schedule, report=report)

@@ -40,12 +40,16 @@ class ParisSpace:
 
 
 def paris_space(etas):
-    etas = tuple(float(e) for e in etas)
+    bad = "etas must be finite, strictly increasing and positive"
+    try:
+        etas = tuple(float(e) for e in etas)
+    except (OverflowError, TypeError, ValueError):  # past the float range, or not a number
+        raise InputError(bad) from None
     if len(etas) < 2:
         raise InputError("need at least two leaves")
     # every comparison is False at a NaN
     if not (0 < etas[0] and etas[-1] < math.inf and all(a < b for a, b in zip(etas, etas[1:]))):
-        raise InputError("etas must be finite, strictly increasing and positive")
+        raise InputError(bad)
     return ParisSpace(etas)
 
 
@@ -208,10 +212,17 @@ class TorusSpace:
         return self.points.shape[0]
 
 
+# numpy's Generator.poisson refuses a larger mean (its POISSON_LAM_MAX)
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)
+
+
 def torus_poisson(n_mean, d, seed):
     """Poisson(n_mean) many i.i.d. uniform points on the d-torus."""
     if not 1 <= n_mean < math.inf:
         raise InputError("need a finite n_mean >= 1 and d >= 1")
+    if n_mean > _POISSON_MAX:
+        raise InputError(f"n_mean must be at most {_POISSON_MAX:.6g}, the largest Poisson mean "
+                         "numpy draws from")
     d = checked_count(d, 1, "need a finite n_mean >= 1 and d >= 1")
     rng = seeded(seed)
     count = int(rng.poisson(n_mean))

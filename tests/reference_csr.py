@@ -5,11 +5,16 @@ transpose is now ``descent._cofriends``, the sorted keys friend*n + owner),
 ``undirected_adjacency`` and ``_bfs_eccentricity`` (from
 ``nndlab.diagnostics``), and the bodies of
 ``TwoNrqState.adjacency`` and ``TwoNrqState.degrees`` (from
-``nndlab.rangequery``, as functions of the state; a state's rows are now its
-rotated keys) are copied verbatim as they stood before every CSR was read off
-sorted keys by ``ranking.key_rows``.  ``tests/test_csr_reference.py`` requires
-equal arrays of equal dtypes, and ``tests/reference_descent.py`` transposes
-with ``_cofriend_csr``.
+``nndlab.rangequery``, as functions of the point count m and the distinct
+pairs that ``two_nrq_pairs`` reads off the input keys, so that they do not
+read the CSR under test; a state's rows are now its rotated keys) are copied
+verbatim as they stood before every CSR was read off sorted keys by
+``ranking.key_rows``.  ``tests/test_csr_reference.py`` requires equal arrays
+of equal dtypes, and ``tests/reference_descent.py`` transposes with
+``_cofriend_csr``.
+
+``edges`` is the body of the property ``TwoNrqState.edges``, which the tests
+alone read: a state's distinct pairs, read off its CSR.
 """
 
 import numpy as np
@@ -60,21 +65,37 @@ def _bfs_eccentricity(indptr, nbrs, source, n):
     return ecc, dist
 
 
-def two_nrq_degrees(self):
-    deg = np.zeros(self.space.n, dtype=np.int64)
-    if self.edges.size:
-        np.add.at(deg, self.edges[:, 0], 1)
-        np.add.at(deg, self.edges[:, 1], 1)
+def two_nrq_pairs(m, keys):
+    """The (E, 2) int64 array of the distinct pairs (lo, hi) of the edge keys
+    lo*m + hi, in lexicographic order."""
+    return np.column_stack(np.divmod(np.unique(np.asarray(keys, dtype=np.int64)), m))
+
+
+def two_nrq_degrees(m, edges):
+    deg = np.zeros(m, dtype=np.int64)
+    if edges.size:
+        np.add.at(deg, edges[:, 0], 1)
+        np.add.at(deg, edges[:, 1], 1)
     return deg
 
 
-def two_nrq_adjacency(self):
+def two_nrq_adjacency(m, edges):
     """CSR-style (indptr, neighbors) view of the undirected edge set."""
-    m = self.space.n
-    if not self.edges.size:
+    if not edges.size:
         return np.zeros(m + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    both = np.concatenate([self.edges, self.edges[:, ::-1]])
+    both = np.concatenate([edges, edges[:, ::-1]])
     both = both[np.argsort(both[:, 0], kind="stable")]
     counts = np.bincount(both[:, 0], minlength=m)
     indptr = np.concatenate([[0], np.cumsum(counts)])
     return indptr, both[:, 1]
+
+
+def edges(state):
+    """The (E, 2) int64 array of the state's distinct pairs in lexicographic
+    order, read off its CSR, read-only."""
+    indptr, nbrs = state.adjacency()
+    rows = np.repeat(np.arange(state.space.n), np.diff(indptr))
+    upper = nbrs > rows
+    edges = np.column_stack([rows[upper], nbrs[upper]])
+    edges.setflags(write=False)
+    return edges

@@ -6,7 +6,11 @@ stood before the cell-grid ball scan replaced their all-points scans.
 copied verbatim as they stood while a round gathered its proposals as an
 array of vertex pairs and a ball scan returned each member's distance.
 ``tests/test_rangequery_reference.py`` requires the package versions to
-return equal reports, edge arrays, ball members and work counts.
+return equal reports, edge arrays, ball members and work counts.  The
+package's states have since dropped their round index and work meter, so
+these copies build ``TwoNrqState`` without them, the round returns its
+distance evaluations beside the new state, and a report carries no round
+index.
 """
 
 import math
@@ -28,7 +32,7 @@ def _edge_keys(edges, m):
 _SCAN_ENTRIES = 1 << 20  # candidate pairs examined per chunk of ball centres
 
 
-def ideal_state(space, r, theta, t, seed, chunk=256):
+def ideal_state(space, r, theta, seed, chunk=256):
     """A state satisfying the sampling hypothesis exactly: independent
     rate-theta coins over every vertex pair within distance r.
 
@@ -49,7 +53,7 @@ def ideal_state(space, r, theta, t, seed, chunk=256):
                 if keep.size:
                     rows.append(np.stack([np.full(keep.size, i, dtype=np.int64), keep], axis=1))
     edges = np.concatenate(rows) if rows else np.zeros((0, 2), dtype=np.int64)
-    return TwoNrqState(space, _edge_keys(edges, m), t=t)
+    return TwoNrqState(space, _edge_keys(edges, m))
 
 
 def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_per_vertex=200):
@@ -109,7 +113,6 @@ def verify_sampling_property(state, r_t, theta_t, sample_size, seed=0, ks_cap_pe
     else:
         ks_stat, ks_p = math.nan, math.nan
     return SamplingReport(
-        t=state.t,
         r_t=float(r_t),
         theta_t=float(theta_t),
         sampled=len(sample),
@@ -231,15 +234,10 @@ def range_query_round(state, r_t, r_prev, g_value, seed, return_accept_counts=Fa
         accepted = prop[rng.random(f.size) < f]
     else:
         accepted = np.zeros((0, 2), dtype=np.int64)
-    new_state = TwoNrqState(
-        state.space,
-        _edge_keys(accepted, state.space.n),
-        t=state.t + 1,
-        distance_evals=state.distance_evals + evals,
-    )
+    new_state = TwoNrqState(state.space, _edge_keys(accepted, state.space.n))
     if return_accept_counts:
         m = state.space.n
         keys, counts = np.unique(_edge_keys(accepted, m), return_counts=True)
         pairs = zip((keys // m).tolist(), (keys % m).tolist())
-        return new_state, dict(zip(pairs, counts.tolist()))
-    return new_state
+        return (new_state, evals), dict(zip(pairs, counts.tolist()))
+    return new_state, evals

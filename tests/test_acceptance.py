@@ -216,9 +216,9 @@ def test_criterion_04_work_bound(desk_runs):
         if schedule.tau > bound_tau:
             problems.append(f"seed {seed}: tau={schedule.tau} > {bound_tau:.2f}")
         evals_cap = 5 * n_mean * K ** 2 * schedule.tau
-        if result.state.distance_evals > evals_cap:
+        if result.report["distance_evals"] > evals_cap:
             problems.append(
-                f"seed {seed}: {result.state.distance_evals} distance evals > {evals_cap:.0f}"
+                f"seed {seed}: {result.report['distance_evals']} distance evals > {evals_cap:.0f}"
             )
     _report(4, "work bound", not problems, "; ".join(problems) or "tau and evals within bounds")
 

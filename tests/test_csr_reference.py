@@ -5,10 +5,13 @@ Every CSR is read off sorted keys row*width + col, its indptr by
 adjacency of the diameter diagnostic and the 2NRQ state's adjacency, whose
 rows are its rotated keys, are compared with their verbatim copies in
 ``reference_csr`` on arbitrary inputs, including empty edge sets and vertices
-without neighbours: equal arrays with equal dtypes.  ``key_rows`` itself is
+without neighbours: equal arrays with equal dtypes.  The 2NRQ copies read the
+distinct pairs of the keys the state was built from.  ``key_rows`` itself is
 compared with the prefix sums of the row counts, and ``key_dtype`` is checked
 where width^2 leaves int32.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -39,14 +42,15 @@ def out_matrices(draw):
 
 @st.composite
 def edge_sets(draw):
-    """A torus sample of m points and a list of edge keys, possibly empty or repeated."""
+    """A state over a torus sample of m points and the list of edge keys it
+    was built from, possibly empty or repeated."""
     m = draw(st.integers(2, 30))
     pairs = draw(
         st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)), max_size=3 * m)
     )
     keys = [min(a, b) * m + max(a, b) for a, b in pairs if a != b]
     pts = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, 2))
-    return TwoNrqState(TorusSpace(2, pts), keys)
+    return TwoNrqState(TorusSpace(2, pts), keys), keys
 
 
 @settings(max_examples=200, deadline=None)
@@ -70,14 +74,26 @@ def test_undirected_adjacency_matches_reference(F):
 
 @settings(max_examples=200, deadline=None)
 @given(edge_sets())
-def test_two_nrq_adjacency_matches_reference(state):
-    assert_same(state.adjacency(), ref.two_nrq_adjacency(state))
-    assert_same((state.degrees(),), (ref.two_nrq_degrees(state),))
+def test_two_nrq_adjacency_matches_reference(case):
+    state, keys = case
+    m = state.space.n
+    edges = ref.two_nrq_pairs(m, keys)
+    assert_same(state.adjacency(), ref.two_nrq_adjacency(m, edges))
+    assert_same((state.degrees(),), (ref.two_nrq_degrees(m, edges),))
 
 
 def test_two_nrq_adjacency_matches_reference_at_scale():
-    state = init_e0(torus_poisson(3000, 2, 5), 12, 6)
-    assert_same(state.adjacency(), ref.two_nrq_adjacency(state))
+    built = []
+    build = TwoNrqState.__init__
+
+    def spy(self, space, keys):
+        built.append(np.array(keys))
+        build(self, space, keys)
+
+    with mock.patch.object(TwoNrqState, "__init__", spy):
+        state = init_e0(torus_poisson(3000, 2, 5), 12, 6)
+    m = state.space.n
+    assert_same(state.adjacency(), ref.two_nrq_adjacency(m, ref.two_nrq_pairs(m, built[0])))
 
 
 def test_two_nrq_adjacency_is_built_once():

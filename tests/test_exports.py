@@ -6,7 +6,8 @@ These tests star-import every module and import every name, and check that
 every module uses each name it imports.  The package is imported inside
 each test, so a broken ``nndlab/__init__.py`` fails the tests rather than
 their collection.  Two more read the source: every private definition is
-used by package code, and every definition is named outside the tests.
+used by package code, and every definition is named outside the tests, a
+method or property as an attribute ``obj.name``.
 A last one keeps counts and seeds read in one place, ``ranking``.
 """
 
@@ -111,39 +112,49 @@ def test_counts_and_seeds_are_read_only_through_ranking():
 
 
 def _names(path):
-    """The identifiers that the code in ``path`` names: every ``Name``, every
-    attribute and every imported name, but no string, docstring or comment."""
-    names = set()
+    """The identifiers that the code in ``path`` names, as ``(attributes,
+    names)``: every attribute ``obj.name``, and every ``Name`` and imported
+    name; no string, docstring or comment."""
+    attributes, names = set(), set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add((node.asname or node.name).split(".")[-1])
-    return names
+    return attributes, names
 
 
 def test_definitions_are_reached_outside_tests():
     # tests alone do not keep a definition alive: a function, class or method
     # that no package code, demo, benchmark script or README example names
-    # serves nothing, and belongs in a tests/reference_*.py file or nowhere
+    # serves nothing, and belongs in a tests/reference_*.py file or nowhere.
+    # A method or property is reached only as an attribute obj.name, so a
+    # local variable of the same name does not keep it
     package = Path(PACKAGE.submodule_search_locations[0])
     root = Path(__file__).resolve().parents[1]
-    defined = set()
+    defined, members = set(), set()
     for path in package.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined.add(node.name)
             if isinstance(node, ast.ClassDef):
-                defined.update(
+                members.update(
                     item.name for item in node.body
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 )
     sources = [*package.glob("*.py"), *root.glob("demos/*.py"), *root.glob("perfbench/**/*.py")]
-    named = set().union(*(_names(path) for path in sources))
+    attributes, names = set(), set()
+    for path in sources:
+        found_attributes, found_names = _names(path)
+        attributes |= found_attributes
+        names |= found_names
     readme = (root / "README.md").read_text()
-    named.update(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
-    assert defined
-    assert sorted(defined - named) == [], "definitions that nothing but tests reaches"
+    mentioned = set(re.findall(r"\w+", " ".join(re.findall(r"`([^`]+)`", readme))))
+    assert defined and members
+    assert sorted(defined - attributes - names - mentioned) == [], \
+        "definitions that nothing but tests reaches"
+    assert sorted(members - attributes - mentioned) == [], \
+        "methods that nothing but tests reaches as an attribute"

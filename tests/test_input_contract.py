@@ -280,8 +280,6 @@ NUMERIC = {
     "run_nnd": ("run_nnd", lambda **a: run_nnd(ORACLE, **a),
                 {"n": N, "K": 2, "seed": 0, "max_rounds": 2},
                 {"n": N, "K": 1, "seed": SEED, "max_rounds": 1}),
-    "TwoNrqState": ("TwoNrqState", lambda **a: TwoNrqState(TorusSpace(2, POINTS), [1], **a),
-                    {"t": 0, "distance_evals": 0}, {"t": 0, "distance_evals": 0}),
     "LinearOrder": ("LinearOrder", lambda **a: LinearOrder(pairs=[(0, 1), (1, 2), (0, 2)], **a),
                     {"n": 3}, {"n": 0}),
     "LinearOrder.from_perm": ("LinearOrder", lambda **a: LinearOrder.from_perm(perm=[2, 0, 1], **a),
@@ -430,13 +428,22 @@ def test_counts_once_cast_or_unchecked_are_refused(call):
         lambda: paris_space([math.nan, 1.0]),
         lambda: paris_space([1.0, math.inf]),
         lambda: LinearOrder(2**62, [(0, 1)]),
+        lambda: paris_space([1, 10**400]),
+        lambda: paris_space(["a", "b"]),
+        lambda: paris_space([None, 1.0]),
+        lambda: torus_poisson(1e300, 2, 0),
+        lambda: run_2nrq(1e300, 12, 2, 0.5, 0),
     ],
     ids=["derive_params-n-past-float", "paris_space-nan-eta", "paris_space-inf-eta",
-         "LinearOrder-n-past-int64-pair-index"],
+         "LinearOrder-n-past-int64-pair-index", "paris_space-eta-past-float",
+         "paris_space-string-etas", "paris_space-none-eta", "torus_poisson-n-past-poisson",
+         "run_2nrq-n-past-poisson"],
 )
 def test_values_outside_the_exports_fuzz_are_refused(call):
-    # an OverflowError from float(n), a space that only its rank table refused, and an
-    # OverflowError from pair_index's int64 arithmetic
+    # an OverflowError from float(n), a space that only its rank table refused, an
+    # OverflowError from pair_index's int64 arithmetic, an OverflowError, a ValueError
+    # and a TypeError from float(eta), and numpy's "lam value too large" from a
+    # Poisson mean past 9.2e18
     with pytest.raises(InputError):
         call()
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import subprocess
 import sys
@@ -31,6 +32,7 @@ from nndlab.rangequery import (
     verify_sampling_property,
 )
 from nndlab.spaces import TorusSpace, torus_poisson, wrapped_distance
+from reference_csr import edges as pairs
 from reference_spaces import wrapped_deltas
 
 GOLDEN = dict(n=1e7, K=28, d=4, alpha=0.5)
@@ -247,10 +249,10 @@ class TestTwoNrqState:
     SPACE = TorusSpace(2, np.zeros((3, 2)))
 
     def test_repeated_keys_collapse(self):
-        state = TwoNrqState(self.SPACE, [5, 1, 5, 2, 1, 1], t=4, distance_evals=7)
-        np.testing.assert_array_equal(state.edges, [[0, 1], [0, 2], [1, 2]])
-        assert state.edges.dtype == np.int64 and not state.edges.flags.writeable
-        assert (state.edge_count, state.t, state.distance_evals) == (3, 4, 7)
+        state = TwoNrqState(self.SPACE, [5, 1, 5, 2, 1, 1])
+        np.testing.assert_array_equal(pairs(state), [[0, 1], [0, 2], [1, 2]])
+        assert not any(a.flags.writeable for a in state.adjacency())
+        assert state.edge_count == 3
 
     @pytest.mark.parametrize(
         "keys",
@@ -303,7 +305,7 @@ class TestInitE0:
         space = torus_poisson(500, 2, seed=1)
         a = init_e0(space, 8, seed=2)
         b = init_e0(space, 8, seed=2)
-        assert np.array_equal(a.edges, b.edges)
+        assert np.array_equal(pairs(a), pairs(b))
 
 
 class TestBallScanInput:
@@ -336,21 +338,21 @@ class TestRangeQueryRound:
         space = torus_poisson(100, 2, seed=8)
         m = space.n
         state = TwoNrqState(space, [0 * m + 1, 2 * m + 3, 4 * m + 5])
-        after = range_query_round(state, 0.3, 1.0, 1.0, seed=0)
+        after, evals = range_query_round(state, 0.3, 1.0, 1.0, seed=0)
         assert after.edge_count == 0
-        assert after.distance_evals == 0
+        assert evals == 0
 
     def test_out_of_range_pair_never_joined(self):
         space, state = _three_point_state(0.6)
         for seed in range(20):
-            after = range_query_round(state, 0.5, 1.0, 1.0, seed=seed)
+            after, evals = range_query_round(state, 0.5, 1.0, 1.0, seed=seed)
             assert after.edge_count == 0
-            assert after.distance_evals == 1
+            assert evals == 1
 
     def test_in_range_pair_eventually_joined(self):
         space, state = _three_point_state(0.3)
         joined = sum(
-            range_query_round(state, 0.5, 1.0, 1.0, seed=s).edge_count for s in range(60)
+            range_query_round(state, 0.5, 1.0, 1.0, seed=s)[0].edge_count for s in range(60)
         )
         assert joined > 0
 
@@ -393,7 +395,7 @@ class TestRangeQueryRound:
         result = run_2nrq(3000, 12, 2, 0.5, seed=13)
         final_r = result.schedule.radii[-1]
         if result.state.edge_count:
-            a, b = result.state.edges.T
+            a, b = pairs(result.state).T
             p = result.state.space.points
             assert wrapped_distance(p[a], p[b]).max() <= final_r + 1e-12
 
@@ -439,17 +441,17 @@ class TestSamplingProperty:
 
     def test_report_writes_null_for_non_finite_statistics(self):
         report = SamplingReport(
-            t=0, r_t=0.5, theta_t=0.01, sampled=2, out_of_range_neighbors=0,
+            r_t=0.5, theta_t=0.01, sampled=2, out_of_range_neighbors=0,
             rate_mean=0.01, rate_se=0.0, rate_z=math.inf, deg_mean=3.0, deg_se=0.0,
             ks_stat=math.nan, ks_pvalue=math.nan,
         )
         doc = report.to_json_dict()
         assert doc["rate_z"] is None and doc["ks_stat"] is None and doc["ks_pvalue"] is None
-        assert doc["rate_se"] == 0.0 and doc["sampled"] == 2 and doc["t"] == 0
+        assert doc["rate_se"] == 0.0 and doc["sampled"] == 2 and "t" not in doc
 
     def test_ideal_state_rate(self):
         space = torus_poisson(2000, 2, seed=17)
-        state = ideal_state(space, 0.5, 0.01, t=1, seed=18)
+        state = ideal_state(space, 0.5, 0.01, seed=18)
         report = verify_sampling_property(state, 0.5, 0.01, 400, seed=19)
         assert report.out_of_range_neighbors == 0 and abs(report.rate_z) <= 3
 
@@ -460,7 +462,7 @@ class TestRun2nrq:
         schedule = result.schedule
         p = schedule.params
         assert schedule.tau <= tau_bound(p, n=DESK["n"])
-        assert result.state.distance_evals <= 5 * DESK["n"] * DESK["K"] ** 2 * schedule.tau
+        assert result.report["distance_evals"] <= 5 * DESK["n"] * DESK["K"] ** 2 * schedule.tau
 
     def test_report_contents(self):
         result = run_2nrq(2000, 12, 2, 0.5, seed=2)
@@ -475,8 +477,28 @@ class TestRun2nrq:
     def test_deterministic(self):
         a = run_2nrq(2000, 12, 2, 0.5, seed=3)
         b = run_2nrq(2000, 12, 2, 0.5, seed=3)
-        assert np.array_equal(a.state.edges, b.state.edges)
-        assert a.state.distance_evals == b.state.distance_evals
+        assert np.array_equal(pairs(a.state), pairs(b.state))
+        assert a.report["distance_evals"] == b.report["distance_evals"]
+
+    @pytest.mark.parametrize("idealized", [False, True], ids=["plain", "idealized"])
+    def test_distance_evals_are_the_pairs_each_round_proposes(self, monkeypatch, idealized):
+        # round t evaluates one distance per pair of neighbours in the state it
+        # proposes from, E_{t-1} or, idealized, the ideal sample standing for it
+        real_round = rangequery.range_query_round
+        inputs = []
+
+        def record(state, *args):
+            inputs.append(state)
+            return real_round(state, *args)
+
+        monkeypatch.setattr(rangequery, "range_query_round", record)
+        result = run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100, idealized_inputs=idealized)
+        per_round = result.report["per_round"]
+        assert len(inputs) == len(per_round) == result.schedule.tau
+        for t, state in enumerate(inputs, start=1):
+            deg = state.degrees()
+            assert per_round[t - 1]["distance_evals"] == int((deg * (deg - 1) // 2).sum())
+        assert result.report["distance_evals"] == sum(r["distance_evals"] for r in per_round)
 
 
 def _peak_above_start(fn, *args):
@@ -500,7 +522,7 @@ _SMALL = torus_poisson(200, 2, seed=0)
         lambda: init_e0(_SMALL, math.nan, 0),
         lambda: init_e0(_SMALL, -1, 0),
         lambda: range_query_round(init_e0(_SMALL, 12, 1), 0.5, 1.0, math.nan, 0),
-        lambda: ideal_state(_SMALL, 0.5, math.nan, 1, 0),
+        lambda: ideal_state(_SMALL, 0.5, math.nan, 0),
         lambda: verify_sampling_property(init_e0(_SMALL, 12, 1), 0.5, 0.1, 2.5),
         lambda: torus_poisson(math.nan, 2, 0),
         lambda: torus_poisson(math.inf, 2, 0),
@@ -530,7 +552,7 @@ def test_init_and_first_round_memory_is_bounded(monkeypatch):
         return state
 
     def first_round(state, *args):
-        if state.t:
+        if measured.is_set():
             return real_round(state, *args)
         try:
             new, peaks["round 1"] = _peak_above_start(real_round, state, *args)
@@ -579,8 +601,8 @@ def test_round_memory_is_bounded_by_its_chunk():
     base = 41 * np.arange(space.n // 41)[:, None]
     state = TwoNrqState(space, (base + I).ravel() * space.n + (base + J).ravel())
     state.adjacency()
-    after, peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 1.0, 0)
-    assert after.distance_evals == base.size * 41 * math.comb(40, 2)
+    (_, evals), peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 1.0, 0)
+    assert evals == base.size * 41 * math.comb(40, 2)
     assert peak <= 8
 
 
@@ -626,12 +648,14 @@ def test_merge_ks_equals_scipy(case):
 
 
 def _failing_at(fn, t, message):
-    """fn, except that it raises InputError(message) on the state of round t."""
+    """fn, except that its call t, counted from 0, raises InputError(message): a
+    run calls a round and a verification on E_0, E_1, ... in turn."""
+    calls = itertools.count()
 
-    def wrapper(state, *args, **kwargs):
-        if state.t == t:
+    def wrapper(*args, **kwargs):
+        if next(calls) == t:
             raise InputError(message)
-        return fn(state, *args, **kwargs)
+        return fn(*args, **kwargs)
 
     return wrapper
 
@@ -646,17 +670,18 @@ class TestVerificationThread:
         def record(state, *args):
             if not states:
                 states.append(state)  # E_0
-            states.append(real_round(state, *args))
-            return states[-1]
+            new, evals = real_round(state, *args)
+            states.append(new)
+            return new, evals
 
         monkeypatch.setattr(rangequery, "range_query_round", record)
         result = run_2nrq(2000, 12, 2, 0.5, seed=3, sample_size=100)
         verify_seed = int(np.random.SeedSequence(3).generate_state(5)[3])
         schedule = result.schedule
-        assert [s.t for s in states] == list(range(schedule.tau + 1))
+        assert len(states) == schedule.tau + 1
         expected = [
-            verify_sampling_property(s, schedule.radii[t], schedule.rates[t], 100,
-                                     seed=verify_seed + t).to_json_dict()
+            {"t": t, **verify_sampling_property(s, schedule.radii[t], schedule.rates[t], 100,
+                                                seed=verify_seed + t).to_json_dict()}
             for t, s in enumerate(states)
         ]
         assert result.report["sampling_reports"] == expected
@@ -696,17 +721,19 @@ class TestVerificationThread:
         def record(state, *args):
             if not states:
                 states.append(state)
-            states.append(real_round(state, *args))
-            return states[-1]
+            new, evals = real_round(state, *args)
+            states.append(new)
+            return new, evals
 
         monkeypatch.setattr(rangequery, "range_query_round", record)
         result = run_2nrq(n, K, d, 0.5, seed=4, sample_size=300)
         radii = result.schedule.radii
         assert radii[0] >= 1 and any(0.4 < r < 1 for r in radii) and min(radii) <= 0.4
         verify_seed = int(np.random.SeedSequence(4).generate_state(5)[3])
+        assert len(states) == result.schedule.tau + 1
         expected = [
-            verify_sampling_property(s, radii[t], result.schedule.rates[t], 300,
-                                     seed=verify_seed + t).to_json_dict()
+            {"t": t, **verify_sampling_property(s, radii[t], result.schedule.rates[t], 300,
+                                                seed=verify_seed + t).to_json_dict()}
             for t, s in enumerate(states)
         ]
         assert result.report["sampling_reports"] == expected

@@ -35,6 +35,7 @@ from nndlab.rangequery import (
     verify_sampling_property,
 )
 from nndlab.spaces import TorusSpace, torus_poisson, wrapped_distance
+from reference_csr import edges as pairs
 from reference_spaces import wrapped_deltas
 
 RADII = (1.5, 1.0, 0.6, 0.2, 0.07)
@@ -158,10 +159,10 @@ def _mixed_state(d, r, seed):
     space = torus_poisson(min(12000, max(1000, 60 / r ** d)), d, seed=seed)
     m = space.n
     theta = min(0.5, 12.0 / (m * r ** d))
-    near = ideal_state(space, r, theta, t=2, seed=seed + 1)
+    near = ideal_state(space, r, theta, seed=seed + 1)
     far = init_e0(space, 2, seed=seed + 2)
-    edges = np.concatenate([near.edges, far.edges])
-    return TwoNrqState(space, ref._edge_keys(edges, m), t=2), theta
+    edges = np.concatenate([pairs(near), pairs(far)])
+    return TwoNrqState(space, ref._edge_keys(edges, m)), theta
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -204,10 +205,10 @@ def _verify_cases(draw):
     elif kind == "empty":
         edges = np.zeros((0, 2), dtype=np.int64)
     else:
-        near = ideal_state(space, r_t, draw(st.floats(0.1, 0.9)), t=0, seed=rng.integers(99))
+        near = ideal_state(space, r_t, draw(st.floats(0.1, 0.9)), seed=rng.integers(99))
         far = rng.integers(0, m, size=(draw(st.integers(0, 3)), 2))
-        edges = np.concatenate([near.edges, far[far[:, 0] != far[:, 1]]])
-    state = TwoNrqState(space, ref._edge_keys(edges, m), t=draw(st.integers(0, 5)))
+        edges = np.concatenate([pairs(near), far[far[:, 0] != far[:, 1]]])
+    state = TwoNrqState(space, ref._edge_keys(edges, m))
     kwargs = dict(sample_size=draw(st.integers(2, m + 3)), seed=draw(st.integers(0, 2 ** 32 - 1)))
     cap = draw(st.integers(1, 5))
     return state, r_t, kwargs, cap, draw(st.sampled_from([1, 7, 1 << 16]))
@@ -253,12 +254,11 @@ def test_verify_without_usable_rates_does_not_warn():
 @pytest.mark.parametrize("r", RADII)
 def test_ideal_state_matches_reference(d, m, r):
     space = torus_poisson(m, d, seed=60 + d)
-    want = ref.ideal_state(space, r, 0.3, t=4, seed=9)
+    want = ref.ideal_state(space, r, 0.3, seed=9)
     with mock.patch.object(rangequery, "_SCAN_ENTRIES", 5000):
-        got = ideal_state(space, r, 0.3, t=4, seed=9)
-    assert got.t == want.t == 4
-    assert got.edges.dtype == np.int64
-    np.testing.assert_array_equal(got.edges, want.edges)
+        got = ideal_state(space, r, 0.3, seed=9)
+    assert pairs(got).dtype == np.int64
+    np.testing.assert_array_equal(pairs(got), pairs(want))
 
 
 def test_edges_are_lexicographic_distinct_pairs():
@@ -268,8 +268,8 @@ def test_edges_are_lexicographic_distinct_pairs():
     edges = edges[edges[:, 0] != edges[:, 1]]
     keys = ref._edge_keys(edges, space.n)
     state = TwoNrqState(space, np.concatenate([keys, keys[::-1]]))
-    np.testing.assert_array_equal(state.edges, np.unique(np.sort(edges, axis=1), axis=0))
-    assert TwoNrqState(space, []).edges.shape == (0, 2)
+    np.testing.assert_array_equal(pairs(state), np.unique(np.sort(edges, axis=1), axis=0))
+    assert pairs(TwoNrqState(space, [])).shape == (0, 2)
 
 
 @pytest.mark.parametrize("size, r, message", [(0, 1.0, "at least 2"), (1, 1.0, "at least 2"),
@@ -290,7 +290,7 @@ def test_acceptance_above_one_is_a_package_error():
     # the overlap volume never exceeds 2^d, so g = 2^d + 1 forces a rate above 1
     with pytest.raises(NndlabError, match="exceeds 1"):
         range_query_round(state, 0.5, 1.0, 2 ** 2 + 1, seed=0)
-    assert range_query_round(state, 0.5, 1.0, 0.5, seed=0).distance_evals == 1
+    assert range_query_round(state, 0.5, 1.0, 0.5, seed=0)[1] == 1
 
 
 @st.composite
@@ -320,7 +320,7 @@ def _round_cases(draw):
     g = draw(st.just(g_min) | st.floats(0.0, 4.0).map(g_min.__mul__)
              | st.floats(0.0, 2.0 ** d + 1))
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    state = TwoNrqState(space, ref._edge_keys(edges, m), t=draw(st.integers(0, 5)))
+    state = TwoNrqState(space, ref._edge_keys(edges, m))
     return state, r_t, r_prev, g, seed
 
 
@@ -335,10 +335,10 @@ def _counted_round(*args):
         build(self, space, keys, **kwargs)
 
     with mock.patch.object(TwoNrqState, "__init__", spy):
-        new = range_query_round(*args)
+        new, evals = range_query_round(*args)
     keys, counts = np.unique(raw[0], return_counts=True)
     m = new.space.n
-    return new, dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), counts.tolist()))
+    return (new, evals), dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), counts.tolist()))
 
 
 def _outcome(fn, *args):
@@ -359,13 +359,13 @@ def test_range_query_round_matches_reference(case):
     if isinstance(want, str):
         assert got == want
         return
-    (new, counts), (want_new, want_counts) = got, want
-    assert new.edges.tobytes() == want_new.edges.tobytes()
-    assert new.distance_evals == want_new.distance_evals
-    assert new.t == want_new.t == state.t + 1
+    ((new, evals), counts), ((want_new, want_evals), want_counts) = got, want
+    assert pairs(new).tobytes() == pairs(want_new).tobytes()
+    assert evals == want_evals
     assert counts == want_counts
-    plain = range_query_round(state, r_t, r_prev, g, seed)
-    assert plain.edges.tobytes() == new.edges.tobytes()
+    plain, plain_evals = range_query_round(state, r_t, r_prev, g, seed)
+    assert pairs(plain).tobytes() == pairs(new).tobytes()
+    assert plain_evals == evals
 
 
 @pytest.mark.parametrize("entries", [1, 7, 100])
@@ -380,9 +380,9 @@ def test_range_query_round_chunks_match_reference(entries, case):
     if isinstance(want, str):
         assert got == want
         return
-    (new, counts), (want_new, want_counts) = got, want
-    assert new.edges.tobytes() == want_new.edges.tobytes()
-    assert new.distance_evals == want_new.distance_evals
+    ((new, evals), counts), ((want_new, want_evals), want_counts) = got, want
+    assert pairs(new).tobytes() == pairs(want_new).tobytes()
+    assert evals == want_evals
     assert counts == want_counts
 
 
@@ -395,7 +395,7 @@ def test_range_query_round_matches_reference_at_scale(d, n, k):
     state = init_e0(space, k, seed=d + 1)
     for t in range(1, min(4, len(radii))):
         g = rangequery.g_min_overlap(radii[t], radii[t - 1], d)
-        got = range_query_round(state, radii[t], radii[t - 1], g, seed=t)
-        state = ref.range_query_round(state, radii[t], radii[t - 1], g, seed=t)
-        assert got.edges.tobytes() == state.edges.tobytes()
-        assert got.distance_evals == state.distance_evals
+        got, evals = range_query_round(state, radii[t], radii[t - 1], g, seed=t)
+        state, want_evals = ref.range_query_round(state, radii[t], radii[t - 1], g, seed=t)
+        assert pairs(got).tobytes() == pairs(state).tobytes()
+        assert evals == want_evals
