@@ -9,7 +9,8 @@ parties, friend lists carry no signal, and recall plateaus far below 1.
 """
 
 from nndlab.concordance import generic_crs
-from nndlab.descent import batch_round, default_budget, init_random_kout, pointwise_pass, run_nnd
+from nndlab.descent import (FriendState, batch_round, default_budget, pointwise_pass, random_kout,
+                            run_nnd)
 from nndlab.ranking import RankingOracle, exact_knn, recall
 from nndlab.spaces import paris_space, rank_table
 
@@ -21,11 +22,11 @@ print(f"=== Star-path metric, n={N}, K={K}, batch rounds ===")
 table = rank_table(paris_space(range(1, N + 1)))
 oracle = RankingOracle(table)
 exact = exact_knn(table, K)
-state = init_random_kout(N, K, seed=0)
+state = FriendState(random_kout(N, K, 0))
 print("round  changed  recall")
 for r in range(1, 6):
-    state = batch_round(state, oracle)
-    print(f"{r:>5}  {state.last_changes:>7}  {recall(state.to_graph(), exact):.4f}")
+    state, changed = batch_round(state, oracle)
+    print(f"{r:>5}  {changed:>7}  {recall(state.to_graph(), exact):.4f}")
 print(f"comparisons charged: {oracle.comparisons:,}")
 
 print()
@@ -33,14 +34,14 @@ print(f"=== Generic concordant system, n=512, K={K}, scheduled passes ===")
 crs_table = generic_crs(512, seed=0).table
 oracle2 = RankingOracle(crs_table)
 exact2 = exact_knn(crs_table, K)
-state2 = init_random_kout(512, K, seed=0)
+state2 = FriendState(random_kout(512, K, 0))
 schedule = np.random.default_rng(0).permutation(512)
 budget = default_budget(512, K)
 print(f"budget: {budget} passes (2 log_K n)")
 print("pass   changed  recall")
 for r in range(1, budget + 1):
-    state2 = pointwise_pass(state2, schedule, oracle2)
-    print(f"{r:>4}  {state2.last_changes:>8}  {recall(state2.to_graph(), exact2):.4f}")
+    state2, changed = pointwise_pass(state2, schedule, oracle2)
+    print(f"{r:>4}  {changed:>8}  {recall(state2.to_graph(), exact2):.4f}")
 
 print()
 print("Same comparison through the one-call driver:")

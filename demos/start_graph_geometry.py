@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Why random K-out initialisation is a good start: small diameter, expansion.
 
-Information in any friend-exchange scheme travels one undirected hop per
-round, so the diameter of the start graph lower-bounds the rounds to
-convergence.  Random K-out graphs have logarithmic diameter because small
-vertex sets expand: |N(X)| > (K - 1 - eps) |X|.
+A batch round of descent at most doubles the undirected start-graph hop
+span of every friend arc, so batch descent needs at least ceil(log2 h)
+rounds, where h, at most the diameter, is the largest hop distance from a
+point to one of its exact neighbours: a small diameter buys few doublings.
+Pointwise passes are not covered by this bound.  Random K-out graphs have
+logarithmic diameter because small vertex sets expand:
+|N(X)| > (K - 1 - eps) |X|.
 """
 
 import numpy as np

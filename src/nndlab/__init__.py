@@ -35,7 +35,6 @@ from .descent import (
     NndResult,
     batch_round,
     default_budget,
-    init_random_kout,
     pointwise_pass,
     random_kout,
     run_nnd,

@@ -46,7 +46,7 @@ _COMPONENT_BYTES = 13
 
 # peak bytes per point and unit of K of a 2nrq simulation, verification
 # included, above start-up with numpy and scipy loaded (getrusage, CPython
-# 3.11, seed 7): 88, 110 and 124-132 at d=2, K=12 and n=1e5, 4e5 and 1e6
+# 3.11, seed 7): 88, 97-101 and 116-118 at d=2, K=12 and n=1e5, 4e5 and 1e6
 # (it grows with the degree, which grows with n), and 87 at d=4, K=28,
 # n=1e5; 172, 207, 268 and 171 while each state held a pair list beside
 # its CSR

@@ -5,7 +5,8 @@ it by letting points exchange friend lists: a point keeps the K candidates
 it prefers among its friends and their friends (and, in batch mode, its
 cofriends and their friends).  Two update disciplines are provided:
 simultaneous batch rounds, a pure function of the previous state, and
-scheduled pointwise passes where updates are visible immediately.
+scheduled pointwise passes where updates are visible immediately.  A step
+returns the new state and the number of points whose friend set changed.
 
 Every step works on whole arrays, as the local join of NN-descent does over
 fixed-width rows: each owner's candidates form one row, which the owner pads
@@ -27,7 +28,6 @@ from .ranking import BAD_SEED, KnnGraph, checked_count, checked_ids, key_dtype, 
 __all__ = [
     "FriendState",
     "random_kout",
-    "init_random_kout",
     "batch_round",
     "pointwise_pass",
     "default_budget",
@@ -38,16 +38,14 @@ __all__ = [
 
 
 class FriendState:
-    """Friend matrix F (n x K int32 ids in [0, n), 1 <= K < n) and the number of
-    rows the step that made it changed."""
+    """Friend matrix F (n x K int32 ids in [0, n), 1 <= K < n)."""
 
-    def __init__(self, friends, last_changes=None):
+    def __init__(self, friends):
         friends = np.asarray(friends)
         n, k = friends.shape if friends.ndim == 2 else (0, 0)
         if not 1 <= k < n:
             raise InputError(f"friends must be (n, K) with 1 <= K < n, got shape {friends.shape}")
         self.friends = checked_ids(friends, n, "friends out of range").astype(np.int32, copy=False)
-        self.last_changes = last_changes
 
     @property
     def n(self):
@@ -89,10 +87,7 @@ def random_kout(n, K, seed_or_rng):
     return F.astype(np.int32)
 
 
-def init_random_kout(n, K, seed):
-    """Random K-out start state at round 0 (friend order arbitrary)."""
-    return FriendState(random_kout(n, K, seed))
-
+_OTHER_ORACLE = "oracle item count does not match n"
 
 # Candidates one batch round hands ``top_k`` per chunk of owners, so memory
 # stays bounded at large n; a chunk holds at least one owner.
@@ -123,6 +118,8 @@ def batch_round(state, oracle):
     with the owner, so a class's rows share one width: the padding and its
     friends drop out of the selection as the owner and repeats.
     """
+    if oracle.n != state.n:
+        raise InputError(_OTHER_ORACLE)
     F = state.friends
     k = F.shape[1]
     indptr, cof = _cofriends(F)
@@ -140,7 +137,7 @@ def batch_round(state, oracle):
             mine = np.concatenate([F[x], c], axis=1)
             rows = np.concatenate([mine, F[mine].reshape(x.size, -1)], axis=1)
             new_F[x] = oracle.top_k(x, rows, k)
-    return FriendState(new_F, last_changes=_changed(new_F, F))
+    return FriendState(new_F), _changed(new_F, F)
 
 
 def pointwise_pass(state, schedule, oracle):
@@ -153,6 +150,8 @@ def pointwise_pass(state, schedule, oracle):
     batch, reading the new F(y) of an earlier friend and the pass-start F(y)
     of a later one.  The result equals the visit-order loop.
     """
+    if oracle.n != state.n:
+        raise InputError(_OTHER_ORACLE)
     bad = "schedule must be a permutation of the point ids"
     schedule = checked_ids(schedule, state.n, bad)
     if not np.array_equal(np.sort(schedule), np.arange(state.n)):
@@ -180,8 +179,7 @@ def pointwise_pass(state, schedule, oracle):
     for a, b in zip([0] + ends, ends):
         x = by_level[a:b]
         new_state.set_friends(x, oracle.top_k(x, both[reads[a:b]].reshape(b - a, -1), k))
-    new_state.last_changes = _changed(new_state.friends, F0)
-    return new_state
+    return new_state, _changed(new_state.friends, F0)
 
 
 def default_budget(n, K):
@@ -216,7 +214,7 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
         raise InputError(f"unknown mode {mode!r}")
     if stop not in ("no_change", "budget"):
         raise InputError(f"unknown stop rule {stop!r}")
-    n = checked_count(n, oracle.n, "oracle item count does not match n", high=oracle.n)
+    n = checked_count(n, oracle.n, _OTHER_ORACLE, high=oracle.n)
     K = checked_count(K, 1, f"need 1 <= K < n, got K={K}, n={n}", high=n - 1)
     budget = (default_budget(n, K) if max_rounds is None
               else checked_count(max_rounds, 1, "round budget must be positive"))
@@ -227,11 +225,11 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
     changes = []
     for _ in range(budget):
         if mode == "batch":
-            state = batch_round(state, oracle)
+            state, changed = batch_round(state, oracle)
         else:
-            state = pointwise_pass(state, schedule, oracle)
-        changes.append(state.last_changes)
-        if stop == "no_change" and state.last_changes == 0:
+            state, changed = pointwise_pass(state, schedule, oracle)
+        changes.append(changed)
+        if stop == "no_change" and changed == 0:
             break
     return NndResult(
         graph=state.to_graph(),

@@ -1,8 +1,10 @@
 """Diameter and vertex-expansion measurements on random K-out digraphs.
 
 The undirected version of a random K-out graph is the information substrate
-of descent: knowledge moves one hop per round, so its diameter lower-bounds
-the rounds any friend-exchange scheme needs.  These tools measure exact
+of descent.  A batch round at most doubles the start-graph hop span of every
+friend arc, so batch descent needs at least ceil(log2 h) rounds, where h, at
+most the diameter, is the largest hop distance from a point to one of its
+exact neighbours; pointwise passes are not covered.  These tools measure exact
 diameters (bit-parallel all-source BFS up to a size cutover, a certified
 interval beyond it) and spot-check the vertex-expansion inequality that
 forces logarithmic diameter.

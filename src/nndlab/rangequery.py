@@ -262,9 +262,8 @@ class TwoNrqState:
         keys = np.asarray(keys)
         if keys.ndim != 1:
             raise InputError(bad)
-        if (keys[1:] < keys[:-1]).any():  # rounds and init_e0 hand theirs over sorted
-            keys = np.sort(keys)
-        keys = unique_sorted(keys)
+        if (keys[1:] <= keys[:-1]).any():  # rounds and init_e0 hand theirs over distinct, sorted
+            keys = unique_sorted(np.sort(keys))
         checked_ids(keys[:: max(keys.size - 1, 1)], m * m, bad)  # the sorted keys' two ends
         keys = keys.astype(key_dtype(m), copy=False)
         lo = keys // m
@@ -527,7 +526,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     written into one buffer that grows in place (``ndarray.resize``
     reallocates, and a large block is remapped, not copied), so they are
     never held twice, as a chunk list and its concatenation would be; the
-    buffer is sorted in place and handed to ``TwoNrqState`` with its repeats.
+    buffer is sorted in place, and only its distinct keys reach ``TwoNrqState``.
     """
     if not 0 < r_t < r_prev <= 1.0:
         raise InputError("need 0 < r_t < r_prev <= 1")
@@ -582,6 +581,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
         raise InputError(f"acceptance rate {f_max:.6f} exceeds 1: overlap volume fell below g")
     accepted.resize(size, refcheck=False)
     accepted.sort()
+    accepted = unique_sorted(accepted)
     return TwoNrqState(state.space, accepted), evals
 
 

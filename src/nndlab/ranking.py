@@ -207,23 +207,23 @@ class RankingOracle:
         """The k most-preferred distinct candidates of each owner, best first.
 
         With an array ``x``, row i of the 2-D ``pools`` is the pool of owner
-        ``x[i]``; every row must hold at least k distinct candidates other
-        than its owner, and the result has one row of k per owner, in the
-        given order.  With a scalar ``x`` and a 1-D pool the result is x's
-        best k, or all of its distinct candidates (ordered) when there are
-        fewer; an empty pool, ``[]`` included, selects nothing for no charge.
-        Ids that are not integers or lie outside [0, n), a k that is not a count
-        >= 1, or a short row of a batch, refuse the call before anything is charged.
+        ``x[i]``, and the result has one row of k per owner, in the given
+        order; a scalar ``x`` with a 1-D pool is the batch of one, and its
+        result is x's best k.  Every row must hold at least k distinct
+        candidates other than its owner.  Ids that are not integers or lie
+        outside [0, n), a batch of no owners, a k that is not a count >= 1,
+        or a short row refuse the call before anything is charged.
         """
         n = self.n
         k = checked_count(k, 1, f"top_k takes a count k >= 1, got k={k!r}")
         bad = f"top_k takes one row of integer candidates per owner, all ids in [0, {n})"
         owners = checked_ids(np.atleast_1d(x), n, bad)
         rows = checked_ids(np.atleast_2d(pools), n, bad)
-        if owners.ndim != 1 or rows.ndim != 2 or rows.shape[0] != owners.size:
+        if owners.ndim != 1 or rows.ndim != 2 or not 0 < owners.size == rows.shape[0]:
             raise InputError(bad)
-        if not rows.size:
-            owners, rows = owners.astype(np.int64), rows.astype(np.int64)
+        short = f"every row needs at least k={k} distinct candidates other than its owner"
+        if rows.shape[1] < k:  # before the gather, which a float [] would fail
+            raise InputError(short)
         ranks = self.table.ranks.ravel()[rows + (owners * n)[:, None]]
         ranks.sort(axis=1)
         # a rank is new where it differs from the one before; rank 0, the owner's, sorts first
@@ -231,13 +231,12 @@ class RankingOracle:
         np.not_equal(ranks[:, 1:], ranks[:, :-1], out=fresh[:, 1:])
         np.not_equal(ranks[:, :1], 0, out=fresh[:, :1])
         sizes = fresh.sum(axis=1)
-        least = sizes.min(initial=k)
-        if np.ndim(x) and least < k:
-            raise InputError(f"every row of a batch needs at least k={k} distinct candidates")
+        if sizes.min() < k:
+            raise InputError(short)
         # ceil(log2 c) is the bit length of c - 1, the exponent frexp returns
         self._charge(int(sizes @ np.frexp(sizes - 1)[1]))
         # the owner and repeats sort last, past every rank, so each row starts with its best
-        best = np.sort(np.where(fresh, ranks, n), axis=1)[:, :least]
+        best = np.sort(np.where(fresh, ranks, n), axis=1)[:, :k]
         # order[o, r - 1] sits at o * (n - 1) + r - 1 of the flat order
         top = self.table.order.ravel()[best + (owners * (n - 1) - 1)[:, None]]
         return top if np.ndim(x) else top[0]

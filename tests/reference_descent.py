@@ -63,7 +63,7 @@ def batch_round(state, oracle):
         new_F[x] = _top_k(state, oracle, x, parts)
         if not np.array_equal(np.sort(new_F[x]), np.sort(F[x])):
             changes += 1
-    return FriendState(new_F, last_changes=changes)
+    return FriendState(new_F), changes
 
 
 def pointwise_pass(state, schedule, oracle):
@@ -83,5 +83,4 @@ def pointwise_pass(state, schedule, oracle):
         if not np.array_equal(np.sort(new), np.sort(F[x])):
             changes += 1
         new_state.set_friends(x, new)
-    new_state.last_changes = changes
-    return new_state
+    return new_state, changes

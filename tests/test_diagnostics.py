@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nndlab import diagnostics
-from nndlab.descent import init_random_kout, random_kout
+from nndlab.descent import FriendState, random_kout
 from nndlab.diagnostics import (
     diameter_experiment,
     expansion_alpha_reference,
@@ -81,7 +81,7 @@ class TestDegreeAccounting:
     def test_degree_sum_identity(self):
         # multigraph degree = K + cofriend count sums to exactly 2 K n
         n, K = 3000, 5
-        state = init_random_kout(n, K, seed=6)
+        state = FriendState(random_kout(n, K, 6))
         total = sum(K + np.bincount(state.friends.ravel(), minlength=n))
         assert total == 2 * K * n
 

@@ -47,7 +47,6 @@ from nndlab import (
     g_min_overlap,
     generic_crs,
     init_e0,
-    init_random_kout,
     linf_embed,
     pointwise_pass,
     powers_of_two_order,
@@ -129,7 +128,6 @@ EXEMPT = {
     "NndResult": "a result record of run_nnd",
     "default_budget": "takes the counts n and K",
     "random_kout": "takes counts and a seed",
-    "init_random_kout": "takes counts and a seed",
     "run_nnd": "takes an oracle, counts and a seed",
     "run_report": "takes an NndResult",
     "EmbeddingMatrix": "a result record of linf_embed; its column_pairs only label CSV columns",
@@ -275,8 +273,6 @@ NUMERIC = {
     "default_budget": ("default_budget", default_budget, {"n": 512, "K": 8}, {"n": 1, "K": 2}),
     "random_kout": ("random_kout", random_kout, {"n": N, "K": 2, "seed_or_rng": 0},
                     {"n": 2, "K": 1, "seed_or_rng": SEED}),
-    "init_random_kout": ("init_random_kout", init_random_kout, {"n": N, "K": 2, "seed": 0},
-                         {"n": 2, "K": 1, "seed": SEED}),
     "run_nnd": ("run_nnd", lambda **a: run_nnd(ORACLE, **a),
                 {"n": N, "K": 2, "seed": 0, "max_rounds": 2},
                 {"n": N, "K": 1, "seed": SEED, "max_rounds": 1}),
@@ -433,17 +429,25 @@ def test_counts_once_cast_or_unchecked_are_refused(call):
         lambda: paris_space([None, 1.0]),
         lambda: torus_poisson(1e300, 2, 0),
         lambda: run_2nrq(1e300, 12, 2, 0.5, 0),
+        lambda: batch_round(FriendState(random_kout(10, 3, 0)),
+                            RankingOracle(random_ranking_table(20, 0))),
+        lambda: pointwise_pass(FriendState(random_kout(10, 3, 0)), np.arange(10),
+                               RankingOracle(random_ranking_table(20, 0))),
+        lambda: batch_round(FriendState(random_kout(10, 3, 0)),
+                            RankingOracle(random_ranking_table(5, 0))),
     ],
     ids=["derive_params-n-past-float", "paris_space-nan-eta", "paris_space-inf-eta",
          "LinearOrder-n-past-int64-pair-index", "paris_space-eta-past-float",
          "paris_space-string-etas", "paris_space-none-eta", "torus_poisson-n-past-poisson",
-         "run_2nrq-n-past-poisson"],
+         "run_2nrq-n-past-poisson", "batch_round-bigger-oracle",
+         "pointwise_pass-bigger-oracle", "batch_round-smaller-oracle"],
 )
 def test_values_outside_the_exports_fuzz_are_refused(call):
     # an OverflowError from float(n), a space that only its rank table refused, an
     # OverflowError from pair_index's int64 arithmetic, an OverflowError, a ValueError
-    # and a TypeError from float(eta), and numpy's "lam value too large" from a
-    # Poisson mean past 9.2e18
+    # and a TypeError from float(eta), numpy's "lam value too large" from a
+    # Poisson mean past 9.2e18, two steps that ranked a state's points by the rows
+    # of a bigger table, and one that refused them as candidate ids of a smaller one
     with pytest.raises(InputError):
         call()
 

@@ -326,15 +326,16 @@ def _round_cases(draw):
 
 def _counted_round(*args):
     """``range_query_round(*args)`` and its accepted proposals per vertex pair,
-    counted from the raw keys lo*m + hi that it hands to ``TwoNrqState``."""
+    counted from the raw keys lo*m + hi that its first ``unique_sorted`` call
+    dedupes before the new ``TwoNrqState`` is built."""
     raw = []
-    build = TwoNrqState.__init__
+    dedupe = rangequery.unique_sorted
 
-    def spy(self, space, keys, **kwargs):
-        raw.append(keys)
-        build(self, space, keys, **kwargs)
+    def spy(keys):
+        raw.append(keys.copy())
+        return dedupe(keys)
 
-    with mock.patch.object(TwoNrqState, "__init__", spy):
+    with mock.patch.object(rangequery, "unique_sorted", spy):
         new, evals = range_query_round(*args)
     keys, counts = np.unique(raw[0], return_counts=True)
     m = new.space.n

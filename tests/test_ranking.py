@@ -178,15 +178,25 @@ class TestOracle:
             [1, 3], key=lambda y: table.ranks[2, y])
         assert oracle.comparisons == 2
 
-    def test_top_k_empty_pool_is_free(self):
+    def test_top_k_refuses_an_empty_pool_without_charge(self):
         oracle = RankingOracle(random_ranking_table(6, seed=0))
-        assert oracle.top_k(2, np.array([], dtype=np.int64), 3).size == 0
+        with pytest.raises(InputError, match="at least k=3"):
+            oracle.top_k(2, np.array([], dtype=np.int64), 3)
         assert oracle.comparisons == 0
 
-    def test_top_k_empty_list_pool_is_free(self):
-        # [] has numpy's float dtype, but holds no id: it is the empty pool
+    def test_top_k_refuses_an_empty_list_pool_without_charge(self):
+        # [] has numpy's float dtype: a row narrower than k is refused before its ranks are read
         oracle = RankingOracle(random_ranking_table(6, seed=0))
-        assert oracle.top_k(2, [], 3).size == 0
+        with pytest.raises(InputError, match="at least k=3"):
+            oracle.top_k(2, [], 3)
+        assert oracle.comparisons == 0
+
+    @pytest.mark.parametrize("x", [np.array([], dtype=np.int64), np.array([])],
+                             ids=["int-owners", "float-owners"])
+    def test_top_k_refuses_a_batch_of_no_owners_without_charge(self, x):
+        oracle = RankingOracle(random_ranking_table(6, seed=0))
+        with pytest.raises(InputError, match="one row of integer candidates per owner"):
+            oracle.top_k(x, np.empty((0, 4), dtype=np.int64), 3)
         assert oracle.comparisons == 0
 
     @pytest.mark.parametrize("x,pool", [(0, [1.0, 2.0]), (0, [1.5, 2.0]), (0, [True, False]),
@@ -200,12 +210,18 @@ class TestOracle:
             oracle.top_k(np.array([x, 3]), np.array([pool, pool]), 1)
         assert oracle.comparisons == 0
 
-    def test_top_k_short_pool_returns_all_ordered(self):
-        table = random_ranking_table(30, seed=2)
-        oracle = RankingOracle(table)
-        pool = np.array([19, 3, 11])
-        assert oracle.top_k(0, pool, 5).tolist() == sorted(pool, key=lambda y: table.ranks[0, y])
-        assert oracle.comparisons == 3 * math.ceil(math.log2(3))
+    def test_top_k_refuses_a_short_scalar_pool_without_charge(self):
+        oracle = RankingOracle(random_ranking_table(30, seed=2))
+        with pytest.raises(InputError, match="at least k=5"):
+            oracle.top_k(0, np.array([19, 3, 11]), 5)
+        assert oracle.comparisons == 0
+
+    def test_top_k_refuses_a_scalar_row_short_of_distinct_candidates_without_charge(self):
+        # the row is wider than k, but its owner and repeats leave two candidates for k = 3
+        oracle = RankingOracle(random_ranking_table(8, seed=3))
+        with pytest.raises(InputError, match="at least k=3"):
+            oracle.top_k(4, np.array([4, 2, 3, 4, 2]), 3)
+        assert oracle.comparisons == 0
 
     @pytest.mark.parametrize("pool", [[4, 1, 3, 5, 3], [1, 3, 4, 1, 5], [1, 5, 3, 5, 4]],
                              ids=["first", "middle", "last"])
@@ -259,8 +275,10 @@ class TestOracle:
         with pytest.raises(InputError, match="at least k=3"):
             oracle.top_k(np.array([1, 4]), np.array([[2, 3, 5], [2, 3, 2]]), 3)
         assert oracle.comparisons == 0
-        # the scalar owner keeps returning a short pool whole
-        assert oracle.top_k(4, np.array([2, 3, 2]), 3).size == 2
+        # a scalar owner's short pool is refused the same way
+        with pytest.raises(InputError, match="at least k=3"):
+            oracle.top_k(4, np.array([2, 3, 2]), 3)
+        assert oracle.comparisons == 0
 
     @pytest.mark.parametrize("x,pool", [(0, [1, -1]), (0, [2, 5]), (-1, [1, 2])],
                              ids=["candidate-minus-one", "candidate-n", "negative-owner"])
