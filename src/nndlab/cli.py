@@ -306,11 +306,12 @@ def dense_bytes(args):
         return _kout_bytes(args.n, args.k)
     if args.func is cmd_diag_diameter and args.k >= 3:  # below, the command refuses K itself
         # the undirected adjacency's int64 keys, and below the exact-diameter
-        # limit the BFS gather of one reach bitset row per arc
-        per_arc = 64
+        # limit the BFS's two reach bitset arrays, n rows of ceil(n/64) words,
+        # and the bool array a level compares them in
+        reach = 0
         if args.n <= diagnostics.EXACT_DIAMETER_LIMIT:
-            per_arc += 8 * -(-args.n // 64)
-        return _kout_bytes(args.n, args.k) + per_arc * 2 * args.n * args.k
+            reach = (2 * 8 + 1) * args.n * -(-args.n // 64)
+        return _kout_bytes(args.n, args.k) + 64 * 2 * args.n * args.k + reach
     return 0
 
 

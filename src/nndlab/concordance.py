@@ -559,6 +559,12 @@ def eulerian_order(n):
 FRACTION_ROWS = 4096
 
 
+def _white_fraction(n):
+    """C(n-2, 2) / (C(n, 2) - 1): the share of a uniform order's adjacent
+    pairs that are white, 0 at n = 2, where an order has no adjacent pair."""
+    return Fraction(comb(n - 2, 2), comb(n, 2) - 1) if n >= 3 else Fraction(0)
+
+
 def white_edge_fraction(n, samples=100_000, seed=0):
     """(exact, empirical) probability that a uniform white-graph edge is white.
 
@@ -567,7 +573,7 @@ def white_edge_fraction(n, samples=100_000, seed=0):
     """
     bad = "need n >= 3 and samples >= 1"
     n, samples = checked_count(n, 3, bad), checked_count(samples, 1, bad)
-    exact = Fraction(comb(n - 2, 2), comb(n, 2) - 1)
+    exact = _white_fraction(n)
     rng = seeded(seed)
     N = n_pairs(n)
     # the positions are drawn after the samples x N keys; PCG64's random()
@@ -585,19 +591,39 @@ def white_edge_fraction(n, samples=100_000, seed=0):
 
 @dataclass
 class SmallCensus:
-    """Exhaustive statistics over every linear order on the pairs of [n]."""
+    """Exhaustive statistics over every linear order on the pairs of [n].
+
+    The counts found by enumeration are stored; ``num_orders``,
+    ``adjacent_slots``, ``white_fraction_exact`` and the bounds
+    ``ratio_lower`` and ``ratio_upper`` are derived from n.
+    """
 
     n: int
-    num_orders: int
     num_systems: int
     component_sizes: dict
     white_edges: int
-    adjacent_slots: int
-    white_fraction_exact: Fraction
     all_concordant: bool
     components_equal_fibers: bool | None
-    ratio_lower: Fraction
-    ratio_upper: Fraction
+
+    @property
+    def num_orders(self):
+        return factorial(n_pairs(self.n))
+
+    @property
+    def adjacent_slots(self):
+        return self.num_orders * (n_pairs(self.n) - 1) // 2
+
+    @property
+    def white_fraction_exact(self):
+        return _white_fraction(self.n)
+
+    @property
+    def ratio_lower(self):
+        return Fraction(self.num_orders, factorial(self.n - 1) ** self.n)
+
+    @property
+    def ratio_upper(self):
+        return Fraction(self.num_orders, prod(factorial(k) for k in range(1, self.n - 1)))
 
     @property
     def ratio(self):
@@ -682,16 +708,11 @@ def enumerate_small(n):
 
     return SmallCensus(
         n=n,
-        num_orders=num_orders,
         num_systems=images.size,
         component_sizes=dict(component_sizes),
         white_edges=white_edges2 // 2,
-        adjacent_slots=num_orders * (N - 1) // 2,
-        white_fraction_exact=Fraction(comb(n - 2, 2), comb(n, 2) - 1) if n >= 3 else Fraction(0),
         all_concordant=all_concordant,
         components_equal_fibers=components_equal_fibers,
-        ratio_lower=Fraction(factorial(N), factorial(n - 1) ** n),
-        ratio_upper=Fraction(factorial(N), prod(factorial(k) for k in range(1, n - 1))),
     )
 
 

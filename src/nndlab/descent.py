@@ -192,14 +192,20 @@ def default_budget(n, K):
 
 @dataclass
 class NndResult:
+    """A descent run: its graph, oracle charge and per-round change counts;
+    ``rounds`` is derived from ``round_changes``."""
+
     graph: KnnGraph
-    rounds: int
     comparisons: int
     round_changes: list
     mode: str
     seed: int
     stop: str
     recall: float | None = field(default=None)
+
+    @property
+    def rounds(self):
+        return len(self.round_changes)
 
 
 def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change"):
@@ -233,7 +239,6 @@ def run_nnd(oracle, n, K, mode="batch", seed=0, max_rounds=None, stop="no_change
             break
     return NndResult(
         graph=state.to_graph(),
-        rounds=len(changes),
         comparisons=oracle.comparisons - before,
         round_changes=changes,
         mode=mode,

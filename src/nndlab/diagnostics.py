@@ -49,21 +49,32 @@ def _full_row_mask(n, words):
 
 
 def _bitset_diameter(indptr, nbrs, n):
-    """Exact diameter by running BFS from every source at once, 64 per word."""
+    """Exact diameter by running BFS from every source at once, 64 per word.
+
+    Each level ORs each row's neighbour rows into a second reach array, 64 rows
+    at a time, so the gathered rows are one block's arcs, not every arc; the
+    two arrays then swap.  Every row needs a neighbour: ``reduceat`` gives an
+    empty segment the next row, not zero.
+    """
     words = (n + 63) // 64
     reach = np.zeros((n, words), dtype=np.uint64)
     idx = np.arange(n)
     reach[idx, idx >> 6] = np.uint64(1) << (idx & 63).astype(np.uint64)
+    grown = np.empty_like(reach)
     full = _full_row_mask(n, words)
     steps = 0
     while True:
-        grown = reach | np.bitwise_or.reduceat(reach[nbrs], indptr[:-1], axis=0)
+        for lo in range(0, n, 64):
+            rows = indptr[lo : lo + 65]
+            np.bitwise_or.reduceat(reach[nbrs[rows[0] : rows[-1]]], rows[:-1] - rows[0], axis=0,
+                                   out=grown[lo : lo + 64])
+        grown |= reach
         steps += 1
         if (grown == full).all():
             return steps
         if (grown == reach).all():
             return None
-        reach = grown
+        reach, grown = grown, reach
 
 
 def _bfs_eccentricity(indptr, nbrs, source, n):

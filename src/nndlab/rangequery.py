@@ -55,7 +55,8 @@ _KS_CAP = 200
 
 @dataclass(frozen=True)
 class TwoNrqParams:
-    """Scaling constants for a run: dimensions, rates, and their envelopes.
+    """Scaling constants for a run: the free values (n, K, d, alpha), which
+    ``derive_params`` checks, and the envelopes derived from them.
 
     ``gamma < r_t/r_{t-1} <= gamma_star`` once the explicit-formula phase
     (of length at most ``t_prime_bound``) ends; ``alpha`` caps the success
@@ -66,14 +67,27 @@ class TwoNrqParams:
     K: int
     d: int
     alpha: float
-    beta: float
-    gamma: float
-    gamma_star: float
-    t_prime_bound: float
+
+    @property
+    def beta(self):
+        return -math.log1p(-self.alpha) / self.alpha
+
+    @property
+    def gamma(self):
+        return 1.0 - math.sqrt(1.0 - 2.0 / self.K ** (1.0 / self.d))
+
+    @property
+    def gamma_star(self):
+        return 1.0 - math.sqrt(1.0 - 2.0 * (self.beta / self.K) ** (1.0 / self.d))
+
+    @property
+    def t_prime_bound(self):
+        log2_kb = math.log2(self.K / self.beta)
+        return math.log2(log2_kb / (log2_kb - self.d))
 
 
 def derive_params(n, K, d, alpha):
-    """Derive (beta, gamma, gamma_star, t' bound) from (n, K, d, alpha)."""
+    """The checked ``TwoNrqParams`` of (n, K, d, alpha)."""
     try:
         n = float(n)
     except OverflowError:  # an integer past the float range
@@ -88,15 +102,12 @@ def derive_params(n, K, d, alpha):
         raise InputError(bad)
     if not 0.0 < alpha < 1.0:
         raise InputError("alpha must lie in (0, 1)")
-    beta = -math.log1p(-alpha) / alpha
+    params = TwoNrqParams(n, K, d, alpha)
+    beta = params.beta
     if not 1.0 < beta < K / 2 ** d:
         advice = "raise alpha" if beta <= 1.0 else "lower alpha"
         raise InputError(f"beta={beta:.6f} must lie in (1, K/2^d)={K / 2 ** d:.6f}; {advice}")
-    gamma = 1.0 - math.sqrt(1.0 - 2.0 / K ** (1.0 / d))
-    gamma_star = 1.0 - math.sqrt(1.0 - 2.0 * (beta / K) ** (1.0 / d))
-    log2_kb = math.log2(K / beta)
-    t_prime_bound = math.log2(log2_kb / (log2_kb - d))
-    return TwoNrqParams(n, K, d, alpha, beta, gamma, gamma_star, t_prime_bound)
+    return params
 
 
 def g_min_overlap(s, r, d):
@@ -174,14 +185,27 @@ def solve_next_radius(params, r_prev):
 
 @dataclass(frozen=True)
 class Schedule:
-    """Radii r_0 > ... > r_tau with coupled rates theta_t = K/(n r_t^d)."""
+    """Radii r_0 > ... > r_tau, of which r_1 .. r_{t'} came from the explicit
+    formula; the rates theta_t = K/(n r_t^d), the formula of each radius and
+    tau are derived from them."""
 
     params: TwoNrqParams
     radii: tuple
-    rates: tuple
-    formulas: tuple
     t_prime: int
-    tau: int
+
+    @property
+    def rates(self):
+        n, K, d = self.params.n, self.params.K, self.params.d
+        return tuple(K / (n * r ** d) for r in self.radii)
+
+    @property
+    def formulas(self):
+        """r_0's "init", then t' times "explicit", then "implicit"."""
+        return ("init",) + ("explicit",) * self.t_prime + ("implicit",) * (self.tau - self.t_prime)
+
+    @property
+    def tau(self):
+        return len(self.radii) - 1
 
 
 def compute_schedule(params):
@@ -193,7 +217,7 @@ def compute_schedule(params):
             "whole torus (r = 1) has a rate K/n above alpha; raise n or alpha, or lower K"
         )
     radii = [1.0]
-    formulas = ["init"]
+    t_prime = 0
     while True:
         try:
             r, used_explicit = solve_next_radius(params, radii[-1])
@@ -201,20 +225,11 @@ def compute_schedule(params):
             break
         if r ** d < K / (n * alpha):
             break
+        # explicit steps form a prefix by the monotone switch rule
+        assert not used_explicit or t_prime == len(radii) - 1
+        t_prime += used_explicit
         radii.append(r)
-        formulas.append("explicit" if used_explicit else "implicit")
-    rates = tuple(K / (n * r ** d) for r in radii)
-    t_prime = sum(1 for f in formulas if f == "explicit")
-    # explicit steps form a prefix by the monotone switch rule
-    assert all(f == "explicit" for f in formulas[1 : t_prime + 1])
-    return Schedule(
-        params=params,
-        radii=tuple(radii),
-        rates=rates,
-        formulas=tuple(formulas),
-        t_prime=t_prime,
-        tau=len(radii) - 1,
-    )
+    return Schedule(params=params, radii=tuple(radii), t_prime=t_prime)
 
 
 def schedule_csv(schedule):
@@ -281,12 +296,12 @@ class TwoNrqState:
         lower.sort()
         rotated.sort(kind="stable")
         indptr = key_rows(rotated, m, m)
-        # neighbour u = (v + offset) mod m, from row v and offset of each key
-        neighbors = rotated.astype(np.int64)
-        neighbors %= m
-        neighbors += np.floor_divide(rotated, m, out=rotated)
+        # neighbour u = (v + offset) mod m of key v*m + offset: the key less
+        # v*(m - 1) is v + offset, less m once it reaches m
+        rotated -= np.repeat(np.arange(m, dtype=rotated.dtype) * (m - 1), np.diff(indptr))
+        np.subtract(rotated, m, out=rotated, where=rotated >= m)
+        neighbors = rotated.astype(np.int32, copy=False)
         del rotated
-        neighbors %= m
         self.space = space
         self._adjacency = (indptr, neighbors)
         for arr in self._adjacency:
@@ -356,11 +371,12 @@ def _pair_keys(u, v, m):
 def ball_scan(points, centres, r):
     """Points within wrapped sup-distance ``r`` of each centre, in chunks of centres.
 
-    ``centres`` are a 1-D array of indices into ``points``, and ``r > 0``;
-    anything else raises ``InputError``.  Yields ``(start, indptr, keys)``
-    for consecutive runs ``centres[start:start + len(indptr) - 1]``: the ball
-    of the k-th centre of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m``
-    (the centre included), and the keys ``k * m + vertex`` ascend.
+    ``points`` are an (m, d) array with d >= 1, ``centres`` a 1-D array of
+    indices into them, and ``r > 0``; anything else raises ``InputError``.
+    Yields ``(start, indptr, keys)`` for consecutive runs
+    ``centres[start:start + len(indptr) - 1]``: the ball of the k-th centre
+    of a run is ``keys[indptr[k]:indptr[k + 1]] - k * m`` (the centre
+    included), and the keys ``k * m + vertex`` ascend.
 
     The points are bucketed into a wrapping grid of g^d cells with
     g = floor(2/r) - 1, so each cell side 2/g is strictly greater than r and
@@ -400,7 +416,10 @@ def _mask_keys(inside):
 def _ball_runs(points, centres, r):
     """``ball_scan``'s runs, except that a whole-row run (g <= 3) is
     ``(start, None, mask)``, its (ball, point) membership as a bool array."""
-    m, d = np.shape(points)
+    shape = np.shape(points)
+    if len(shape) != 2 or shape[1] < 1:
+        raise InputError(f"ball_scan needs an (m, d) array of points with d >= 1, got {shape}")
+    m, d = shape
     bad = f"ball_scan needs r > 0 and a 1-D array of integer centre ids in [0, {m})"
     centres = checked_ids(centres, m, bad)
     if not r > 0 or centres.ndim != 1:
@@ -508,16 +527,16 @@ def ideal_state(space, r, theta, seed):
     return TwoNrqState(space, np.concatenate(rows))
 
 
-def range_query_round(state, r_t, r_prev, g_value, seed):
+def range_query_round(state, r_t, r_prev, seed):
     """One range-query update: ``(E_t, evals)``, E_t built fresh from
     E_{t-1}'s neighbor pairs and evals the distances evaluated.
 
     Every vertex of degree >= 2 proposes each unordered pair of its
     neighbors; each proposal costs one distance evaluation, is dropped
     beyond ``r_t``, and otherwise succeeds independently with probability
-    ``g_value / nu`` where nu is the exact overlap volume of the two
-    ``r_prev`` balls.  Successes are deduplicated into the new edge set;
-    old edges are not carried over.
+    g / nu, where g = ``g_min_overlap(r_t, r_prev, d)`` and nu is the exact
+    overlap volume of the two ``r_prev`` balls.  Successes are deduplicated
+    into the new edge set; old edges are not carried over.
 
     The hubs are walked in chunks of at most ``_SCAN_ENTRIES`` proposals,
     and only the accepted ones are kept, so memory is bounded by the chunk
@@ -530,8 +549,7 @@ def range_query_round(state, r_t, r_prev, g_value, seed):
     """
     if not 0 < r_t < r_prev <= 1.0:
         raise InputError("need 0 < r_t < r_prev <= 1")
-    if not 0 <= g_value < math.inf:
-        raise InputError(f"g_value must be finite and non-negative, got {g_value}")
+    g_value = g_min_overlap(r_t, r_prev, state.space.d)
     rng = seeded(seed)
     m = state.space.n
     axes = np.ascontiguousarray(state.space.points.T)
@@ -829,8 +847,7 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
         r_t, r_prev = schedule.radii[t], schedule.radii[t - 1]
         if idealized_inputs and t > 1:
             state = ideal_state(space, r_prev, schedule.rates[t - 1], ideal_seed + t - 1)
-        g_value = g_min_overlap(r_t, r_prev, d)
-        new, evals = range_query_round(state, r_t, r_prev, g_value, round_seed + t - 1)
+        new, evals = range_query_round(state, r_t, r_prev, round_seed + t - 1)
         per_round.append(
             {
                 "t": t,

@@ -200,16 +200,27 @@ def lcs_qk(m, n, K, p):
 class TorusSpace:
     """Points on the d-torus [-1, 1)^d under the wrapped sup-norm.
 
-    Total volume is 2**d; a ball of radius r < 1 has volume (2r)**d, so the
-    volume-ratio function is h(r) = r**d and the diameter is 1.
+    ``points`` is a finite (n, d) array with d >= 1, else ``InputError``;
+    n and d are read off its shape.  Total volume is 2**d; a ball of radius
+    r < 1 has volume (2r)**d, so the volume-ratio function is h(r) = r**d
+    and the diameter is 1.
     """
 
-    d: int
     points: np.ndarray
+
+    def __post_init__(self):
+        points = self.points
+        if not (isinstance(points, np.ndarray) and points.ndim == 2 and points.shape[1] >= 1
+                and points.dtype.kind in "iuf" and np.isfinite(points).all()):
+            raise InputError("torus points must be a finite 2-D (n, d) array with d >= 1")
 
     @property
     def n(self):
         return self.points.shape[0]
+
+    @property
+    def d(self):
+        return self.points.shape[1]
 
 
 # numpy's Generator.poisson refuses a larger mean (its POISSON_LAM_MAX)
@@ -228,7 +239,7 @@ def torus_poisson(n_mean, d, seed):
     count = int(rng.poisson(n_mean))
     points = rng.uniform(-1.0, 1.0, size=(count, d))
     points.setflags(write=False)
-    return TorusSpace(d, points)
+    return TorusSpace(points)
 
 
 def wrapped_distance(u, v):

@@ -80,14 +80,15 @@ def two_nrq_degrees(m, edges):
 
 
 def two_nrq_adjacency(m, edges):
-    """CSR-style (indptr, neighbors) view of the undirected edge set."""
+    """CSR-style (indptr, neighbors) view of the undirected edge set, with int64
+    indptr and int32 neighbors."""
     if not edges.size:
-        return np.zeros(m + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return np.zeros(m + 1, dtype=np.int64), np.zeros(0, dtype=np.int32)
     both = np.concatenate([edges, edges[:, ::-1]])
     both = both[np.argsort(both[:, 0], kind="stable")]
     counts = np.bincount(both[:, 0], minlength=m)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr, both[:, 1]
+    return indptr, both[:, 1].astype(np.int32)
 
 
 def edges(state):

@@ -31,6 +31,24 @@ def strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _grown_rss(argv):
+    """The peak resident set of ``nndlab argv`` in a fresh process, in bytes above
+    its start-up with numpy and scipy loaded: what a command's estimate must bound."""
+    code = (
+        "import resource, sys\n"
+        "import numpy, scipy.stats\n"
+        "from nndlab import cli\n"
+        "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
+    return int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
+
+
 class TestUsageErrors:
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -315,6 +333,23 @@ class TestTwoNrq:
         last = lines[-1].split(",")
         assert last[0] == "8" and last[3] == "implicit"
 
+    @pytest.mark.parametrize(
+        "n,k,d,digest",
+        [
+            ("1e7", "28", "4", "5028f371dafe9e5a569af29452fc2874346d4e84200c6f818ea49c48956a92b3"),
+            ("1e5", "20", "3", "3345e8daffec2572220129527ac7311b7bdc73ad0b797e67ce45381da6112d81"),
+            ("2e4", "12", "2", "b6be0c37750983955366b7c0a5d74642454399f5f2201eee53dda851f56b20c4"),
+        ],
+        ids=["golden-d4", "d3", "bench-d2"],
+    )
+    def test_schedule_json_golden_sha256(self, n, k, d, digest, tmp_path):
+        # the documents as written while Schedule and TwoNrqParams stored every
+        # value they print: rates, formulas, tau, beta, gamma, gamma* and the t' bound
+        out = tmp_path / "schedule.json"
+        assert run(["2nrq", "schedule", "--n", n, "--k", k, "--d", d, "--format", "json",
+                    "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_schedule_json(self, tmp_path):
         out = tmp_path / "schedule.json"
         run(["2nrq", "schedule", "--n", "2e4", "--k", "12", "--d", "2",
@@ -552,11 +587,13 @@ class TestMemoryRefusal:
             (["diag", "expansion", "--n", "100000", "--k", "99999"], 16 * 100_000 ** 2),
             (["diag", "expansion", "--n", "100000", "--k", "8"], 16 * 100_000 * 8),
             (["diag", "expansion", "--n", "10", "--k", "10"], 0),
-            # below the exact-diameter limit the BFS gathers 157 words per arc
+            # below the exact-diameter limit the BFS holds two reach arrays of 157
+            # words a row and compares them in a bool array
             (["diag", "diameter", "--n", "10000", "--k", "3"],
-             16 * 30_000 + (64 + 8 * 157) * 60_000),
+             16 * 30_000 + 64 * 60_000 + (2 * 8 + 1) * 157 * 10_000),
             (["diag", "diameter", "--n", "30000", "--k", "3"], 16 * 90_000 + 64 * 180_000),
-            (["diag", "diameter", "--n", "100", "--k", "60"], 16 * 100 ** 2 + (64 + 16) * 12_000),
+            (["diag", "diameter", "--n", "100", "--k", "60"],
+             16 * 100 ** 2 + 64 * 12_000 + (2 * 8 + 1) * 2 * 100),
             (["diag", "diameter", "--n", "1e10", "--k", "2"], 0),
             # the rank table's build peaks near 28 bytes per pair of items
             (["nnd", "--space", "paris", "--n", "2048", "--k", "8"], 28 * 2048 ** 2),
@@ -573,24 +610,14 @@ class TestMemoryRefusal:
         assert cli.dense_bytes(cli.build_parser().parse_args(argv)) == expected
 
     def test_2nrq_estimate_bounds_a_measured_run(self, tmp_path):
-        # a fresh process's peak resident set above its start-up, numpy and
-        # scipy loaded, stays below the estimate the refusal is made from
         argv = ["2nrq", "simulate", "--n", "1e5", "--k", "12", "--d", "2",
                 "--out", str(tmp_path / "report.json")]
-        code = (
-            "import resource, sys\n"
-            "import numpy, scipy.stats\n"
-            "from nndlab import cli\n"
-            "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert cli.main(sys.argv[1:]) == 0\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)\n"
-        )
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                              text=True, check=True, env=dict(os.environ, PYTHONPATH=path))
-        grown = int(done.stdout) * 1024  # ru_maxrss is in KiB on Linux
-        assert grown < cli.dense_bytes(cli.build_parser().parse_args(argv))
+        assert _grown_rss(argv) < cli.dense_bytes(cli.build_parser().parse_args(argv))
+
+    def test_diameter_estimate_bounds_a_measured_run(self, tmp_path):
+        argv = ["diag", "diameter", "--n", "10000", "--k", "3", "--trials", "1",
+                "--out", str(tmp_path / "report.json")]
+        assert _grown_rss(argv) < cli.dense_bytes(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv,builder",

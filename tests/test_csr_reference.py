@@ -50,7 +50,7 @@ def edge_sets(draw):
     )
     keys = [min(a, b) * m + max(a, b) for a, b in pairs if a != b]
     pts = np.random.default_rng(m).uniform(-1.0, 1.0, size=(m, 2))
-    return TwoNrqState(TorusSpace(2, pts), keys), keys
+    return TwoNrqState(TorusSpace(pts), keys), keys
 
 
 @settings(max_examples=200, deadline=None)

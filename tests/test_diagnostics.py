@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nndlab import diagnostics
 from nndlab.descent import FriendState, random_kout
@@ -32,6 +34,20 @@ class TestUndirectedDiameter:
     def test_disconnected(self):
         F = np.array([[1], [0], [3], [2]])
         assert undirected_diameter(F) == "disconnected"
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bitset_bfs_matches_the_largest_eccentricity(self, data):
+        # blocks of 64 rows and a partial last word: n crosses 64 and 128;
+        # K = 1 graphs are often disconnected
+        n = data.draw(st.integers(2, 150), label="n")
+        k = data.draw(st.integers(1, 3), label="k")
+        F = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                                        min_size=n, max_size=n), label="F"))
+        indptr, nbrs = diagnostics.undirected_adjacency(F)
+        eccentricities = [diagnostics._bfs_eccentricity(indptr, nbrs, v, n)[0] for v in range(n)]
+        want = "disconnected" if None in eccentricities else max(eccentricities)
+        assert undirected_diameter(F) == want
 
     def test_interval_mode_brackets_exact(self, monkeypatch):
         F = random_kout(200, 3, 9)

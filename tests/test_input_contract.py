@@ -100,7 +100,7 @@ SITES = {
     "pointwise_pass-schedule": ("pointwise_pass", np.arange(N)[::-1], N,
                                 lambda s: pointwise_pass(FriendState(KOUT), s, ORACLE)),
     "TwoNrqState": ("TwoNrqState", np.array([1, 2 * N + 3, 4 * N + 5]), N * N,
-                    lambda keys: TwoNrqState(TorusSpace(2, POINTS), keys)),
+                    lambda keys: TwoNrqState(TorusSpace(POINTS), keys)),
     "ball_scan": ("ball_scan", np.array([0, 3, 5]), N,
                   lambda centres: list(ball_scan(POINTS, centres, 0.3))),
     "LinearOrder": ("LinearOrder", np.array([(0, 1), (1, 2), (0, 2)]), 3,
@@ -215,12 +215,12 @@ def test_bad_ids_raise_input_error_before_any_charge(site, data):
         lambda: FriendState([[1.7], [0.2]]),
         lambda: FriendState([[1], [5], [0]]),
         lambda: pointwise_pass(FriendState([[1], [2], [0]]), [0.0, 1.0, 2.0], ORACLE),
-        lambda: TwoNrqState(TorusSpace(2, POINTS), [1.5]),
+        lambda: TwoNrqState(TorusSpace(POINTS), [1.5]),
         lambda: LinearOrder.from_perm(3, [0.5, 1.2, 2.9]),
         lambda: undirected_diameter(np.array([[1], [7], [0]])),
         lambda: undirected_diameter(np.array([1, 2, 0])),
         lambda: expansion_check(np.array([[1], [7], [0]]), 0.5, 1.0, 3, 0),
-        lambda: TwoNrqState(TorusSpace(2, np.zeros((6, 2))), np.array([[1, 15], [29, 2]])),
+        lambda: TwoNrqState(TorusSpace(np.zeros((6, 2))), np.array([[1, 15], [29, 2]])),
         lambda: list(ball_scan(POINTS, np.array([[0], [3]]), 0.3)),
     ],
     ids=["RankTable-floats", "KnnGraph-past-int32", "FriendState-floats", "FriendState-n",
@@ -302,8 +302,8 @@ NUMERIC = {
     "init_e0": ("init_e0", lambda **a: init_e0(TORUS, **a), {"K": 12, "seed": 0},
                 {"K": REAL, "seed": SEED}),
     "range_query_round": ("range_query_round", lambda **a: range_query_round(E0, **a),
-                          {"r_t": 0.5, "r_prev": 1.0, "g_value": 1.0, "seed": 0},
-                          {"r_t": REAL, "r_prev": REAL, "g_value": REAL, "seed": SEED}),
+                          {"r_t": 0.5, "r_prev": 1.0, "seed": 0},
+                          {"r_t": REAL, "r_prev": REAL, "seed": SEED}),
     "solve_next_radius": ("solve_next_radius", lambda **a: solve_next_radius(PARAMS, **a),
                           {"r_prev": 1.0}, {"r_prev": REAL}),
     "verify_sampling_property": ("verify_sampling_property",
@@ -435,19 +435,28 @@ def test_counts_once_cast_or_unchecked_are_refused(call):
                                RankingOracle(random_ranking_table(20, 0))),
         lambda: batch_round(FriendState(random_kout(10, 3, 0)),
                             RankingOracle(random_ranking_table(5, 0))),
+        lambda: TwoNrqState(TorusSpace(np.zeros(5)), [1]),
+        lambda: TorusSpace(np.zeros((5, 0))),
+        lambda: TorusSpace(np.array([[0.5, math.nan], [0.0, 0.0]])),
+        lambda: list(ball_scan(np.zeros(5), np.array([0]), 0.3)),
     ],
     ids=["derive_params-n-past-float", "paris_space-nan-eta", "paris_space-inf-eta",
          "LinearOrder-n-past-int64-pair-index", "paris_space-eta-past-float",
          "paris_space-string-etas", "paris_space-none-eta", "torus_poisson-n-past-poisson",
          "run_2nrq-n-past-poisson", "batch_round-bigger-oracle",
-         "pointwise_pass-bigger-oracle", "batch_round-smaller-oracle"],
+         "pointwise_pass-bigger-oracle", "batch_round-smaller-oracle",
+         "TorusSpace-1-D-points", "TorusSpace-no-column", "TorusSpace-nan-point",
+         "ball_scan-1-D-points"],
 )
 def test_values_outside_the_exports_fuzz_are_refused(call):
     # an OverflowError from float(n), a space that only its rank table refused, an
     # OverflowError from pair_index's int64 arithmetic, an OverflowError, a ValueError
     # and a TypeError from float(eta), numpy's "lam value too large" from a
     # Poisson mean past 9.2e18, two steps that ranked a state's points by the rows
-    # of a bigger table, and one that refused them as candidate ids of a smaller one
+    # of a bigger table, one that refused them as candidate ids of a smaller one,
+    # torus spaces whose d was set apart from their points (a state over a 1-D
+    # array, no coordinates, a NaN coordinate), and a raw "not enough values to
+    # unpack" from 1-D points
     with pytest.raises(InputError):
         call()
 

@@ -246,7 +246,7 @@ class TestSchedule:
 
 class TestTwoNrqState:
     # three points: the edges 0-1, 0-2 and 1-2 have the keys lo*3 + hi = 1, 2 and 5
-    SPACE = TorusSpace(2, np.zeros((3, 2)))
+    SPACE = TorusSpace(np.zeros((3, 2)))
 
     def test_repeated_keys_collapse(self):
         state = TwoNrqState(self.SPACE, [5, 1, 5, 2, 1, 1])
@@ -329,7 +329,7 @@ class TestBallScanInput:
 def _three_point_state(r_gap):
     pts = np.array([[0.0, 0.0], [r_gap / 2, 0.0], [-r_gap / 2, 0.0]])
     pts.setflags(write=False)
-    space = TorusSpace(2, pts)
+    space = TorusSpace(pts)
     return space, TwoNrqState(space, [1, 2])  # keys lo*3 + hi of the edges 0-1 and 0-2
 
 
@@ -338,21 +338,21 @@ class TestRangeQueryRound:
         space = torus_poisson(100, 2, seed=8)
         m = space.n
         state = TwoNrqState(space, [0 * m + 1, 2 * m + 3, 4 * m + 5])
-        after, evals = range_query_round(state, 0.3, 1.0, 1.0, seed=0)
+        after, evals = range_query_round(state, 0.3, 1.0, seed=0)
         assert after.edge_count == 0
         assert evals == 0
 
     def test_out_of_range_pair_never_joined(self):
         space, state = _three_point_state(0.6)
         for seed in range(20):
-            after, evals = range_query_round(state, 0.5, 1.0, 1.0, seed=seed)
+            after, evals = range_query_round(state, 0.5, 1.0, seed=seed)
             assert after.edge_count == 0
             assert evals == 1
 
     def test_in_range_pair_eventually_joined(self):
         space, state = _three_point_state(0.3)
         joined = sum(
-            range_query_round(state, 0.5, 1.0, 1.0, seed=s)[0].edge_count for s in range(60)
+            range_query_round(state, 0.5, 1.0, seed=s)[0].edge_count for s in range(60)
         )
         assert joined > 0
 
@@ -374,7 +374,7 @@ class TestRangeQueryRound:
             build(self, space, keys, **kwargs)
 
         with mock.patch.object(TwoNrqState, "__init__", spy):
-            range_query_round(state, r1, 1.0, g, seed=12)
+            range_query_round(state, r1, 1.0, seed=12)
         keys, hits = np.unique(raw[0], return_counts=True)
         counts = dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), hits.tolist()))
         mu = m * (12 / m) ** 2 * g / 4
@@ -403,7 +403,7 @@ class TestRangeQueryRound:
         space = torus_poisson(50, 2, seed=0)
         state = TwoNrqState(space, [1])
         with pytest.raises(InputError):
-            range_query_round(state, 0.9, 0.5, 1.0, seed=0)
+            range_query_round(state, 0.9, 0.5, seed=0)
 
 
 class TestSamplingProperty:
@@ -521,13 +521,12 @@ _SMALL = torus_poisson(200, 2, seed=0)
         lambda: solve_next_radius(derive_params(**DESK), math.nan),
         lambda: init_e0(_SMALL, math.nan, 0),
         lambda: init_e0(_SMALL, -1, 0),
-        lambda: range_query_round(init_e0(_SMALL, 12, 1), 0.5, 1.0, math.nan, 0),
         lambda: ideal_state(_SMALL, 0.5, math.nan, 0),
         lambda: verify_sampling_property(init_e0(_SMALL, 12, 1), 0.5, 0.1, 2.5),
         lambda: torus_poisson(math.nan, 2, 0),
         lambda: torus_poisson(math.inf, 2, 0),
     ],
-    ids=["g-nan-s", "g-nan-r", "radius-nan", "e0-nan-k", "e0-negative-k", "round-nan-g",
+    ids=["g-nan-s", "g-nan-r", "radius-nan", "e0-nan-k", "e0-negative-k",
          "ideal-nan-theta", "verify-float-sample", "poisson-nan-n", "poisson-inf-n"],
 )
 def test_bad_numeric_arguments_raise_input_error(call):
@@ -575,7 +574,8 @@ def test_init_and_first_round_memory_is_bounded(monkeypatch):
 def test_state_holds_one_csr():
     # a state that kept an (E, 2) pair list beside its CSR held 33 bytes per
     # edge, and building the CSR from 2E concatenated entries peaked at 82;
-    # placing the upper and lower halves through a row mask peaked at 34
+    # placing the upper and lower halves through a row mask peaked at 34, and
+    # int64 neighbours held 16 per edge and peaked at 26
     space = torus_poisson(2e4, 2, seed=23)
     m = space.n
     a, b = np.random.default_rng(24).integers(0, m, size=(2, 100_000))
@@ -589,8 +589,8 @@ def test_state_holds_one_csr():
         tracemalloc.stop()
     edges = state.edge_count
     assert edges > 99_000
-    assert held <= 16 * edges + 8 * (m + 1) + 4096
-    assert peak <= 30 * edges
+    assert held <= 8 * edges + 8 * (m + 1) + 4096
+    assert peak <= 22 * edges
 
 
 def test_round_memory_is_bounded_by_its_chunk():
@@ -601,7 +601,7 @@ def test_round_memory_is_bounded_by_its_chunk():
     base = 41 * np.arange(space.n // 41)[:, None]
     state = TwoNrqState(space, (base + I).ravel() * space.n + (base + J).ravel())
     state.adjacency()
-    (_, evals), peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 1.0, 0)
+    (_, evals), peak = _peak_above_start(range_query_round, state, 0.05, 1.0, 0)
     assert evals == base.size * 41 * math.comb(40, 2)
     assert peak <= 8
 

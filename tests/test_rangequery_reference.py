@@ -197,7 +197,7 @@ def _verify_cases(draw):
     on_wall = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3]))
     points[on_wall] = -1.0 + 2.0 * rng.integers(0, g, size=on_wall.sum()) / g
     points.setflags(write=False)
-    space = TorusSpace(d, points)
+    space = TorusSpace(points)
     kind = draw(st.sampled_from(["arbitrary", "empty", "in-range plus far"]))
     if kind == "arbitrary":
         edges = rng.integers(0, m, size=(draw(st.integers(1, 6 * m)), 2))
@@ -285,12 +285,19 @@ def test_verify_rejects_degenerate_arguments(size, r, message):
 def test_acceptance_above_one_is_a_package_error():
     pts = np.array([[0.0, 0.0], [0.15, 0.0], [-0.15, 0.0]])
     pts.setflags(write=False)
-    space = TorusSpace(2, pts)
+    space = TorusSpace(pts)
     state = TwoNrqState(space, [1, 2])  # keys lo*3 + hi of the edges 0-1 and 0-2
     # the overlap volume never exceeds 2^d, so g = 2^d + 1 forces a rate above 1
     with pytest.raises(NndlabError, match="exceeds 1"):
-        range_query_round(state, 0.5, 1.0, 2 ** 2 + 1, seed=0)
-    assert range_query_round(state, 0.5, 1.0, 0.5, seed=0)[1] == 1
+        _round_with_g(state, 0.5, 1.0, 2 ** 2 + 1, 0)
+    assert range_query_round(state, 0.5, 1.0, seed=0)[1] == 1
+
+
+def _round_with_g(state, r_t, r_prev, g, seed):
+    """``range_query_round(state, r_t, r_prev, seed)`` with its overlap bound g
+    forced, as the reference takes it."""
+    with mock.patch.object(rangequery, "g_min_overlap", lambda s, r, d: g):
+        return range_query_round(state, r_t, r_prev, seed)
 
 
 @st.composite
@@ -303,7 +310,7 @@ def _round_cases(draw):
     on_grid = rng.random((m, d)) < draw(st.sampled_from([0.0, 0.3]))
     points[on_grid] = rng.choice([-1.0, -0.5, 0.0, 0.5], size=on_grid.sum())
     points.setflags(write=False)
-    space = TorusSpace(d, points)
+    space = TorusSpace(points)
     kind = draw(st.sampled_from(["arbitrary"] * 3 + ["empty", "matching"]))
     if kind == "arbitrary":
         edges = rng.integers(0, m, size=(draw(st.integers(1, 6 * m)), 2))
@@ -325,7 +332,7 @@ def _round_cases(draw):
 
 
 def _counted_round(*args):
-    """``range_query_round(*args)`` and its accepted proposals per vertex pair,
+    """``_round_with_g(*args)`` and its accepted proposals per vertex pair,
     counted from the raw keys lo*m + hi that its first ``unique_sorted`` call
     dedupes before the new ``TwoNrqState`` is built."""
     raw = []
@@ -336,7 +343,7 @@ def _counted_round(*args):
         return dedupe(keys)
 
     with mock.patch.object(rangequery, "unique_sorted", spy):
-        new, evals = range_query_round(*args)
+        new, evals = _round_with_g(*args)
     keys, counts = np.unique(raw[0], return_counts=True)
     m = new.space.n
     return (new, evals), dict(zip(zip((keys // m).tolist(), (keys % m).tolist()), counts.tolist()))
@@ -364,7 +371,7 @@ def test_range_query_round_matches_reference(case):
     assert pairs(new).tobytes() == pairs(want_new).tobytes()
     assert evals == want_evals
     assert counts == want_counts
-    plain, plain_evals = range_query_round(state, r_t, r_prev, g, seed)
+    plain, plain_evals = _round_with_g(state, r_t, r_prev, g, seed)
     assert pairs(plain).tobytes() == pairs(new).tobytes()
     assert plain_evals == evals
 
@@ -396,7 +403,7 @@ def test_range_query_round_matches_reference_at_scale(d, n, k):
     state = init_e0(space, k, seed=d + 1)
     for t in range(1, min(4, len(radii))):
         g = rangequery.g_min_overlap(radii[t], radii[t - 1], d)
-        got, evals = range_query_round(state, radii[t], radii[t - 1], g, seed=t)
+        got, evals = range_query_round(state, radii[t], radii[t - 1], seed=t)
         state, want_evals = ref.range_query_round(state, radii[t], radii[t - 1], g, seed=t)
         assert pairs(got).tobytes() == pairs(state).tobytes()
         assert evals == want_evals
