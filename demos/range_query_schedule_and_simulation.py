@@ -10,10 +10,10 @@ idealized per-round analysis deliberately ignores.  Feeding each round an
 exact rate-theta sample (the conditioned diagnostic) removes the drift.
 """
 
-from nndlab.rangequery import compute_schedule, derive_params, run_2nrq
+from nndlab.rangequery import TwoNrqParams, compute_schedule, run_2nrq
 
 print("=== Reference schedule: n = 10^7, K = 28, d = 4, alpha = 0.5 ===")
-params = derive_params(1e7, 28, 4, 0.5)
+params = TwoNrqParams(1e7, 28, 4, 0.5)
 print(f"beta = {params.beta:.4f}  gamma = {params.gamma:.4f}  "
       f"gamma* = {params.gamma_star:.4f}  alpha gamma^d = {0.5 * params.gamma ** 4:.4f}")
 schedule = compute_schedule(params)

@@ -10,11 +10,11 @@ import numpy as np
 
 from nndlab.ranking import exact_knn
 from nndlab.spaces import (
+    PowersOfTwoSpace,
     circle_sample,
     lcs_qk,
     lcs_sample,
     paris_space,
-    powers_of_two_space,
     rank_table,
 )
 
@@ -35,7 +35,7 @@ print("each point's nearest neighbor:", [int(ct.order[x][0]) for x in range(circ
 
 print()
 print("=== Powers of two ===")
-p2 = powers_of_two_space(6)
+p2 = PowersOfTwoSpace(6)
 pt = rank_table(p2)
 print("values:", p2.values)
 print("the two nearest neighbors of 32 are", [p2.values[i] for i in pt.order[5][:2]])

@@ -65,7 +65,6 @@ from .rangequery import (
     TwoNrqParams,
     TwoNrqState,
     compute_schedule,
-    derive_params,
     g_min_overlap,
     init_e0,
     range_query_round,

@@ -138,7 +138,7 @@ def _csv_doc(config, body):
 
 
 def golden_schedule_checksum():
-    params = rangequery.derive_params(1e7, 28, 4, 0.5)
+    params = rangequery.TwoNrqParams(1e7, 28, 4, 0.5)
     text = rangequery.schedule_csv(rangequery.compute_schedule(params))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -151,7 +151,7 @@ def _build_space_table(args):
     space = {
         "paris": lambda: spaces.paris_space(range(1, args.n + 1)),
         "circle": lambda: spaces.circle_sample(args.n, args.seed),
-        "powers2": lambda: spaces.powers_of_two_space(args.n),
+        "powers2": lambda: spaces.PowersOfTwoSpace(args.n),
         "lcs": lambda: spaces.lcs_sample(args.n, args.lcs_m, seed=args.seed),
     }[args.space]()
     return spaces.rank_table(space)
@@ -176,7 +176,7 @@ def cmd_nnd(args):
 
 
 def cmd_2nrq_schedule(args):
-    params = rangequery.derive_params(args.n, args.k, args.d, args.alpha)
+    params = rangequery.TwoNrqParams(args.n, args.k, args.d, args.alpha)
     schedule = rangequery.compute_schedule(params)
     if args.format == "csv":
         return _csv_doc(_config(args), rangequery.schedule_csv(schedule))
@@ -325,7 +325,7 @@ def _refuse_unaffordable(args):
     """Refuse a run above the rank-table cap, the LCS cell limit or the memory
     budget, before anything is built."""
     if args.func is cmd_nnd or args.func is cmd_crs_embed and args.example is None:
-        check_table_size(args.n)  # the spaces build n x n arrays before RankTable checks
+        check_table_size(args.n)  # before the memory estimate: past the cap is exit 3, not 4
     if args.func is cmd_nnd and args.space == "lcs":
         cells = args.n ** 2 * args.lcs_m * (args.lcs_m + 1)
         if cells > LCS_CELL_LIMIT:

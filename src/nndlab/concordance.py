@@ -22,7 +22,7 @@ from math import comb, factorial, inf, prod
 import numpy as np
 
 from .errors import InputError, NotConcordantError, ResourceLimitError
-from .ranking import RankTable, checked_count, checked_ids, seeded
+from .ranking import RankTable, check_table_size, checked_count, checked_ids, seeded
 
 __all__ = [
     "n_pairs",
@@ -226,6 +226,8 @@ class Crs:
     """
 
     def __init__(self, table):
+        if not isinstance(table, RankTable):
+            raise InputError(f"a certificate takes a RankTable, got {type(table).__name__}")
         self.table = table
 
     @functools.cached_property
@@ -305,6 +307,7 @@ def phi(order):
     Concordant by construction: the input order itself extends every
     per-item restriction.
     """
+    check_table_size(order.n)
     return Crs(RankTable(_phi_orders(order.perm[None], order.n)[0]))
 
 
@@ -318,6 +321,7 @@ def concordancy_check(table):
 def generic_crs(n, seed):
     """phi of a uniformly random linear order on the pairs of [n]."""
     n = checked_count(n, 2, "need at least two items")
+    check_table_size(n)
     perm = seeded(seed).permutation(n_pairs(n))
     return Crs(RankTable(_phi_orders(perm[None], n)[0]))
 
@@ -325,12 +329,13 @@ def generic_crs(n, seed):
 # ---------------------------------------------------------------------------
 # Sup-norm realisation of a concordant system
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """n x N coordinates; column k is supported on the two rows of its pair.
 
     Column k (0-based) carries +/-(1 + (k+1)/N) at the rows of
-    ``column_pairs[k]``, positive at the smaller item id.
+    ``column_pairs[k]``, positive at the smaller item id.  Matrices compare
+    and hash by identity.
     """
 
     coords: np.ndarray

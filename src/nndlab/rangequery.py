@@ -21,7 +21,6 @@ from .spaces import torus_poisson, wrapped_distance
 
 __all__ = [
     "TwoNrqParams",
-    "derive_params",
     "g_min_overlap",
     "solve_next_radius",
     "Schedule",
@@ -55,8 +54,9 @@ _KS_CAP = 200
 
 @dataclass(frozen=True)
 class TwoNrqParams:
-    """Scaling constants for a run: the free values (n, K, d, alpha), which
-    ``derive_params`` checks, and the envelopes derived from them.
+    """Scaling constants for a run: the free values (n, K, d, alpha), checked when
+    built (a finite float n >= 1, ints K > 2^d and d >= 1, alpha in (0, 1) and beta
+    in (1, K/2^d), else ``InputError``), and the envelopes derived from them.
 
     ``gamma < r_t/r_{t-1} <= gamma_star`` once the explicit-formula phase
     (of length at most ``t_prime_bound``) ends; ``alpha`` caps the success
@@ -67,6 +67,28 @@ class TwoNrqParams:
     K: int
     d: int
     alpha: float
+
+    def __post_init__(self):
+        try:
+            n = float(self.n)
+        except OverflowError:  # an integer past the float range
+            n = math.inf
+        if not 1 <= n < math.inf:
+            raise InputError("need d >= 1 and a finite n >= 1")
+        d = checked_count(self.d, 1, "need d >= 1 and a finite n >= 1")
+        bad = f"K must exceed 2^d: got K={self.K} and d={d} (dimension too high for K)"
+        K = checked_count(self.K, 1, bad)
+        # K <= 2^d, without building 2^d, whose digits pass str()'s limit at large d
+        if (K - 1).bit_length() <= d:
+            raise InputError(bad)
+        if not 0.0 < self.alpha < 1.0:
+            raise InputError("alpha must lie in (0, 1)")
+        for name, value in (("n", n), ("K", K), ("d", d)):
+            object.__setattr__(self, name, value)
+        beta = self.beta
+        if not 1.0 < beta < K / 2 ** d:
+            advice = "raise alpha" if beta <= 1.0 else "lower alpha"
+            raise InputError(f"beta={beta:.6f} must lie in (1, K/2^d)={K / 2 ** d:.6f}; {advice}")
 
     @property
     def beta(self):
@@ -84,30 +106,6 @@ class TwoNrqParams:
     def t_prime_bound(self):
         log2_kb = math.log2(self.K / self.beta)
         return math.log2(log2_kb / (log2_kb - self.d))
-
-
-def derive_params(n, K, d, alpha):
-    """The checked ``TwoNrqParams`` of (n, K, d, alpha)."""
-    try:
-        n = float(n)
-    except OverflowError:  # an integer past the float range
-        n = math.inf
-    if not 1 <= n < math.inf:
-        raise InputError("need d >= 1 and a finite n >= 1")
-    d = checked_count(d, 1, "need d >= 1 and a finite n >= 1")
-    bad = f"K must exceed 2^d: got K={K} and d={d} (dimension too high for K)"
-    K = checked_count(K, 1, bad)
-    # K <= 2^d, without building 2^d, whose digits pass str()'s limit at large d
-    if (K - 1).bit_length() <= d:
-        raise InputError(bad)
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must lie in (0, 1)")
-    params = TwoNrqParams(n, K, d, alpha)
-    beta = params.beta
-    if not 1.0 < beta < K / 2 ** d:
-        advice = "raise alpha" if beta <= 1.0 else "lower alpha"
-        raise InputError(f"beta={beta:.6f} must lie in (1, K/2^d)={K / 2 ** d:.6f}; {advice}")
-    return params
 
 
 def g_min_overlap(s, r, d):
@@ -239,19 +237,19 @@ def schedule_csv(schedule):
     return "\n".join(lines) + "\n"
 
 
-def _log_rounds(params, n):
+def _log_rounds(p):
     """log(n alpha / K) / (d log(1/gamma_star)), the rounds past the explicit steps."""
-    return math.log(n * params.alpha / params.K) / (params.d * math.log(1.0 / params.gamma_star))
+    return math.log(p.n * p.alpha / p.K) / (p.d * math.log(1.0 / p.gamma_star))
 
 
-def tau_bound(params, n):
-    """Round-count bound t' bound + log(n alpha / K) / (d log(1/gamma_star))."""
-    return params.t_prime_bound + _log_rounds(params, n)
+def tau_bound(params):
+    """Round-count bound t' bound + log(n alpha / K) / (d log(1/gamma_star)) at params' n."""
+    return params.t_prime_bound + _log_rounds(params)
 
 
-def work_bound(params, t_prime, n):
-    """Distance-evaluation scale n K^2 (t' + log(n alpha/K)/(d log(1/gamma_star)))."""
-    return n * params.K ** 2 * (t_prime + _log_rounds(params, n))
+def work_bound(params, t_prime):
+    """Distance-evaluation scale n K^2 (t' + log(n alpha/K)/(d log(1/gamma_star))) at params' n."""
+    return params.n * params.K ** 2 * (t_prime + _log_rounds(params))
 
 
 # ---------------------------------------------------------------------------
@@ -825,8 +823,9 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    # (K, d, alpha) and the seed are checked before the n x d points are drawn
-    derive_params(n_mean, K, d, alpha)
+    # (K, d, alpha) and the seed are checked before the n x d points are drawn; the
+    # bounds are taken at n_mean, the schedule at the realized count
+    nominal = TwoNrqParams(n_mean, K, d, alpha)
     root = seeded(seed).bit_generator.seed_seq  # np.random.SeedSequence(seed)
     space_seed, e0_seed, round_seed, verify_seed, ideal_seed = (
         int(s) for s in root.generate_state(5)
@@ -838,7 +837,7 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
             f"the realized point count {m} (a Poisson sample of mean n={n_mean:g}) is below 2: "
             "raise n or change the seed"
         )
-    params = derive_params(float(m), K, d, alpha)
+    params = TwoNrqParams(m, K, d, alpha)
     schedule = compute_schedule(params)
     per_round = []
 
@@ -905,8 +904,8 @@ def run_2nrq(n_mean, K, d, alpha, seed, sample_size=500, idealized_inputs=False)
         "radii": list(schedule.radii),
         "rates": list(schedule.rates),
         "distance_evals": sum(r["distance_evals"] for r in per_round),
-        "tau_bound": tau_bound(params, n=float(n_mean)),
-        "work_bound": work_bound(params, schedule.t_prime, n=float(n_mean)),
+        "tau_bound": tau_bound(nominal),
+        "work_bound": work_bound(nominal, schedule.t_prime),
         "per_round": per_round,
         "sampling_reports": [{"t": t, **r.to_json_dict()} for t, r in enumerate(reports)],
     }

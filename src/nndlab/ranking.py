@@ -187,6 +187,8 @@ class RankingOracle:
     """
 
     def __init__(self, table):
+        if not isinstance(table, RankTable):
+            raise InputError(f"an oracle takes a RankTable, got {type(table).__name__}")
         self.table = table
         self._comparisons = 0
         self._lock = threading.Lock()

@@ -17,7 +17,8 @@ import numpy as np
 
 from .descent import random_kout
 from .errors import InputError
-from .ranking import RankTable, checked_count, ranking_from_distance_matrix, seeded
+from .ranking import (RankTable, check_table_size, checked_count, ranking_from_distance_matrix,
+                      seeded)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +86,16 @@ def circle_sample(n, seed):
 
 @dataclass(frozen=True)
 class PowersOfTwoSpace:
-    """The first n nonnegative powers of 2 with |.| distance."""
+    """The first n nonnegative powers of 2 with |.| distance; n in [2, 52], else InputError."""
 
     n: int
+
+    def __post_init__(self):
+        n = checked_count(self.n, 2, "need at least two points", high=math.inf)
+        if n > 52:
+            # beyond 2**52 the float distances lose exactness
+            raise InputError("powers-of-two space is capped at n = 52")
+        object.__setattr__(self, "n", n)
 
     @property
     def values(self):
@@ -97,13 +105,6 @@ class PowersOfTwoSpace:
         """|v_a - v_b|."""
         v = np.array(self.values, dtype=np.float64)
         return np.abs(v[a] - v[b])
-
-
-def powers_of_two_space(n):
-    if n > 52:
-        # beyond 2**52 the float distances lose exactness
-        raise InputError("powers-of-two space is capped at n = 52")
-    return PowersOfTwoSpace(checked_count(n, 2, "need at least two points"))
 
 
 # ---------------------------------------------------------------------------
@@ -116,11 +117,18 @@ _LCS_CELLS = 1 << 20
 
 @dataclass(frozen=True)
 class LcsSpace:
-    """Length-m strings over ``alphabet`` ranked by longest common substring."""
+    """Length-m strings over ``alphabet`` ranked by longest common substring.
+
+    Every string must be m characters of the alphabet, else ``InputError``.
+    """
 
     m: int
     alphabet: str
     strings: tuple
+
+    def __post_init__(self):
+        if any(len(s) != self.m or not set(s) <= set(self.alphabet) for s in self.strings):
+            raise InputError(f"every string must be {self.m} characters of {self.alphabet!r}")
 
     @property
     def n(self):
@@ -129,8 +137,6 @@ class LcsSpace:
     @functools.cached_property
     def _codes(self):
         """The strings as an (n, m) matrix of alphabet indices."""
-        if any(len(s) != self.m or not set(s) <= set(self.alphabet) for s in self.strings):
-            raise InputError(f"every string must be {self.m} characters of {self.alphabet!r}")
         return np.array([[self.alphabet.index(c) for c in s] for s in self.strings], dtype=np.uint8)
 
     def distance(self, a, b):
@@ -196,14 +202,14 @@ def lcs_qk(m, n, K, p):
 # ---------------------------------------------------------------------------
 # Flat torus with the sup-norm metric
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TorusSpace:
     """Points on the d-torus [-1, 1)^d under the wrapped sup-norm.
 
     ``points`` is a finite (n, d) array with d >= 1, else ``InputError``;
     n and d are read off its shape.  Total volume is 2**d; a ball of radius
     r < 1 has volume (2r)**d, so the volume-ratio function is h(r) = r**d
-    and the diameter is 1.
+    and the diameter is 1.  Spaces compare and hash by identity.
     """
 
     points: np.ndarray
@@ -267,6 +273,7 @@ def wrapped_distance(u, v):
 def random_ranking_table(n, seed):
     """Each item's ranking an independent uniform permutation of the rest."""
     n = checked_count(n, 2, "need at least two items")
+    check_table_size(n)
     return RankTable(random_kout(n, n - 1, seed))
 
 
@@ -278,5 +285,6 @@ def rank_table(space):
     over every pair of items."""
     if not hasattr(space, "distance"):
         raise InputError(f"no rank table builder for {type(space).__name__}")
+    check_table_size(space.n)
     ids = np.arange(space.n)
     return ranking_from_distance_matrix(space.distance(ids[:, None], ids[None, :]))

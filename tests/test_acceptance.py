@@ -56,7 +56,7 @@ from nndlab.concordance import (
 from nndlab.descent import random_kout, run_nnd
 from nndlab.diagnostics import diameter_experiment, expansion_check
 from nndlab.ranking import RankingOracle, exact_knn, recall
-from nndlab.rangequery import derive_params, run_2nrq
+from nndlab.rangequery import TwoNrqParams, run_2nrq
 from nndlab.spaces import lcs_qk, lcs_sample, paris_space, rank_table
 
 from test_rangequery import _update_residual
@@ -104,7 +104,7 @@ def test_criterion_01_schedule_golden_table(tmp_path):
     for t, expected in enumerate(stated_theta, start=4):
         if abs(thetas[t] - expected) > 3e-4:
             problems.append(f"theta_{t}={thetas[t]:.5f} vs stated {expected}+-0.0003")
-    p = derive_params(1e7, 28, 4, 0.5)
+    p = TwoNrqParams(1e7, 28, 4, 0.5)
     for t, (r, theta) in enumerate(zip(radii, thetas)):
         if abs(theta * p.n * r ** p.d / p.K - 1) > 1e-9:
             problems.append(f"row {t} breaks theta = K/(n r^d)")
@@ -126,7 +126,7 @@ def test_criterion_01_schedule_golden_table(tmp_path):
 
 
 def test_criterion_02_parameter_table():
-    p = derive_params(1e7, 28, 4, 0.5)
+    p = TwoNrqParams(1e7, 28, 4, 0.5)
     problems = []
     if abs(p.beta - 1.386) > 1e-3:
         problems.append(f"beta={p.beta:.4f}")

@@ -243,7 +243,7 @@ class TestNnd:
         def refuse(*args, **kwargs):
             raise AssertionError("a space was built before the table cap was checked")
 
-        for name in ("paris_space", "circle_sample", "powers_of_two_space", "lcs_sample",
+        for name in ("paris_space", "circle_sample", "PowersOfTwoSpace", "lcs_sample",
                      "random_ranking_table", "rank_table"):
             monkeypatch.setattr(spaces, name, refuse)
         monkeypatch.setattr(concordance, "generic_crs", refuse)
@@ -698,6 +698,10 @@ class TestOutputDiscipline:
         assert run(["--version"]) == 0
         out = capsys.readouterr().out
         assert re.search(r"nndlab \d+\.\d+\.\d+ \(golden schedule sha256/12: [0-9a-f]{12}\)", out)
+
+    def test_golden_schedule_checksum_is_pinned(self):
+        # the 12 hex digits --version prints: the CSV schedule at (1e7, 28, 4, 0.5)
+        assert cli.golden_schedule_checksum() == "a913bd1ad26b"
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nndlab import concordance
+from nndlab import concordance, ranking
 from nndlab.concordance import (
     LinearOrder,
     all_pairs,
@@ -30,7 +30,7 @@ from nndlab.concordance import (
 )
 from nndlab.errors import InputError, NotConcordantError, ResourceLimitError
 from nndlab.ranking import RankTable
-from nndlab.spaces import powers_of_two_space, random_ranking_table, rank_table
+from nndlab.spaces import PowersOfTwoSpace, paris_space, random_ranking_table, rank_table
 
 
 def peak_bytes(fn, *args, **kwargs):
@@ -82,7 +82,7 @@ class TestPhi:
 
     def test_powers_order_matches_distance_ranking(self):
         image = phi(powers_of_two_order(6))
-        assert image.table == rank_table(powers_of_two_space(6))
+        assert image.table == rank_table(PowersOfTwoSpace(6))
 
     def test_restriction_soundness(self):
         # the order restricted to pairs at x reproduces x's ranking
@@ -277,6 +277,40 @@ class TestEmbedding:
             assert 1.0 < mag <= 2.0
             magnitudes.append(mag)
         assert (np.diff(magnitudes) > 0).all()
+
+    def test_equality_and_hash_are_identity(self):
+        # with an ndarray field, dataclass equality raised "truth value ... is ambiguous"
+        a, b = (linf_embed(generic_crs(6, seed=0), seed=0) for _ in range(2))
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
+def _producer_call(name, n):
+    """A call of the rank-table producer ``name`` at n items, its input built here."""
+    if name == "rank_table":
+        space = paris_space(range(1, n + 1))
+        return lambda: rank_table(space)
+    if name == "phi":
+        order = LinearOrder.from_perm(n, np.arange(n_pairs(n)))
+        return lambda: phi(order)
+    producer = {"random_ranking_table": random_ranking_table, "generic_crs": generic_crs}[name]
+    return lambda: producer(n, 0)
+
+
+@pytest.mark.parametrize("name", ["rank_table", "random_ranking_table", "generic_crs", "phi"])
+def test_table_producers_check_the_cap_before_building(name, monkeypatch):
+    # with the cap at 100, n=3000 once traced 172-215 MiB before the refusal; one
+    # item past the real cap, a paris distance matrix alone would be 8.6 GB
+    call = _producer_call(name, 3000)
+    monkeypatch.setattr(ranking, "MAX_TABLE_ITEMS", 100)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="rank-table cap"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def white_swaps(order):

@@ -111,6 +111,30 @@ def test_counts_and_seeds_are_read_only_through_ranking():
     assert stray == [], "seed or cast a count through ranking.seeded or ranking.checked_count"
 
 
+def test_dataclasses_holding_arrays_compare_by_identity():
+    # a generated __eq__ compares an ndarray field elementwise and raises "truth
+    # value ... is ambiguous", and a frozen one's __hash__ hashes the array and
+    # raises "unhashable type"; eq=False keeps object identity for both
+    holding, loose = [], []
+    for path in sorted(Path(PACKAGE.submodule_search_locations[0]).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d for d in node.decorator_list
+                          if ast.unparse(d.func if isinstance(d, ast.Call) else d) == "dataclass"]
+            if not decorators or not any(
+                isinstance(item, ast.AnnAssign) and ast.unparse(item.annotation) == "np.ndarray"
+                for item in node.body
+            ):
+                continue
+            holding.append(node.name)
+            keywords = [kw for d in decorators if isinstance(d, ast.Call) for kw in d.keywords]
+            if not any(kw.arg == "eq" and ast.unparse(kw.value) == "False" for kw in keywords):
+                loose.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert holding
+    assert loose == [], "dataclasses with an ndarray field that keep the generated __eq__"
+
+
 def _names(path):
     """The identifiers that the code in ``path`` names, as ``(attributes,
     names)``: every attribute ``obj.name``, and every ``Name`` and imported

@@ -29,16 +29,18 @@ from hypothesis import strategies as st
 
 import nndlab
 from nndlab import (
+    Crs,
     FriendState,
     KnnGraph,
     LinearOrder,
     RankingOracle,
     RankTable,
+    TwoNrqParams,
     TwoNrqState,
     baranyai_order,
     batch_round,
+    concordancy_check,
     default_budget,
-    derive_params,
     diameter_experiment,
     enumerate_small,
     eulerian_order,
@@ -65,12 +67,13 @@ from nndlab.errors import InputError, ResourceLimitError
 from nndlab.rangequery import ball_scan
 from nndlab.ranking import checked_count, checked_ids
 from nndlab.spaces import (
+    LcsSpace,
+    PowersOfTwoSpace,
     TorusSpace,
     circle_sample,
     lcs_qk,
     lcs_sample,
     paris_space,
-    powers_of_two_space,
     random_ranking_table,
     torus_poisson,
 )
@@ -147,9 +150,8 @@ EXEMPT = {
     "phi": "takes a LinearOrder",
     "white_edge_fraction": "takes counts and a seed",
     "Schedule": "a result record of compute_schedule",
-    "TwoNrqParams": "a parameter record of derive_params",
+    "TwoNrqParams": "takes n, K, d and alpha, no ids",
     "compute_schedule": "takes TwoNrqParams",
-    "derive_params": "takes n, K, d and alpha, no ids",
     "g_min_overlap": "takes distances and a dimension",
     "init_e0": "takes a space, a count K and a seed",
     "range_query_round": "takes a TwoNrqState, radii and a seed",
@@ -262,7 +264,7 @@ def test_every_export_is_drawn_or_exempt():
 
 TORUS = torus_poisson(200, 2, seed=0)
 E0 = init_e0(TORUS, 12, seed=1)
-PARAMS = derive_params(3000, 12, 2, 0.5)
+PARAMS = TwoNrqParams(3000, 12, 2, 0.5)
 SEED, REAL = "seed", "real"
 
 # name: (the export it draws, a call taking keyword arguments, valid ones,
@@ -295,8 +297,8 @@ NUMERIC = {
     "white_edge_fraction": ("white_edge_fraction", white_edge_fraction,
                             {"n": 5, "samples": 10, "seed": 0},
                             {"n": 3, "samples": 1, "seed": SEED}),
-    "derive_params": ("derive_params", derive_params, {"n": 3000, "K": 12, "d": 2, "alpha": 0.5},
-                      {"n": REAL, "K": 1, "d": 1, "alpha": REAL}),
+    "TwoNrqParams": ("TwoNrqParams", TwoNrqParams, {"n": 3000, "K": 12, "d": 2, "alpha": 0.5},
+                     {"n": REAL, "K": 1, "d": 1, "alpha": REAL}),
     "g_min_overlap": ("g_min_overlap", g_min_overlap, {"s": 0.3, "r": 0.4, "d": 2},
                       {"s": REAL, "r": REAL, "d": 1}),
     "init_e0": ("init_e0", lambda **a: init_e0(TORUS, **a), {"K": 12, "seed": 0},
@@ -341,7 +343,6 @@ NOT_NUMERIC = {
     "verify_embedding": "takes a Crs and an EmbeddingMatrix",
     "phi": "takes a LinearOrder",
     "Schedule": "a result record of compute_schedule",
-    "TwoNrqParams": "a parameter record that derive_params checks and fills",
     "compute_schedule": "takes TwoNrqParams",
     "DiameterReport": "a result record of diameter_experiment",
     "ExpansionReport": "a result record of expansion_check",
@@ -391,10 +392,10 @@ def test_every_numeric_export_is_drawn_or_named():
     [
         lambda: run_2nrq(3000, 12.7, 2, 0.5, 1),
         lambda: ORACLE.top_k(0, [1, 2, 3, 4], -1),
-        lambda: derive_params(1e4, 12, 2.9, 0.5),
+        lambda: TwoNrqParams(1e4, 12, 2.9, 0.5),
         lambda: run_nnd(ORACLE, N, 2, max_rounds=2.9),
         lambda: circle_sample(2.5, 0),
-        lambda: powers_of_two_space(5.9),
+        lambda: PowersOfTwoSpace(5.9),
         lambda: random_kout(30, 3, -1),
         lambda: generic_crs(8, 2.5),
         lambda: expansion_check(random_kout(30, 3, 0), 0.5, 1.0, 0, 0),
@@ -404,8 +405,8 @@ def test_every_numeric_export_is_drawn_or_named():
         lambda: torus_poisson(100, 2.5, 0),
         lambda: random_ranking_table(4.5, 0),
     ],
-    ids=["run_2nrq-K", "top_k-k", "derive_params-d", "run_nnd-max_rounds", "circle_sample-n",
-         "powers_of_two_space-n", "random_kout-seed", "generic_crs-seed",
+    ids=["run_2nrq-K", "top_k-k", "TwoNrqParams-d", "run_nnd-max_rounds", "circle_sample-n",
+         "PowersOfTwoSpace-n", "random_kout-seed", "generic_crs-seed",
          "expansion_check-sample_sets", "diameter_experiment-trials", "lcs_sample-m",
          "lcs_qk-K", "torus_poisson-d", "random_ranking_table-n"],
 )
@@ -420,7 +421,7 @@ def test_counts_once_cast_or_unchecked_are_refused(call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: derive_params(10**400, 12, 2, 0.5),
+        lambda: TwoNrqParams(10**400, 12, 2, 0.5),
         lambda: paris_space([math.nan, 1.0]),
         lambda: paris_space([1.0, math.inf]),
         lambda: LinearOrder(2**62, [(0, 1)]),
@@ -439,14 +440,19 @@ def test_counts_once_cast_or_unchecked_are_refused(call):
         lambda: TorusSpace(np.zeros((5, 0))),
         lambda: TorusSpace(np.array([[0.5, math.nan], [0.0, 0.0]])),
         lambda: list(ball_scan(np.zeros(5), np.array([0]), 0.3)),
+        lambda: Crs([[1, 2], [0, 2], [0, 1]]),
+        lambda: concordancy_check([[1, 2], [0, 2], [0, 1]]),
+        lambda: RankingOracle([[1, 2], [0, 2], [0, 1]]),
+        lambda: LcsSpace(3, "acgt", ("acg", "acgt")),
     ],
-    ids=["derive_params-n-past-float", "paris_space-nan-eta", "paris_space-inf-eta",
+    ids=["TwoNrqParams-n-past-float", "paris_space-nan-eta", "paris_space-inf-eta",
          "LinearOrder-n-past-int64-pair-index", "paris_space-eta-past-float",
          "paris_space-string-etas", "paris_space-none-eta", "torus_poisson-n-past-poisson",
          "run_2nrq-n-past-poisson", "batch_round-bigger-oracle",
          "pointwise_pass-bigger-oracle", "batch_round-smaller-oracle",
          "TorusSpace-1-D-points", "TorusSpace-no-column", "TorusSpace-nan-point",
-         "ball_scan-1-D-points"],
+         "ball_scan-1-D-points", "Crs-list-table", "concordancy_check-list-table",
+         "RankingOracle-list-table", "LcsSpace-short-string"],
 )
 def test_values_outside_the_exports_fuzz_are_refused(call):
     # an OverflowError from float(n), a space that only its rank table refused, an
@@ -455,8 +461,9 @@ def test_values_outside_the_exports_fuzz_are_refused(call):
     # Poisson mean past 9.2e18, two steps that ranked a state's points by the rows
     # of a bigger table, one that refused them as candidate ids of a smaller one,
     # torus spaces whose d was set apart from their points (a state over a 1-D
-    # array, no coordinates, a NaN coordinate), and a raw "not enough values to
-    # unpack" from 1-D points
+    # array, no coordinates, a NaN coordinate), a raw "not enough values to
+    # unpack" from 1-D points, an AttributeError from a table given as a list, and
+    # a string space refused only at its first distance
     with pytest.raises(InputError):
         call()
 

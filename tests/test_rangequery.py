@@ -17,10 +17,10 @@ from nndlab import rangequery
 from nndlab.errors import InputError, ScheduleExhausted
 from nndlab.rangequery import (
     SamplingReport,
+    TwoNrqParams,
     TwoNrqState,
     ball_scan,
     compute_schedule,
-    derive_params,
     g_min_overlap,
     ideal_state,
     init_e0,
@@ -41,7 +41,7 @@ DESK = dict(n=2e4, K=12, d=2, alpha=0.5)
 
 class TestDeriveParams:
     def test_golden_parameter_table(self):
-        p = derive_params(**GOLDEN)
+        p = TwoNrqParams(**GOLDEN)
         assert p.beta == pytest.approx(1.386, abs=1e-3)
         assert p.gamma == pytest.approx(0.6387, abs=5e-4)
         assert p.gamma_star == pytest.approx(0.7621, abs=5e-4)
@@ -49,22 +49,22 @@ class TestDeriveParams:
         assert 3.68 < p.t_prime_bound < 3.70
 
     def test_one_dimensional_gamma(self):
-        p = derive_params(1e4, 3, 1, 0.4)
+        p = TwoNrqParams(1e4, 3, 1, 0.4)
         assert p.gamma == pytest.approx(1 - math.sqrt(1 / 3), abs=1e-12)
 
     def test_beta_limit_as_alpha_vanishes(self):
         alpha = 1e-6
-        p = derive_params(1e4, 12, 2, alpha)
+        p = TwoNrqParams(1e4, 12, 2, alpha)
         assert abs(p.beta - (1 + alpha / 2)) < 1e-6
 
     def test_dimension_too_high(self):
         with pytest.raises(InputError, match="2\\^d"):
-            derive_params(1e4, 4, 2, 0.5)
+            TwoNrqParams(1e4, 4, 2, 0.5)
 
     def test_beta_out_of_range(self):
         # K/2^d = 1.25 but beta(0.9) > 2.5
         with pytest.raises(InputError, match="beta"):
-            derive_params(1e4, 5, 2, 0.9)
+            TwoNrqParams(1e4, 5, 2, 0.9)
 
     @pytest.mark.parametrize(
         "K,alpha,advice",
@@ -74,15 +74,22 @@ class TestDeriveParams:
     def test_beta_advice_points_the_right_way(self, K, alpha, advice):
         # beta rises with alpha from 1, so only a higher alpha lifts beta above 1
         with pytest.raises(InputError, match=advice):
-            derive_params(300, K, 2, alpha)
+            TwoNrqParams(300, K, 2, alpha)
+
+    @pytest.mark.parametrize("K,alpha,match", [(2, 0.5, "2\\^d"), (28, 1.5, "alpha")],
+                             ids=["K-not-above-2^d", "alpha-above-1"])
+    def test_the_record_checks_its_own_fields(self, K, alpha, match):
+        # built directly, each raised "math domain error" from gamma or compute_schedule
+        with pytest.raises(InputError, match=match):
+            TwoNrqParams(1e7, K, 4, alpha)
 
     @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
     def test_refuses_a_non_finite_n(self, n):
         with pytest.raises(InputError, match="finite n"):
-            derive_params(n, 12, 2, 0.5)
+            TwoNrqParams(n, 12, 2, 0.5)
 
     def test_envelope_ordering(self):
-        p = derive_params(**DESK)
+        p = TwoNrqParams(**DESK)
         assert 0 < p.gamma < p.gamma_star < 1
         assert p.beta == pytest.approx(-math.log(1 - p.alpha) / p.alpha, abs=1e-12)
 
@@ -136,14 +143,14 @@ def _update_residual(params, r_prev, r_t):
 
 class TestRadiusSolver:
     def test_golden_explicit_steps(self):
-        p = derive_params(**GOLDEN)
+        p = TwoNrqParams(**GOLDEN)
         r1, explicit1 = solve_next_radius(p, 1.0)
         assert explicit1 and r1 == pytest.approx(0.8694, abs=5e-4)
         r2, explicit2 = solve_next_radius(p, r1)
         assert explicit2 and r2 == pytest.approx(0.6572, abs=5e-4)
 
     def test_golden_first_implicit_step(self):
-        p = derive_params(**GOLDEN)
+        p = TwoNrqParams(**GOLDEN)
         r1, _ = solve_next_radius(p, 1.0)
         r2, _ = solve_next_radius(p, r1)
         r3, explicit3 = solve_next_radius(p, r2)
@@ -151,44 +158,44 @@ class TestRadiusSolver:
         assert r3 == pytest.approx(0.420, abs=1e-3)
 
     def test_solutions_satisfy_update_equation(self):
-        p = derive_params(**DESK)
+        p = TwoNrqParams(**DESK)
         schedule = compute_schedule(p)
         for r_prev, r_t in zip(schedule.radii, schedule.radii[1:]):
             assert abs(_update_residual(p, r_prev, r_t)) < 1e-9
 
     def test_exhaustion_signal(self):
-        p = derive_params(**DESK)
+        p = TwoNrqParams(**DESK)
         r_min = (p.K / (p.n * p.alpha)) ** (1 / p.d)
         with pytest.raises(ScheduleExhausted):
             solve_next_radius(p, r_min * 1.0000001)
 
     def test_precondition(self):
-        p = derive_params(**DESK)
+        p = TwoNrqParams(**DESK)
         with pytest.raises(InputError):
             solve_next_radius(p, 1.2)
 
     def test_underflowing_coefficient_names_n(self):
         # theta^2 * n underflows to 0 and the closed form divided by zero
-        p = derive_params(1e300, 12, 2, 0.5)
+        p = TwoNrqParams(1e300, 12, 2, 0.5)
         with pytest.raises(InputError, match="--n"):
             solve_next_radius(p, 1.0)
 
 
 class TestSchedule:
     def test_golden_shape(self):
-        schedule = compute_schedule(derive_params(**GOLDEN))
+        schedule = compute_schedule(TwoNrqParams(**GOLDEN))
         assert schedule.tau == 8
         assert schedule.t_prime == 2
         assert len(schedule.radii) == 9
 
     def test_golden_rates(self):
-        schedule = compute_schedule(derive_params(**GOLDEN))
+        schedule = compute_schedule(TwoNrqParams(**GOLDEN))
         stated = [5e-4, 3.2e-3, 1.91e-2, 1.040e-1, 3.856e-1]
         for theta, expected in zip(schedule.rates[4:], stated):
             assert theta == pytest.approx(expected, abs=3e-4)
 
     def test_monotone_chains(self):
-        schedule = compute_schedule(derive_params(**GOLDEN))
+        schedule = compute_schedule(TwoNrqParams(**GOLDEN))
         radii, rates = np.array(schedule.radii), np.array(schedule.rates)
         assert (np.diff(radii) < 0).all() and radii[0] == 1.0
         assert (np.diff(rates) > 0).all()
@@ -196,21 +203,21 @@ class TestSchedule:
         assert radii[-1] ** p.d >= p.K / (p.n * p.alpha)
 
     def test_coupling_identity(self):
-        schedule = compute_schedule(derive_params(**GOLDEN))
+        schedule = compute_schedule(TwoNrqParams(**GOLDEN))
         p = schedule.params
         for r, theta in zip(schedule.radii, schedule.rates):
             assert abs(theta * p.n * r ** p.d - p.K) < 1e-9
 
     def test_geometric_sandwich_after_t_prime(self):
         for kwargs in (GOLDEN, DESK):
-            schedule = compute_schedule(derive_params(**kwargs))
+            schedule = compute_schedule(TwoNrqParams(**kwargs))
             p = schedule.params
             for t in range(schedule.t_prime + 1, schedule.tau + 1):
                 ratio = schedule.radii[t] / schedule.radii[t - 1]
                 assert p.gamma < ratio <= p.gamma_star
 
     def test_success_rate_ratio_bounds(self):
-        schedule = compute_schedule(derive_params(**GOLDEN))
+        schedule = compute_schedule(TwoNrqParams(**GOLDEN))
         p = schedule.params
         for t in range(schedule.t_prime + 1, schedule.tau + 1):
             ratio = schedule.rates[t] / schedule.rates[t - 1]
@@ -218,25 +225,25 @@ class TestSchedule:
 
     def test_final_rate_window(self):
         for kwargs in (GOLDEN, DESK):
-            schedule = compute_schedule(derive_params(**kwargs))
+            schedule = compute_schedule(TwoNrqParams(**kwargs))
             p = schedule.params
             assert p.alpha * p.gamma ** p.d < schedule.rates[-1] <= p.alpha
 
     def test_tau_within_bound(self):
         for kwargs in (GOLDEN, DESK):
-            p = derive_params(**kwargs)
+            p = TwoNrqParams(**kwargs)
             schedule = compute_schedule(p)
             assert schedule.tau <= schedule.t_prime + math.log(
                 p.n * p.alpha / p.K
             ) / (p.d * math.log(1 / p.gamma_star))
 
     def test_doubling_n_adds_at_most_one_round(self):
-        tau1 = compute_schedule(derive_params(2e4, 12, 2, 0.5)).tau
-        tau2 = compute_schedule(derive_params(4e4, 12, 2, 0.5)).tau
+        tau1 = compute_schedule(TwoNrqParams(2e4, 12, 2, 0.5)).tau
+        tau2 = compute_schedule(TwoNrqParams(4e4, 12, 2, 0.5)).tau
         assert tau2 - tau1 in (0, 1)
 
     def test_csv_export(self):
-        schedule = compute_schedule(derive_params(**DESK))
+        schedule = compute_schedule(TwoNrqParams(**DESK))
         text = schedule_csv(schedule)
         lines = text.strip().splitlines()
         assert lines[0] == "t,r_t,theta_t,formula_used"
@@ -362,7 +369,7 @@ class TestRangeQueryRound:
         space = torus_poisson(2e4, 2, seed=10)
         m = space.n
         state = init_e0(space, 12, seed=11)
-        p = derive_params(float(m), 12, 2, 0.5)
+        p = TwoNrqParams(m, 12, 2, 0.5)
         schedule = compute_schedule(p)
         r1 = schedule.radii[1]
         g = g_min_overlap(r1, 1.0, 2)
@@ -460,8 +467,7 @@ class TestRun2nrq:
     def test_rounds_and_work_within_bounds(self):
         result = run_2nrq(DESK["n"], DESK["K"], DESK["d"], DESK["alpha"], seed=1)
         schedule = result.schedule
-        p = schedule.params
-        assert schedule.tau <= tau_bound(p, n=DESK["n"])
+        assert schedule.tau <= tau_bound(TwoNrqParams(**DESK))
         assert result.report["distance_evals"] <= 5 * DESK["n"] * DESK["K"] ** 2 * schedule.tau
 
     def test_report_contents(self):
@@ -518,7 +524,7 @@ _SMALL = torus_poisson(200, 2, seed=0)
     [
         lambda: g_min_overlap(math.nan, 0.5, 2),
         lambda: g_min_overlap(0.1, math.nan, 2),
-        lambda: solve_next_radius(derive_params(**DESK), math.nan),
+        lambda: solve_next_radius(TwoNrqParams(**DESK), math.nan),
         lambda: init_e0(_SMALL, math.nan, 0),
         lambda: init_e0(_SMALL, -1, 0),
         lambda: ideal_state(_SMALL, 0.5, math.nan, 0),

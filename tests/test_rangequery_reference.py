@@ -398,7 +398,7 @@ def test_range_query_round_chunks_match_reference(entries, case):
 def test_range_query_round_matches_reference_at_scale(d, n, k):
     # rounds 1-3 of a real run, each fed the reference's own previous state
     space = torus_poisson(n, d, seed=d)
-    params = rangequery.derive_params(float(space.n), k, d, 0.5)
+    params = rangequery.TwoNrqParams(space.n, k, d, 0.5)
     radii = rangequery.compute_schedule(params).radii
     state = init_e0(space, k, seed=d + 1)
     for t in range(1, min(4, len(radii))):

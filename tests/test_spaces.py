@@ -11,11 +11,11 @@ from nndlab import cli, spaces
 from nndlab.errors import InputError
 from nndlab.spaces import (
     LcsSpace,
+    PowersOfTwoSpace,
     circle_sample,
     lcs_qk,
     lcs_sample,
     paris_space,
-    powers_of_two_space,
     random_ranking_table,
     rank_table,
     torus_poisson,
@@ -81,15 +81,21 @@ class TestCircle:
 
 class TestPowersOfTwo:
     def test_values(self):
-        assert powers_of_two_space(6).values == [1, 2, 4, 8, 16, 32]
+        assert PowersOfTwoSpace(6).values == [1, 2, 4, 8, 16, 32]
 
     def test_nearest_two_of_32(self):
-        table = rank_table(powers_of_two_space(6))
+        table = rank_table(PowersOfTwoSpace(6))
         assert list(table.order[5][:2]) == [4, 3]
 
     def test_size_cap(self):
         with pytest.raises(InputError):
-            powers_of_two_space(60)
+            PowersOfTwoSpace(60)
+
+    @pytest.mark.parametrize("n", [1, 53])
+    def test_the_space_checks_its_size(self, n):
+        # built directly, 60 points ranked 5 rows unlike the exact integer order
+        with pytest.raises(InputError):
+            PowersOfTwoSpace(n)
 
 
 def brute_lcs_length(a, b):
@@ -135,19 +141,15 @@ class TestLcs:
             assert space.distance(i, j) == space.distance(j, i)
 
     def test_unequal_lengths_rejected(self):
-        space = LcsSpace(m=3, alphabet="abc", strings=("abc", "abcd"))
         with pytest.raises(InputError):
-            space.distance(0, 1)
+            LcsSpace(m=3, alphabet="abc", strings=("abc", "abcd"))
 
     @pytest.mark.parametrize("strings", [("abc", "abd", "abcd"), ("abc", "abd", "abz")],
                              ids=["length", "character"])
     def test_malformed_space_rejected(self, strings):
-        # every string is held in one code matrix, so one bad string refuses every pair
-        space = LcsSpace(m=3, alphabet="abcd", strings=strings)
+        # every string is checked when the space is built, so one bad string refuses every pair
         with pytest.raises(InputError, match="every string must be 3 characters"):
-            space.distance(0, 1)
-        with pytest.raises(InputError, match="every string must be 3 characters"):
-            rank_table(space)
+            LcsSpace(m=3, alphabet="abcd", strings=strings)
 
     def test_triangle_inequality_sampled(self):
         space = lcs_sample(40, 48, seed=9)
@@ -236,7 +238,7 @@ def test_distance_grid_equals_matrix_expression(n):
     a = np.asarray(circle.angles)
     delta = np.abs(a[:, None] - a[None, :])
     assert float_bits(distance_grid(circle)) == float_bits(np.minimum(delta, 2 * np.pi - delta))
-    powers = powers_of_two_space(min(n, 52))  # the space is capped at 52 points
+    powers = PowersOfTwoSpace(min(n, 52))  # the space is capped at 52 points
     v = np.array(powers.values, dtype=np.float64)
     assert float_bits(distance_grid(powers)) == float_bits(np.abs(v[:, None] - v[None, :]))
 
@@ -298,13 +300,19 @@ class TestTorus:
         # the volume ratio of a radius-r ball is r^d
         assert abs(inside - 0.5 ** 4) < 0.01
 
+    def test_equality_and_hash_are_identity(self):
+        # with an ndarray field, dataclass equality raised "truth value ... is ambiguous"
+        a, b = torus_poisson(10, 2, seed=0), torus_poisson(10, 2, seed=0)
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
 
 class TestRankTables:
     def test_every_space_yields_valid_table(self):
         # RankTable's constructor checks the per-point bijection
         rank_table(paris_space(range(1, 21)))
         rank_table(circle_sample(40, seed=1))
-        rank_table(powers_of_two_space(10))
+        rank_table(PowersOfTwoSpace(10))
         rank_table(lcs_sample(12, 16, seed=3))
         random_ranking_table(25, seed=4)
 
